@@ -1,0 +1,13 @@
+"""Make the checkout's ``perfbench`` and ``src/repro`` importable.
+
+Run with ``python -m pytest perfbench/tests`` from the checkout root; the
+tier-1 suite (``testpaths = ["tests"]``) does not collect this directory.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
