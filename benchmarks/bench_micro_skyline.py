@@ -5,6 +5,15 @@ algorithms (BNL, SFS, SaLSa, divide & conquer, BBS) across the three data
 distributions, with the comparison-count table the related-work section
 (§8) reasons about.  Unlike the figure benches these use pytest-benchmark's
 normal multi-round timing.
+
+The ``dominance-kernel`` group times the pairwise kernel of
+``repro.skyline.dominance`` against the literal ``all(<=) & any(<)``
+definition on the three shapes that matter: the coarse skyline's
+``_CHUNK`` x regions block, a mid-size optimizer broadcast, and the tiny
+window/estimate shapes where per-call overhead is everything.  Like every
+row in this file they are diagnostics for reproducing a per-call number
+on another host — not evidence: a performance claim rests on ``perfbench``
+(see ``perfbench/README.md``).
 """
 
 import numpy as np
@@ -20,6 +29,7 @@ from repro.skyline import (
     salsa_skyline,
     sfs_skyline,
 )
+from repro.skyline.dominance import dominance_broadcast
 from repro.skyline.window import SkylineWindow
 
 N = 1200
@@ -150,3 +160,35 @@ def bench_micro_window_dump_load(run_once, benchmark, dataset):
     restored = run_once(benchmark, roundtrip)
     assert list(restored.keys) == list(source.keys)
     assert np.array_equal(restored.vectors, source.vectors)
+
+
+# --------------------------------------------------------------------- #
+# The pairwise dominance kernel (docs/ARCHITECTURE.md §5)
+# --------------------------------------------------------------------- #
+KERNEL_SHAPES = [(512, 2054, 4), (30, 80, 3), (5, 20, 2)]
+
+
+def _literal_dominance(dominators, candidates, axis):
+    """The definition, as the kernel computed it before it went
+    per-attribute: an ``(n, m, d)`` cube reduced over its last axis."""
+    return (dominators <= candidates).all(axis=axis) & (
+        dominators < candidates
+    ).any(axis=axis)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize(
+    "implementation",
+    [_literal_dominance, dominance_broadcast],
+    ids=["literal", "kernel"],
+)
+def bench_micro_dominance_kernel(benchmark, shape, implementation):
+    n, m, d = shape
+    rng = np.random.default_rng(13)
+    dominators = rng.random((n, d))[:, None, :]
+    candidates = rng.random((m, d))[None, :, :]
+    benchmark.group = f"dominance-kernel-{n}x{m}x{d}"
+    mask = benchmark(lambda: implementation(dominators, candidates, 2))
+    np.testing.assert_array_equal(
+        mask, _literal_dominance(dominators, candidates, 2)
+    )

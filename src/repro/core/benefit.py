@@ -36,7 +36,7 @@ from repro.core.region import OutputRegion
 from repro.errors import ExecutionError
 from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
-from repro.skyline.dominance import dominance_broadcast, dominance_mask
+from repro.skyline.dominance import all_lt_broadcast, dominance_broadcast, dominance_mask
 from repro.skyline.estimate import buchta_skyline_size
 
 #: Above this many output cells the exact progressive count switches to the
@@ -604,9 +604,9 @@ class BenefitModel:
             # subspace, and the count-table targets gather the same mask
             # through their row -> region-id maps (a count row's upper
             # corner *is* its region's upper corner).
-            reach_all = (
-                lowers[:, None, :] < self._upper_q[qi][None, :, :]
-            ).all(axis=2)
+            reach_all = all_lt_broadcast(
+                lowers[:, None, :], self._upper_q[qi][None, :, :], axis=2
+            )
             if self._prog_ok is not None:
                 self._prog_ok[reach_all.any(axis=0), qi] = False
             sc = self._scounts.get(qi)
@@ -618,9 +618,9 @@ class BenefitModel:
                 else:
                     # Rows owned by never-attached regions (detached
                     # estimates) sit outside the geometry arrays.
-                    reach = (
-                        lowers[:, None, :] < sc.uppers[None, :n, :]
-                    ).all(axis=2)
+                    reach = all_lt_broadcast(
+                        lowers[:, None, :], sc.uppers[None, :n, :], axis=2
+                    )
                 reach &= sc.live[None, :n]
                 covered = rid_arr < len(sc.slot_arr)
                 own = np.where(
@@ -646,9 +646,9 @@ class BenefitModel:
                 if int(ridx.max(initial=0)) < reach_all.shape[1]:
                     reach = reach_all[:, ridx]
                 else:
-                    reach = (
-                        lowers[:, None, :] < ec.uppers[None, :n, :]
-                    ).all(axis=2)
+                    reach = all_lt_broadcast(
+                        lowers[:, None, :], ec.uppers[None, :n, :], axis=2
+                    )
                 reach &= ec.live[None, :n]
                 covered = rid_arr < len(ec.slot_arr)
                 own = np.where(
@@ -1042,7 +1042,7 @@ class BenefitModel:
                     [regions[int(k)].upper[positions] for k in miss[rest]]
                 )
             # reach[r, i]: active member i can lower rest-row r's ratio.
-            reach_r = (lowers_all[None, :, :] < uppers[:, None, :]).all(axis=2)
+            reach_r = all_lt_broadcast(lowers_all[None, :, :], uppers[:, None, :])
             reach_r &= ids_all[None, :] != rrids[:, None]
             n_dom_r = reach_r.sum(axis=1)
             # Scatter the rest-local data back to miss-local indexing so

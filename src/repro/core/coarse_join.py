@@ -52,6 +52,21 @@ def _estimate_join_count(
     return len(shared) * per_left * per_right
 
 
+def _corner_maps(
+    partitioning: Partitioning, cell_idx: np.ndarray
+) -> "tuple[dict[str, np.ndarray], dict[str, np.ndarray]]":
+    """Lower and upper corner of leaf ``cell_idx[k]`` in row ``k``, each as
+    one column per measure attribute."""
+    leaves = partitioning.leaves
+    lower = np.asarray([c.bounds.lower for c in leaves], dtype=float)[cell_idx]
+    upper = np.asarray([c.bounds.upper for c in leaves], dtype=float)[cell_idx]
+    attrs = partitioning.measure_attrs
+    return (
+        {a: lower[:, k] for k, a in enumerate(attrs)},
+        {a: upper[:, k] for k, a in enumerate(attrs)},
+    )
+
+
 def coarse_join(
     workload: Workload,
     left_partitioning: Partitioning,
@@ -74,82 +89,73 @@ def coarse_join(
         for c in conditions
     }
 
-    # Pass 1: find contributing pairs and their output bounds.
-    raw: list[dict] = []
+    # Pass 1: signature tests, charged one by one in pair order, pick the
+    # contributing (left cell, right cell, condition) triples.
+    left_leaves = left_partitioning.leaves
+    right_leaves = right_partitioning.leaves
+    raw: "list[tuple[int, int, str, float]]" = []
     pruned = 0
-    for left_cell in left_partitioning.leaves:
-        left_lower, left_upper = left_cell.lower_map(), left_cell.upper_map()
-        for right_cell in right_partitioning.leaves:
-            right_lower, right_upper = right_cell.lower_map(), right_cell.upper_map()
+    for li, left_cell in enumerate(left_leaves):
+        for ri, right_cell in enumerate(right_leaves):
             for condition in conditions:
                 stats.record_coarse_comparisons(1)  # one signature test
-                shared = common_values(
-                    left_cell.signature(condition.name),
-                    right_cell.signature(condition.name),
-                )
+                left_sig = left_cell.signature(condition.name)
+                right_sig = right_cell.signature(condition.name)
+                shared = common_values(left_sig, right_sig)
                 if not shared:
                     pruned += 1
                     continue
-                lower = np.empty(len(output_dims))
-                upper = np.empty(len(output_dims))
-                for k, fn in enumerate(functions):
-                    lo, hi = fn.apply_bounds(
-                        left_lower, left_upper, right_lower, right_upper
-                    )
-                    lower[k], upper[k] = lo, hi
-                raw.append(
-                    {
-                        "left": left_cell,
-                        "right": right_cell,
-                        "condition": condition.name,
-                        "lower": lower,
-                        "upper": upper,
-                        "est": _estimate_join_count(
-                            left_cell.signature(condition.name),
-                            right_cell.signature(condition.name),
-                            shared,
-                            left_cell.size,
-                            right_cell.size,
-                        ),
-                        "rql": condition_rql[condition.name],
-                    }
+                est = _estimate_join_count(
+                    left_sig, right_sig, shared, left_cell.size, right_cell.size
                 )
+                raw.append((li, ri, condition.name, est))
     if not raw:
         raise ExecutionError(
             "coarse join produced no output regions: no cell pair satisfies "
             "any join condition"
         )
 
-    # Pass 2: size the grid, then materialise regions with coordinate boxes.
-    grid = grid_for_cells(
-        output_dims,
-        [r["lower"] for r in raw],
-        [r["upper"] for r in raw],
-        divisions=divisions,
+    # Output bounds of every contributing pair at once: gather the cell
+    # corners by pair index and push them through each mapping function in
+    # one vectorised call per output dimension — elementwise the same
+    # float operations as mapping one pair at a time.
+    left_lower, left_upper = _corner_maps(
+        left_partitioning, np.asarray([r[0] for r in raw], dtype=np.intp)
     )
-    # Coordinate boxes for every contributing pair in two grid passes —
-    # `coords_of` performs the same elementwise float operations as the
+    right_lower, right_upper = _corner_maps(
+        right_partitioning, np.asarray([r[1] for r in raw], dtype=np.intp)
+    )
+    lower = np.empty((len(raw), len(functions)))
+    upper = np.empty_like(lower)
+    for k, fn in enumerate(functions):
+        # Column assignment copies (and repeats a constant bound).
+        lower[:, k], upper[:, k] = fn.apply_bounds(
+            left_lower, left_upper, right_lower, right_upper
+        )
+
+    # Pass 2: size the grid, then materialise regions with coordinate boxes
+    # — `coords_of` performs the same elementwise float operations as the
     # scalar `box_of`, so each row matches the per-region call bit for bit.
-    box_lo = grid.coords_of(np.vstack([r["lower"] for r in raw]))
-    box_hi = grid.coords_of(np.vstack([r["upper"] for r in raw]))
+    grid = grid_for_cells(output_dims, lower, upper, divisions=divisions)
+    box_lo = grid.coords_of(lower).tolist()
+    box_hi = grid.coords_of(upper).tolist()
     regions: list[OutputRegion] = []
-    for region_id, r in enumerate(raw):
-        coord_lo = tuple(int(v) for v in box_lo[region_id])
-        coord_hi = tuple(int(v) for v in box_hi[region_id])
+    for region_id, (li, ri, condition_name, est) in enumerate(raw):
+        left_cell, right_cell = left_leaves[li], right_leaves[ri]
         regions.append(
             OutputRegion(
                 region_id=region_id,
-                left_cell_id=r["left"].cell_id,
-                right_cell_id=r["right"].cell_id,
-                condition_name=r["condition"],
-                lower=r["lower"],
-                upper=r["upper"],
-                rql=r["rql"],
-                coord_lo=coord_lo,
-                coord_hi=coord_hi,
-                est_join_count=max(r["est"], 1.0),
-                left_size=r["left"].size,
-                right_size=r["right"].size,
+                left_cell_id=left_cell.cell_id,
+                right_cell_id=right_cell.cell_id,
+                condition_name=condition_name,
+                lower=lower[region_id],
+                upper=upper[region_id],
+                rql=condition_rql[condition_name],
+                coord_lo=tuple(box_lo[region_id]),
+                coord_hi=tuple(box_hi[region_id]),
+                est_join_count=max(est, 1.0),
+                left_size=left_cell.size,
+                right_size=right_cell.size,
             )
         )
     return CoarseJoinResult(regions=regions, grid=grid, pruned_pairs=pruned)

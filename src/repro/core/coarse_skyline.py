@@ -127,70 +127,73 @@ def coarse_skyline(
                 prunable_queries |= 1 << qi
     output_dims = workload.output_dims
     table = cuboid.lattice.table
-    nondominated: dict[int, set[int]] = {}
 
     region_list = [r for r in regions if not r.is_discarded]
+    n_regions = len(region_list)
     if region_list:
         lower_all = np.vstack([r.lower for r in region_list])
         upper_all = np.vstack([r.upper for r in region_list])
-        rql_all = np.asarray([r.active_rql for r in region_list], dtype=np.int64)
-        ids_all = np.asarray([r.region_id for r in region_list])
     else:
         lower_all = upper_all = np.empty((0, len(output_dims)))
-        rql_all = ids_all = np.empty(0, dtype=np.int64)
+    rql_all = np.asarray([r.active_rql for r in region_list], dtype=np.int64)
+    ids_all = np.asarray([r.region_id for r in region_list], dtype=np.int64)
 
+    # mask -> survivor flags over ``region_list`` positions.
+    survivors: "dict[int, np.ndarray]" = {}
     for mask in cuboid.masks:
         node = cuboid.node(mask)
         positions = [output_dims.index(n) for n in table.names(mask)]
-        member = (rql_all & node.qserve) != 0
-        cand_idx = np.nonzero(member)[0]
+        survivors_here = np.zeros(n_regions, dtype=bool)
+        survivors[mask] = survivors_here
+        cand_idx = np.flatnonzero((rql_all & node.qserve) != 0)
         if len(cand_idx) == 0:
-            nondominated[mask] = set()
             continue
-        seeded_ids: set[int] = set()
+        seeded = np.zeros(n_regions, dtype=bool)
         for child in node.children:
-            seeded_ids |= nondominated.get(child, set())
-        survivors_here: set[int] = set()
+            if child in survivors:
+                seeded |= survivors[child]
         # Equal-lineage groups: full dominance is transitive inside each.
-        for rql_value in np.unique(rql_all[cand_idx]):
-            group = cand_idx[rql_all[cand_idx] == rql_value]
+        cand_rql = rql_all[cand_idx]
+        for rql_value in np.unique(cand_rql):
+            group = cand_idx[cand_rql == rql_value]
             lo = lower_all[np.ix_(group, positions)]
             up = upper_all[np.ix_(group, positions)]
-            dominated = dominated_flags(lo, up)
-            group_ids = ids_all[group]
-            seeded_flags = np.asarray([rid in seeded_ids for rid in group_ids])
-            survivor_flags = seeded_flags | ~dominated
+            seeded_flags = seeded[group]
+            survivor_flags = seeded_flags | ~dominated_flags(lo, up)
             stats.record_coarse_comparisons(
                 sequential_comparison_count(
-                    up, np.nonzero(survivor_flags)[0], np.nonzero(~seeded_flags)[0]
+                    up, np.flatnonzero(survivor_flags), np.flatnonzero(~seeded_flags)
                 )
             )
-            survivors_here |= {int(r) for r in group_ids[survivor_flags]}
-        nondominated[mask] = survivors_here
+            survivors_here[group[survivor_flags]] = True
 
-    # Per-query contribution sets and lineage shrinking.
-    reg: dict[str, set[int]] = {}
+    # Per-query contribution flags and lineage shrinking: a prunable query
+    # is dropped from every region it was created for that did not survive
+    # at the query's node.
+    created_rql = np.asarray([r.rql for r in region_list], dtype=np.int64)
+    active = rql_all.copy()
+    contributing: "dict[str, np.ndarray]" = {}
     for qi, query in enumerate(workload):
-        mask = cuboid.query_nodes[query.name]
-        survivors = nondominated[mask]
-        prunable = bool((prunable_queries >> qi) & 1)
-        contributing = set()
-        for r in region_list:
-            if not (r.rql & (1 << qi)):
-                continue
-            if r.region_id in survivors or not prunable:
-                contributing.add(r.region_id)
-            else:
-                r.deactivate_query(qi)
-        reg[query.name] = contributing
+        serves = ((created_rql >> qi) & 1).astype(bool)
+        if (prunable_queries >> qi) & 1:
+            keeps = survivors[cuboid.query_nodes[query.name]]
+            active[serves & ~keeps] &= ~(np.int64(1) << qi)
+            serves &= keeps
+        contributing[query.name] = serves
+    for k in np.flatnonzero(active != rql_all).tolist():
+        region_list[k].active_rql = int(active[k])
 
-    discarded = {r.region_id for r in region_list if r.is_discarded}
+    alive = active != 0
+    discarded = set(ids_all[~alive].tolist())
     for _ in range(len(discarded)):
         stats.record_region_discarded()
-    for mask in nondominated:
-        nondominated[mask] -= discarded
-    for name in reg:
-        reg[name] -= discarded
+    nondominated = {
+        mask: set(ids_all[flags & alive].tolist()) for mask, flags in survivors.items()
+    }
+    reg = {
+        name: set(ids_all[flags & alive].tolist())
+        for name, flags in contributing.items()
+    }
     return CoarseSkylineResult(nondominated=nondominated, reg=reg, discarded=discarded)
 
 

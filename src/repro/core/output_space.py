@@ -157,15 +157,16 @@ class OutputGrid:
 
 def grid_for_cells(
     dims: "tuple[str, ...]",
-    lower_bounds: "list[np.ndarray]",
-    upper_bounds: "list[np.ndarray]",
+    lower_bounds: "np.ndarray | list[np.ndarray]",
+    upper_bounds: "np.ndarray | list[np.ndarray]",
     divisions: int = DEFAULT_DIVISIONS,
 ) -> OutputGrid:
-    """Build the output grid spanning a set of region bounds."""
-    if not lower_bounds:
+    """Build the output grid spanning a set of region bounds (one row —
+    or one vector — per region)."""
+    if len(lower_bounds) == 0:
         raise ExecutionError("cannot size an output grid with no regions")
-    lows = np.min(np.vstack(lower_bounds), axis=0)
-    highs = np.max(np.vstack(upper_bounds), axis=0)
+    lows = np.min(np.asarray(lower_bounds), axis=0)
+    highs = np.max(np.asarray(upper_bounds), axis=0)
     return OutputGrid(
         dims=tuple(dims),
         lows=tuple(float(x) for x in lows),

@@ -73,19 +73,26 @@ class MappingFunction:
 
     def apply_bounds(
         self,
-        left_lower: "dict[str, float]",
-        left_upper: "dict[str, float]",
-        right_lower: "dict[str, float]",
-        right_upper: "dict[str, float]",
-    ) -> tuple[float, float]:
-        """Map input-cell bounds to an output interval (coarse join step)."""
+        left_lower: "dict[str, np.ndarray | float]",
+        left_upper: "dict[str, np.ndarray | float]",
+        right_lower: "dict[str, np.ndarray | float]",
+        right_upper: "dict[str, np.ndarray | float]",
+    ) -> "tuple[np.ndarray | float, np.ndarray | float]":
+        """Map input-cell bounds to an output interval (coarse join step).
+
+        Each map holds one cell corner per attribute, giving a
+        ``(float, float)`` interval — or one aligned column of corners per
+        attribute, giving one interval per row (columns that may alias the
+        inputs; a constant ``fn`` may return fewer elements than rows).
+        """
         if not self.monotone:
             raise QueryError(
                 f"mapping function {self.name} is not monotone; cannot derive "
                 "output-region bounds from cell bounds"
             )
-        low = self.apply_scalar(left_lower, right_lower)
-        high = self.apply_scalar(left_upper, right_upper)
+        # `[()]` unboxes a 0-d result to a float and leaves columns alone.
+        low = self.apply(left_lower, right_lower)[()]
+        high = self.apply(left_upper, right_upper)[()]
         return (low, high)
 
 

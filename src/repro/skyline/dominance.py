@@ -103,6 +103,55 @@ def dominates(
     return bool(np.all(av <= bv) and np.any(av < bv))
 
 
+def _attribute_planes(
+    lefts: np.ndarray, rights: np.ndarray, axis: int
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Both operands' ``k``-th attribute planes, for each ``k`` of the
+    broadcast attribute axis (a width-1 side repeats) — views, whatever
+    the operands' strides.  ``axis`` indexes the broadcast result, so it is
+    counted from the end, where operands of different rank align.
+    """
+    if axis >= 0:
+        axis -= max(lefts.ndim, rights.ndim)
+    wl, wr = lefts.shape[axis], rights.shape[axis]
+    if wl != wr and wl != 1 and wr != 1:
+        raise ValueError(f"attribute axes of width {wl} and {wr} do not broadcast")
+    tail = (slice(None),) * (-1 - axis)
+    return [
+        (lefts[(..., k % wl) + tail], rights[(..., k % wr) + tail])
+        for k in range(wr if wl == 1 else wl)
+    ]
+
+
+def _all_planes(
+    op: np.ufunc, lefts: np.ndarray, rights: np.ndarray, axis: int
+) -> np.ndarray:
+    """``op(lefts, rights).all(axis)``, AND-accumulated plane by plane."""
+    planes = _attribute_planes(lefts, rights, axis)
+    if not planes:  # nothing to accumulate: the (empty) literal form is free
+        return op(lefts, rights).all(axis=axis)
+    acc = op(*planes[0])
+    for lk, rk in planes[1:]:
+        acc &= op(lk, rk)
+    return acc
+
+
+def all_le_broadcast(
+    lefts: np.ndarray, rights: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """Broadcast ``all(lefts <= rights, axis)`` (``all(>=)`` with the
+    operands swapped); kernel shape of :func:`dominance_broadcast`."""
+    return _all_planes(np.less_equal, lefts, rights, axis)
+
+
+def all_lt_broadcast(
+    lefts: np.ndarray, rights: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """Broadcast ``all(lefts < rights, axis)`` — the optimizer's box-reach
+    test; kernel shape of :func:`dominance_broadcast`."""
+    return _all_planes(np.less, lefts, rights, axis)
+
+
 def dominance_broadcast(
     dominators: np.ndarray,
     candidates: np.ndarray,
@@ -110,15 +159,28 @@ def dominance_broadcast(
 ) -> np.ndarray:
     """Broadcast form of Definition 1: ``all(<=, axis) & any(<, axis)``.
 
-    ``dominators`` and ``candidates`` are broadcast against each other and
-    reduced over ``axis`` (the attribute axis).  No comparisons are
-    charged — callers on charged paths account for their own counts; this
-    is the single audited implementation that CQ002 requires every
-    vectorised dominance test to flow through.
+    ``dominators`` and ``candidates`` are ndarrays (views are never
+    copied) that broadcast against each other; ``axis`` is the attribute
+    axis of the broadcast result.  The mask is accumulated one attribute
+    at a time over the broadcast planes — no ``(..., d)`` comparison cube,
+    no reduce over the 2-4 wide attribute axis — with the definition's own
+    comparisons: NaN, +-inf and ties come out as in the literal form, a
+    zero-width axis gives all-False.  No comparisons are charged —
+    callers on charged paths account for their own counts; this is the
+    single audited implementation that CQ002 requires every vectorised
+    dominance test to flow through.
     """
-    le = (dominators <= candidates).all(axis=axis)
-    lt = (dominators < candidates).any(axis=axis)
-    return le & lt
+    planes = _attribute_planes(dominators, candidates, axis)
+    if not planes:
+        return (dominators < candidates).any(axis=axis)
+    dk, ck = planes[0]
+    le = dk <= ck
+    lt = dk < ck
+    for dk, ck in planes[1:]:
+        le &= dk <= ck
+        lt |= dk < ck
+    le &= lt
+    return le
 
 
 def dominance_mask(dominators: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -157,6 +219,8 @@ def dominates_matrix(
 __all__ = [
     "ComparisonCounter",
     "Dominance",
+    "all_le_broadcast",
+    "all_lt_broadcast",
     "compare",
     "dims_index",
     "dominance_broadcast",

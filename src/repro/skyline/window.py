@@ -37,7 +37,7 @@ from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
-from repro.skyline.dominance import ComparisonCounter, dims_index
+from repro.skyline.dominance import ComparisonCounter, all_le_broadcast, dims_index
 
 _INITIAL_CAPACITY = 16
 
@@ -414,8 +414,8 @@ class SkylineWindow:
                 continue
             rem = mat[pos:]
             # entry_le[i, j]: window row i <= remaining point j everywhere.
-            entry_le = (cur[:, None, :] <= rem[None, :, :]).all(axis=2)
-            new_le = (cur[:, None, :] >= rem[None, :, :]).all(axis=2)
+            entry_le = all_le_broadcast(cur[:, None, :], rem[None, :, :], axis=2)
+            new_le = all_le_broadcast(rem[None, :, :], cur[:, None, :], axis=2)
             equal = entry_le & new_le
             dominators = entry_le & ~equal
             has_dom = dominators.any(axis=0)
@@ -504,8 +504,8 @@ class SkylineWindow:
         width = mat.shape[1]
         if n_rows:
             window = self._store[:n_rows]
-            entry_le0 = (window[:, None, :] <= mat[None, :, :]).all(axis=2)
-            new_le0 = (window[:, None, :] >= mat[None, :, :]).all(axis=2)
+            entry_le0 = all_le_broadcast(window[:, None, :], mat[None, :, :], axis=2)
+            new_le0 = all_le_broadcast(mat[None, :, :], window[:, None, :], axis=2)
             eq0 = entry_le0 & new_le0
             dom0 = entry_le0 & ~eq0
             alive0 = self._live[:n_rows].copy()
@@ -536,8 +536,10 @@ class SkylineWindow:
         n_adm = 0
 
         def batch_rows(vec: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            le = (vec[None, :] <= mat).all(axis=1)
-            ge = (vec[None, :] >= mat).all(axis=1)
+            # One point against the batch: an (m, d) compare, no pairwise
+            # cube — two calls beat the per-attribute kernel at this shape.
+            le = (vec <= mat).all(axis=1)
+            ge = (vec >= mat).all(axis=1)
             eq_row = le & ge
             return le & ~eq_row, eq_row
 

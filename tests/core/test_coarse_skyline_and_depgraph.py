@@ -195,3 +195,97 @@ class TestBuiltGraph:
         for targets in graph.edges_out.values():
             for mask in targets.values():
                 assert 0 < mask <= full_mask
+
+
+# ---------------------------------------------------------------------- #
+# The array paths against a per-pair scalar reference
+# ---------------------------------------------------------------------- #
+def _naive_coarse_skyline(workload, cuboid, regions):
+    """Section 5.2 as the module docstring tells it: per cuboid node and
+    equal-lineage group, one sorted sequential pass with scalar corner
+    tests; then per query, per region, the lineage shrink."""
+    dims = workload.output_dims
+    table = cuboid.lattice.table
+    by_id = {r.region_id: r for r in regions}
+    active = {r.region_id: r.active_rql for r in regions}
+    nondominated, charged = {}, []
+    for mask in cuboid.masks:
+        node = cuboid.node(mask)
+        pos = [dims.index(n) for n in table.names(mask)]
+        seeded = set().union(*(nondominated.get(c, set()) for c in node.children))
+        survivors = set()
+        members = [r for r in regions if r.active_rql & node.qserve]
+        for lineage in sorted({r.active_rql for r in members}):
+            group = [r for r in members if r.active_rql == lineage]
+            # Ascending upper-corner sum, ties in region order.
+            sums = np.array([r.upper[pos] for r in group]).sum(axis=1)
+            kept: "list[OutputRegion]" = []
+            count = 0
+            for k in np.argsort(sums, kind="stable").tolist():
+                cand = group[k]
+                if cand.region_id not in seeded:
+                    count += len(kept)
+                dominated = any(
+                    all(u <= l for u, l in zip(s.upper[pos], cand.lower[pos]))
+                    and any(u < l for u, l in zip(s.upper[pos], cand.lower[pos]))
+                    for s in kept
+                )
+                if cand.region_id in seeded or not dominated:
+                    kept.append(cand)
+            charged.append(count)
+            survivors |= {r.region_id for r in kept}
+        nondominated[mask] = survivors
+    reg = {}
+    for qi, query in enumerate(workload):
+        keep = nondominated[cuboid.query_nodes[query.name]]
+        reg[query.name] = set()
+        for r in regions:
+            if not r.rql & (1 << qi):
+                continue
+            if r.region_id in keep or query.has_filters:
+                reg[query.name].add(r.region_id)
+            else:
+                active[r.region_id] &= ~(1 << qi)
+    discarded = {rid for rid, lineage in active.items() if lineage == 0}
+    return (
+        {m: s - discarded for m, s in nondominated.items()},
+        {n: s - discarded for n, s in reg.items()},
+        discarded,
+        active,
+        charged,
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["correlated", "anticorrelated", "independent", "filtered", "two_conditions"],
+)
+def test_coarse_skyline_matches_per_pair_scalar_reference(mqla_cases, case):
+    workload, lp, rp = mqla_cases[case]
+    cj = coarse_join(workload, lp, rp, ExecutionStats())
+    cuboid = build_minmax_cuboid(workload)
+    want_nd, want_reg, want_discarded, want_active, charged = _naive_coarse_skyline(
+        workload, cuboid, cj.regions
+    )
+    seen: "list[int]" = []
+    stats = ExecutionStats()
+    record = stats.record_coarse_comparisons
+    stats.record_coarse_comparisons = lambda n: (seen.append(n), record(n))[1]
+    result = coarse_skyline(workload, cuboid, cj.regions, stats)
+    assert result.nondominated == want_nd
+    assert result.reg == want_reg
+    assert result.discarded == want_discarded
+    assert {r.region_id: r.active_rql for r in cj.regions} == want_active
+    assert all(type(r.active_rql) is int for r in cj.regions)
+    # The charge sequence, not just its sum: the virtual clock adds floats.
+    assert seen == charged
+    assert stats.coarse_comparisons == sum(charged)
+    assert stats.regions_discarded == len(want_discarded)
+    if case == "correlated":
+        assert len(cj.regions) > 2 * 512  # dominated_flags' two-pass branch
+    if case == "two_conditions":
+        assert len({r.rql for r in cj.regions}) == 2
+    if case == "filtered":
+        assert not want_discarded and any(
+            a != r.rql for r, a in zip(cj.regions, want_active.values())
+        )

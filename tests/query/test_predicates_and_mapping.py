@@ -103,6 +103,18 @@ class TestMappingFunctions:
         fn = add("a", "b", "d")
         low, high = fn.apply_bounds({"a": 1.0}, {"a": 2.0}, {"b": 10.0}, {"b": 20.0})
         assert (low, high) == (11.0, 22.0)
+        assert isinstance(low, float) and isinstance(high, float)
+
+    def test_apply_bounds_columns_match_scalar_calls(self):
+        fn = weighted_sum(["a"], ["b"], [0.5, 2.0], "d")
+        a_lo, a_hi = np.array([1.0, 3.0, -2.0]), np.array([2.0, 3.5, 0.0])
+        b_lo, b_hi = np.array([0.1, 7.0, 4.0]), np.array([0.3, 9.0, 4.0])
+        low, high = fn.apply_bounds({"a": a_lo}, {"a": a_hi}, {"b": b_lo}, {"b": b_hi})
+        assert low.shape == high.shape == (3,)
+        for k in range(3):
+            assert (low[k], high[k]) == fn.apply_bounds(
+                {"a": a_lo[k]}, {"a": a_hi[k]}, {"b": b_lo[k]}, {"b": b_hi[k]}
+            )
 
     def test_apply_bounds_rejects_non_monotone(self):
         from repro.query.mapping import MappingFunction

@@ -9,7 +9,11 @@ from hypothesis.extra.numpy import arrays
 from repro.skyline.dominance import (
     ComparisonCounter,
     Dominance,
+    all_le_broadcast,
+    all_lt_broadcast,
     compare,
+    dominance_broadcast,
+    dominance_mask,
     dominates,
     dominates_matrix,
 )
@@ -136,3 +140,140 @@ def test_property_subspace_dominance_from_full_dominance(a, b, dims):
     """Full-space dominance implies weak subspace preference (never reversed)."""
     if dominates(a, b):
         assert not dominates(b, a, dims=sorted(dims))
+
+
+# ---------------------------------------------------------------------- #
+# The pairwise kernel against the literal definition
+# ---------------------------------------------------------------------- #
+def literal_dominance(a, b, axis=-1):
+    """Definition 1 written out: the oracle the kernel must equal."""
+    return (a <= b).all(axis=axis) & (a < b).any(axis=axis)
+
+
+def literal_all(op, a, b, axis=-1):
+    return op(a, b).all(axis=axis)
+
+
+#: Few distinct values, so ties, duplicates, NaN and +-inf are the norm.
+_VALUES = st.sampled_from([0.0, 1.0, 2.0, 2.5, np.inf, -np.inf, np.nan])
+_LAYOUTS = ("c", "fortran", "strided", "reversed")
+
+
+def _laid_out(array: np.ndarray, layout: str) -> np.ndarray:
+    """The same values behind different strides."""
+    if layout == "fortran":
+        return np.asfortranarray(array)
+    if layout == "strided":
+        wide = np.full(tuple(2 * s for s in array.shape), 7.0)
+        view = wide[tuple(slice(None, None, 2) for _ in array.shape)]
+        view[...] = array
+        return view
+    if layout == "reversed":  # negative stride along the first axis
+        return np.ascontiguousarray(array[::-1])[::-1]
+    return array
+
+
+@st.composite
+def _row_matrices(draw):
+    d = draw(st.sampled_from([0, 1, 2, 4, 7]))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    a = draw(arrays(np.float64, (n, d), elements=_VALUES))
+    b = draw(arrays(np.float64, (m, d), elements=_VALUES))
+    return (
+        _laid_out(a, draw(st.sampled_from(_LAYOUTS))),
+        _laid_out(b, draw(st.sampled_from(_LAYOUTS))),
+    )
+
+
+def _assert_kernels_match(a, b, axis):
+    got = dominance_broadcast(a, b, axis=axis)
+    want = literal_dominance(a, b, axis=axis)
+    assert got.dtype == np.bool_ and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        all_le_broadcast(a, b, axis=axis), literal_all(np.less_equal, a, b, axis)
+    )
+    np.testing.assert_array_equal(
+        all_le_broadcast(b, a, axis=axis), literal_all(np.greater_equal, a, b, axis)
+    )
+    np.testing.assert_array_equal(
+        all_lt_broadcast(a, b, axis=axis), literal_all(np.less, a, b, axis)
+    )
+
+
+@given(pair=_row_matrices())
+@settings(max_examples=150, deadline=None)
+def test_property_cross_masks_equal_the_literal_definition(pair):
+    a, b = pair
+    np.testing.assert_array_equal(
+        dominance_mask(a, b), literal_dominance(a[:, None, :], b[None, :, :], axis=2)
+    )
+    _assert_kernels_match(a[:, None, :], b[None, :, :], axis=2)
+    _assert_kernels_match(a[:, None, :], b[None, :, :], axis=-1)
+    # The attribute axis need not be the last one.
+    _assert_kernels_match(a[:, :, None], b.T[None, :, :], axis=1)
+    _assert_kernels_match(a[:, :, None], b.T[None, :, :], axis=-2)
+
+
+@given(pair=_row_matrices(), batch=st.integers(0, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_property_4d_broadcasts_equal_the_literal_definition(pair, batch, data):
+    """The ``axis=3`` shapes of ``benefit.py``: per-batch threat rows against
+    per-batch sample rows, and events against every row's samples."""
+    a, b = pair
+    d = a.shape[1]
+    thr = data.draw(arrays(np.float64, (batch, len(a), d), elements=_VALUES))
+    samp = data.draw(arrays(np.float64, (batch, len(b), d), elements=_VALUES))
+    _assert_kernels_match(thr[:, :, None, :], samp[:, None, :, :], axis=3)
+    _assert_kernels_match(a[:, None, None, :], samp[None, :, :, :], axis=3)
+
+
+@given(pair=_row_matrices())
+@settings(max_examples=100, deadline=None)
+def test_property_attribute_axis_broadcasts(pair):
+    """Width 1 on one side repeats against width d on the other; operands
+    of different rank align from the end."""
+    a, b = pair
+    if a.shape[1] == 0:
+        return
+    _assert_kernels_match(a[:, None, :1], b[None, :, :], axis=2)
+    _assert_kernels_match(a[:, None, :], b[None, :, :1], axis=2)
+    if len(a):
+        _assert_kernels_match(a[0], b, axis=-1)
+        _assert_kernels_match(b, a[0], axis=1)
+
+
+class TestKernelEdges:
+    def test_zero_width_axis_is_all_false(self):
+        a, b = np.empty((3, 1, 0)), np.empty((1, 4, 0))
+        got = dominance_broadcast(a, b, axis=2)
+        assert got.shape == (3, 4) and got.dtype == np.bool_ and not got.any()
+        assert all_le_broadcast(a, b, axis=2).all()
+        assert all_lt_broadcast(a, b, axis=2).shape == (3, 4)
+        assert dominance_mask(np.empty((0, 0)), np.empty((2, 0))).shape == (0, 2)
+
+    def test_mismatched_widths_raise(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            dominance_broadcast(np.zeros((2, 1, 3)), np.zeros((1, 2, 2)), axis=2)
+
+    def test_inf_padding_rows_dominate_nothing(self):
+        """``estimate_roots_arrays`` pads threat rows with +inf corners."""
+        thr = np.full((2, 3, 1, 2), np.inf)
+        thr[0, 0, 0] = (1.0, 1.0)
+        samp = np.array([[[[2.0, 2.0], [np.inf, np.inf], [0.5, 3.0]]]] * 2)
+        counts = dominance_broadcast(thr, samp, axis=3).sum(axis=1)
+        np.testing.assert_array_equal(counts, [[1, 1, 0], [0, 0, 0]])
+
+    def test_nan_neither_dominates_nor_is_dominated(self):
+        pts = np.array([[np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        mask = dominance_mask(pts, pts)
+        assert not mask[0].any() and not mask[:, 0].any()
+        assert mask[1, 2] and not mask[2, 1]
+
+    def test_operands_are_not_modified(self):
+        a = np.arange(12.0).reshape(4, 3)[:, ::2]
+        b = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        a0, b0 = a.copy(), b.copy()
+        dominance_mask(a, b)
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)

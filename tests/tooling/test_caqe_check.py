@@ -17,6 +17,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
@@ -168,6 +170,70 @@ class TestCQ002:
             select="CQ002",
         )
         assert found == []
+
+
+    @pytest.mark.parametrize(
+        "relpath", ["repro/core/mod.py", "repro/plan/mod.py", "repro/skyline/window.py"]
+    )
+    def test_fires_on_pairwise_broadcast_reduction(self, tmp_path, relpath):
+        source = """\
+            import numpy as np
+
+
+            def masks(a, b):
+                le = (a[:, None, :] <= b[None, :, :]).all(axis=2)
+                ge = np.all(a[:, np.newaxis, :] >= b[None, :, :], axis=2)
+                lt = (a[:, None, None, :] < b[None, :, :, :]).any(axis=3)
+                return le, ge, lt
+            """
+        found = lint(tmp_path, relpath, source, select="CQ002")
+        assert codes(found) == ["CQ002", "CQ002", "CQ002"]
+
+    def test_broadcast_reduction_clean_spellings(self, tmp_path):
+        found = lint(
+            tmp_path,
+            "repro/skyline/window.py",
+            """\
+            import numpy as np
+
+            from repro.skyline.dominance import all_le_broadcast, dominance_mask
+
+
+            def masks(a, b, vec):
+                le = all_le_broadcast(a[:, None, :], b[None, :, :], axis=2)
+                hit = dominance_mask(a, b).any(axis=0)
+                row = np.all(a <= vec, axis=1)
+                bits = (a[:, None] < b[None, :]).sum(axis=1)
+                return le, hit, row, bits
+            """,
+            select="CQ002",
+        )
+        assert found == []
+
+    def test_broadcast_reduction_out_of_scope_and_suppressed(self, tmp_path):
+        lint(
+            tmp_path,
+            "repro/skyline/sfs.py",
+            """\
+            def mask(a, b):
+                return (a[:, None, :] <= b[None, :, :]).all(axis=2)
+            """,
+        )
+        found = lint(
+            tmp_path,
+            "repro/core/mod.py",
+            """\
+            def mask(a, b):
+                # caqe-check: disable=CQ002
+                return (a[:, None, :] <= b[None, :, :]).all(axis=2)
+
+
+            def other(a, b):
+                return (a[:, None, :] < b[None, :, :]).all(axis=2)
+            """,
+            select="CQ002",
+        )
+        assert [(v.code, v.line) for v in found] == [("CQ002", 7)]
 
 
 # ------------------------------------------------------------------ #

@@ -18,6 +18,14 @@ in one expression or staged through local variables::
     mask = le & lt                    # <-- CQ002
 
     if np.all(u <= l) and np.any(u < l):   # <-- CQ002 (inline form)
+
+In ``core/``, ``plan/`` and ``skyline/window.py`` it also flags the
+pairwise-broadcast idiom the per-attribute kernel replaced — an ``all`` /
+``any`` reduction whose operand compares two ``[:, None, :]``-style
+broadcast operands, which materialises an ``(n, m, d)`` cube and reduces
+it over the tiny attribute axis::
+
+    le = (a[:, None, :] <= b[None, :, :]).all(axis=2)   # <-- CQ002
 """
 
 from __future__ import annotations
@@ -30,14 +38,46 @@ from tools.caqe_check.report import Violation
 CODE = "CQ002"
 
 _SCOPE_FRAGMENTS = ("/core/", "/baselines/", "/plan/")
+_BROADCAST_SCOPE_FRAGMENTS = ("/core/", "/plan/", "/skyline/window.py")
 
 #: Classification labels for sub-expressions.
 _ALL_LE = "all_le"
 _ANY_LT = "any_lt"
 
 
-def _in_scope(posix: str) -> bool:
-    return any(fragment in posix for fragment in _SCOPE_FRAGMENTS)
+def _is_broadcast_operand(node: ast.AST) -> bool:
+    """``x[:, None, :]``-style: a subscript that inserts a new axis."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    for elt in index.elts if isinstance(index, ast.Tuple) else [index]:
+        if isinstance(elt, ast.Constant) and elt.value is None:
+            return True
+        if (dotted_name(elt) or ("",))[-1] == "newaxis":
+            return True
+    return False
+
+
+def _is_broadcast_reduction(node: ast.AST) -> bool:
+    """``(a[:, None] <= b[None, :]).all(...)`` / ``np.any(<same>, ...)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("all", "any")
+    ):
+        return False
+    chain = dotted_name(node.func)
+    if chain is not None and chain[0] in ("np", "numpy"):
+        operand = node.args[0] if node.args else None
+    else:
+        operand = node.func.value
+    return (
+        isinstance(operand, ast.Compare)
+        and len(operand.ops) == 1
+        and isinstance(operand.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+        and _is_broadcast_operand(operand.left)
+        and _is_broadcast_operand(operand.comparators[0])
+    )
 
 
 def _call_kind(node: ast.AST) -> "str | None":
@@ -115,9 +155,21 @@ class _FunctionScanner:
 
 
 def check(file: CheckedFile) -> "list[Violation]":
-    if not _in_scope(file.posix):
-        return []
     violations: "list[Violation]" = []
+    if any(fragment in file.posix for fragment in _BROADCAST_SCOPE_FRAGMENTS):
+        for node in ast.walk(file.tree):
+            if _is_broadcast_reduction(node):
+                violation = file.violation(
+                    node,
+                    CODE,
+                    "pairwise broadcast comparison reduced over the attribute "
+                    "axis; call repro.skyline.dominance (dominance_broadcast / "
+                    "all_le_broadcast / all_lt_broadcast) instead",
+                )
+                if violation is not None:
+                    violations.append(violation)
+    if not any(fragment in file.posix for fragment in _SCOPE_FRAGMENTS):
+        return violations
     scopes: "list[list[ast.stmt]]" = [file.tree.body]
     for node in ast.walk(file.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
