@@ -817,17 +817,15 @@ class BenefitModel:
         ids: np.ndarray,
         lowers: np.ndarray,
         positions: "list[int]",
-        use_cache: bool,
     ) -> float:
-        """Progressive ratio for one (region, query) given its reach set.
+        """Progressive ratio of a *detached* (region, query) given its reach set.
 
         ``ids``/``lowers`` are the reaching dominators — the ratio's entire
-        input besides immutable region geometry.  With ``use_cache`` on,
-        both branches read incrementally maintained dominator counts
-        (:class:`_CellCounts` for the exact branch, :class:`_SampleCounts`
-        for the sampled one); with it off everything is recomputed from
-        scratch (the naive-rescan mode the regression tests compare
-        against).  Both modes return bit-identical values.
+        input besides immutable region geometry.  Both branches read the
+        incrementally maintained dominator counts (:class:`_CellCounts`
+        for the exact branch, :class:`_SampleCounts` for the sampled one),
+        creating the region's count row on first touch;
+        :meth:`prog_ratio` is the from-scratch form of the same value.
         """
         if len(ids) == 0:
             return 1.0
@@ -835,16 +833,6 @@ class BenefitModel:
             region.cell_count <= self.exact_cell_limit
             and len(ids) <= EXACT_DOMINATOR_LIMIT
         ):
-            if not use_cache:
-                dominators = [self._regions_by_id[int(r)] for r in ids]
-                safe, total = prog_count_exact(
-                    region,
-                    dominators,
-                    tuple(positions),
-                    self.grid,
-                    cell_lowers=self._cell_lowers_for(region),
-                )
-                return safe / total if total else 0.0
             ec = self._ecounts.get(qi)
             if ec is None:
                 ec = _CellCounts(
@@ -869,8 +857,6 @@ class BenefitModel:
             safe = total - int((ec.counts[row, :n] > 0).sum())
             return safe / total if total else 0.0
         samples = self._lattice_for(region, qi, positions)
-        if not use_cache:
-            return _sampled_ratio(samples, lowers)
         sc = self._scounts.get(qi)
         if sc is None:
             sc = _SampleCounts(
@@ -893,13 +879,10 @@ class BenefitModel:
         return self.estimate_roots([region])[0]
 
     def estimate_roots(
-        self,
-        regions: "list[OutputRegion]",
-        *,
-        use_cache: bool = True,
+        self, regions: "list[OutputRegion]"
     ) -> "list[RegionEstimate]":
         """:meth:`estimate_roots_arrays` packaged per region."""
-        t_c, prog = self.estimate_roots_arrays(regions, use_cache=use_cache)
+        t_c, prog = self.estimate_roots_arrays(regions)
         return [
             RegionEstimate(t_c=float(t_c[k]), prog_est=prog[k])
             for k in range(len(regions))
@@ -909,7 +892,6 @@ class BenefitModel:
         self,
         regions: "list[OutputRegion] | None" = None,
         *,
-        use_cache: bool = True,
         rid_arr: "np.ndarray | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Estimates for one optimizer iteration's candidate set.
@@ -919,8 +901,8 @@ class BenefitModel:
         same-lineage regions can lower each candidate's progressive ratio —
         runs as one broadcast per query over the whole candidate set; per
         candidate only a changed reach set triggers an estimator call.
-        Results are bit-identical to calling the estimators from scratch
-        per candidate.
+        Results are bit-identical to ``prog_ratio × cardinality`` computed
+        from scratch per candidate.
 
         The hot caller (the scheduler loop) passes ``rid_arr`` — a sorted
         ``intp`` array of *attached* region ids — and no object list; the
@@ -961,7 +943,7 @@ class BenefitModel:
         # are copied out in a single gather, so the per-query loop only
         # touches queries with at least one cache miss.
         bits = ((arql[:, None] >> np.arange(n_q, dtype=np.int64)[None, :]) & 1).astype(bool)
-        if use_cache and attached:
+        if attached:
             hit_m = bits & self._prog_ok[rid_arr]
             np.copyto(prog, self._prog_val[rid_arr], where=hit_m)
             miss_m = bits & ~hit_m
@@ -969,10 +951,9 @@ class BenefitModel:
             miss_m = bits
         for qi in np.flatnonzero(miss_m.any(axis=0)).tolist():
             miss = np.flatnonzero(miss_m[:, qi])
-            cacheable = use_cache and attached
             mrids = rid_arr[miss]
-            sc = self._scounts.get(qi) if use_cache else None
-            ec = self._ecounts.get(qi) if use_cache else None
+            sc = self._scounts.get(qi)
+            ec = self._ecounts.get(qi)
             small = ccnt[miss] <= self.exact_cell_limit
             # Rows that already hold a count row skip the reach broadcast
             # entirely: the exact/sampled branch choice is monotone (an
@@ -999,7 +980,7 @@ class BenefitModel:
                 totals = ccnt[miss[er]]
                 vals = ((totals - at_risk) / totals) * cards_m[miss[er], qi]
                 prog[miss[er], qi] = vals
-                if cacheable:
+                if attached:
                     self._prog_val[mrids[er], qi] = vals
                     self._prog_ok[mrids[er], qi] = True
             if s_read.any():
@@ -1008,7 +989,7 @@ class BenefitModel:
                 ratios = 1.0 - (sc.counts[ss] > 0).mean(axis=1)
                 vals = ratios * cards_m[miss[sr], qi]
                 prog[miss[sr], qi] = vals
-                if cacheable:
+                if attached:
                     self._prog_val[mrids[sr], qi] = vals
                     self._prog_ok[mrids[sr], qi] = True
             rest = np.flatnonzero(~(e_read | s_read))
@@ -1029,7 +1010,7 @@ class BenefitModel:
             if len(ids_all) == 0:
                 rrows = miss[rest]
                 prog[rrows, qi] = cards_m[rrows, qi]
-                if cacheable:
+                if attached:
                     self._prog_val[rrids, qi] = prog[rrows, qi]
                     self._prog_ok[rrids, qi] = True
                 continue
@@ -1055,13 +1036,13 @@ class BenefitModel:
             if zero_r.any():
                 zrows = miss[rest[zero_r]]
                 prog[zrows, qi] = cards_m[zrows, qi]
-                if cacheable:
+                if attached:
                     self._prog_val[rrids[zero_r], qi] = prog[zrows, qi]
                     self._prog_ok[rrids[zero_r], qi] = True
             exact = np.zeros(len(miss), dtype=bool)
             exact[rest] = small[rest] & (n_dom_r <= EXACT_DOMINATOR_LIMIT) & ~zero_r
             scalar = rest[~zero_r]
-            if use_cache and attached:
+            if attached:
                 sinit = [j for j in scalar.tolist() if not exact[j]]
                 scalar = scalar[exact[scalar]]
                 if sinit and sc is not None:
@@ -1118,12 +1099,12 @@ class BenefitModel:
                     prog[k, qi] = ratios[b] * cards_m[k, qi]
                     self._prog_val[rid, qi] = prog[k, qi]
                     self._prog_ok[rid, qi] = True
-            if cacheable and scalar.size and ec is None:
+            if attached and scalar.size and ec is None:
                 ec = _CellCounts(
                     self.exact_cell_limit, len(positions), len(self._rql_all)
                 )
                 self._ecounts[qi] = ec
-            if cacheable and scalar.size:
+            if attached and scalar.size:
                 # Exact-branch first touches (every cached exact row was
                 # already read above, so these are all row-less).  Cell
                 # lattices pad to the widest box — padded columns are
@@ -1163,22 +1144,14 @@ class BenefitModel:
                     self._prog_val[rid, qi] = prog[k, qi]
                     self._prog_ok[rid, qi] = True
                 continue
+            # Detached candidates only: attached rows all ``continue`` above.
             for j in scalar.tolist():
                 k = int(miss[j])
-                region = regions[k]
                 row = reach[j]
                 ratio = self._ratio_value(
-                    region,
-                    qi,
-                    ids_all[row],
-                    lowers_all[row],
-                    positions,
-                    use_cache,
+                    regions[k], qi, ids_all[row], lowers_all[row], positions
                 )
                 prog[k, qi] = ratio * cards_m[k, qi]
-                if cacheable:
-                    self._prog_val[region.region_id, qi] = prog[k, qi]
-                    self._prog_ok[region.region_id, qi] = True
         if attached:
             t_c = self._cost_all[rid_arr]
         else:

@@ -110,21 +110,6 @@ class CAQEConfig:
     enable_tuple_discard: bool = True
     #: Theorem 1 shortcut in the shared plan (valid under DVA data).
     assume_dva: bool = True
-    #: Batch-vectorised shared-plan insertion (one plan pass per region
-    #: instead of one per tuple).  Semantically identical to the scalar
-    #: walk — same admissions, evictions and charged comparisons — so the
-    #: flag only trades wall-clock speed; ablation: per-tuple inserts.
-    enable_batch_insert: bool = True
-    #: Reuse cached region estimates across optimizer iterations, with
-    #: exact reach-set invalidation.  Picks the identical region sequence
-    #: as the naive per-iteration rescan; ablation: rescan every root.
-    enable_scheduler_cache: bool = True
-    #: Columnar data plane (docs/ARCHITECTURE.md §12): grouped-array hash
-    #: join build/probe, the replay skyline kernel for serial runs, and
-    #: the array-native plan commit + vector gathers.  Pure wall-clock
-    #: work — pairs, keys, charges, traces and reports are bit-identical
-    #: with the flag off (8th corner of the ablation equivalence suite).
-    enable_columnar_join: bool = True
     #: Region-scheduling objective: ``"contract"`` is CAQE's CSM
     #: (Equation 8); ``"count"`` maximises estimated result count (the
     #: count-driven policy of ProgXe+); ``"scan"`` processes regions in
@@ -381,19 +366,10 @@ class RunResult:
         )
 
 
-def _gather_vectors(
-    outcome: RegionOutcome, store: JoinResultStore, keys: "Sequence[int]"
-) -> np.ndarray:
-    """Stack the output vectors of ``keys`` (all from ``outcome``'s region).
-
-    Batch commits expose the region's row-aligned matrix on the outcome,
-    so the gather is one fancy index; the rows are the same arrays the
-    store returns key by key, hence bit-identical floats either way.
-    """
-    if outcome.matrix is not None:
-        rows = np.asarray(keys, dtype=np.intp) - outcome.key_base
-        return outcome.matrix[rows]
-    return np.vstack([store.vector(key) for key in keys])
+def _gather_vectors(outcome: RegionOutcome, keys: "Sequence[int]") -> np.ndarray:
+    """Output vectors of ``keys`` (all from ``outcome``'s region): one fancy
+    index into the region's row-aligned matrix."""
+    return outcome.matrix[np.asarray(keys, dtype=np.intp) - outcome.key_base]
 
 
 def partition_attrs(workload: Workload, side: str) -> "tuple[str, ...]":
@@ -711,15 +687,6 @@ class CAQE:
             workload.output_dims,
             counter=stats.comparison_counter,
             assume_dva=cfg.assume_dva,
-            # Parallel and columnar runs use the replay insertion kernel —
-            # bit-identical to the per-round kernel (same admissions,
-            # evictions, charges) but one dominance broadcast per batch
-            # instead of per round.
-            batch_kernel=(
-                "replay"
-                if (cfg.workers > 0 or cfg.enable_columnar_join)
-                else "rounds"
-            ),
         )
 
         # -- Step 2: MQLA ------------------------------------------------- #
@@ -809,11 +776,8 @@ class CAQE:
             plan,
             JoinResultStore(),
             stats,
-            batch_inserts=cfg.enable_batch_insert,
             fault_hook=fault_hook,
             build_cache=build_cache,
-            parallel_commit=cfg.workers > 0,
-            columnar=cfg.enable_columnar_join,
         )
         return rs
 
@@ -915,10 +879,7 @@ class CAQE:
         root_arr.sort()
         if self.config.objective == "scan":
             return root_arr.tolist()
-        t_c, prog = benefit.estimate_roots_arrays(
-            rid_arr=root_arr,
-            use_cache=self.config.enable_scheduler_cache,
-        )
+        t_c, prog = benefit.estimate_roots_arrays(rid_arr=root_arr)
         if self.config.objective == "count":
             scores = prog @ weights
         else:
@@ -972,7 +933,7 @@ class CAQE:
             if not keys:
                 continue
             positions = list(benefit.query_positions[qi])
-            points = _gather_vectors(outcome, executor.store, keys)[:, positions]
+            points = _gather_vectors(outcome, keys)[:, positions]
             corners = lowers[:, positions]
             dominated[qi] = dominance_mask(points, corners).any(axis=0)
         for t_pos, (target_id, target) in enumerate(targets):
@@ -1188,9 +1149,7 @@ class LiveRun:
             return 0.0
         root_arr = np.fromiter(roots, dtype=np.intp, count=len(roots))
         root_arr.sort()
-        t_c, prog = rs.benefit.estimate_roots_arrays(
-            rid_arr=root_arr, use_cache=cfg.enable_scheduler_cache
-        )
+        t_c, prog = rs.benefit.estimate_roots_arrays(rid_arr=root_arr)
         if cfg.objective == "count":
             scores = prog @ rs.weights
         else:
@@ -1451,7 +1410,7 @@ class _ReportingState:
                     self._emit(query.name, key, now, tracker, stats)
                 continue
             positions = list(self.positions[query.name])
-            vectors = _gather_vectors(outcome, executor.store, keys)[
+            vectors = _gather_vectors(outcome, keys)[
                 :, positions
             ]
             # threat[k, r]: region r could still produce a tuple dominating

@@ -36,18 +36,17 @@ from repro.parallel.joinkernel import (
     probe_grouped,
 )
 from repro.partition.cells import LeafCell
-from repro.plan.shared_plan import WorkloadInsertReport, WorkloadPlan
+from repro.plan.shared_plan import WorkloadPlan
 from repro.query.evaluate import apply_functions
 from repro.query.predicates import JoinCondition
 from repro.query.selection import selection_bitmasks
 from repro.query.workload import Workload
 from repro.relation import Relation
-from repro.relation.values import unbox
 
-#: A memoised hash-join build side: either the vectorised grouped form
-#: (columnar data plane, docs/ARCHITECTURE.md §12) or the reference
-#: dict-of-lists buckets (columnar off, or keys outside the kernel domain).
-BuildSide = "GroupedBuild | dict[object, list[int]]"
+#: A memoised hash-join build side (docs/ARCHITECTURE.md §12): the cell's
+#: key column and its grouped form — ``None`` when the keys are outside the
+#: vectorised kernel's domain (NaN, non-numeric).
+BuildSide = "tuple[np.ndarray, GroupedBuild | None]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +69,6 @@ class JoinResultStore:
     region_of: "dict[int, int]" = field(default_factory=dict)
     _next: int = 0
 
-    def add(self, identity: ResultIdentity, vector: np.ndarray, region_id: int) -> int:
-        key = self._next
-        self._next += 1
-        self.vectors[key] = vector
-        self.identities[key] = identity
-        self.region_of[key] = region_id
-        return key
-
     def add_batch(
         self,
         left_rows: np.ndarray,
@@ -85,11 +76,10 @@ class JoinResultStore:
         vectors: np.ndarray,
         region_id: int,
     ) -> "list[int]":
-        """Bulk :meth:`add` for one region's (already sorted) tuples.
+        """Store one region's (already sorted) tuples; returns their keys.
 
-        Identical key sequence and stored objects to calling :meth:`add`
-        row by row — the dict updates just run at C speed.  Used by the
-        parallel layer's commit path (docs/ARCHITECTURE.md §11).
+        Keys are consecutive insertion ids in row order, so serial and
+        parallel runs share the identical key sequence.
         """
         base = self._next
         n = len(vectors)
@@ -125,10 +115,9 @@ class RegionOutcome:
     evicted: "dict[str, list[int]]" = field(default_factory=dict)
     join_count: int = 0
     #: Row-aligned vector matrix of ``inserted_keys`` (key ``key_base + i``
-    #: is row ``i``), set by the batch commit paths.  Lets the driver
-    #: gather candidate vectors as one fancy index instead of per-key
-    #: store lookups; the rows are the very arrays the store holds, so
-    #: every float is bit-identical either way.
+    #: is row ``i``; ``None`` for an empty join).  Lets the driver gather
+    #: candidate vectors as one fancy index; the rows are the very arrays
+    #: the store holds.
     matrix: "np.ndarray | None" = None
     key_base: int = 0
 
@@ -158,13 +147,7 @@ def join_cell_pair(
 
 
 class RegionExecutor:
-    """Runs tuple-level processing for scheduled regions.
-
-    ``batch_inserts`` switches the shared-plan insertion loop to
-    :meth:`WorkloadPlan.insert_batch` — semantically identical (same
-    admissions, evictions, charged comparisons and virtual time), but one
-    vectorised pass per region instead of one plan walk per tuple.
-    """
+    """Runs tuple-level processing for scheduled regions."""
 
     def __init__(
         self,
@@ -175,11 +158,8 @@ class RegionExecutor:
         store: JoinResultStore,
         stats: ExecutionStats,
         *,
-        batch_inserts: bool = True,
         fault_hook: "Callable[[OutputRegion], None] | None" = None,
         build_cache: "dict[tuple[int, str], BuildSide] | None" = None,
-        parallel_commit: bool = False,
-        columnar: bool = True,
     ) -> None:
         self.workload = workload
         self.left = left
@@ -187,16 +167,6 @@ class RegionExecutor:
         self.plan = plan
         self.store = store
         self.stats = stats
-        self.batch_inserts = batch_inserts
-        #: Columnar data plane (docs/ARCHITECTURE.md §12): grouped-array
-        #: join builds/probes and the array-native plan commit.  A pure
-        #: execution-strategy switch — pairs, keys, charges and reports
-        #: are bit-identical to the scalar loops it replaces.
-        self.columnar = columnar
-        #: Set when the engine runs a worker pool (``workers > 0``): commit
-        #: bookkeeping takes bulk-update fast paths (same keys, same stored
-        #: objects, same observables — only Python-loop overhead changes).
-        self.parallel_commit = parallel_commit
         #: Chaos-testing hook consulted at the top of :meth:`process`; it
         #: may raise :class:`~repro.errors.RegionFailure`.  Failing *before*
         #: any store/plan mutation keeps shared state consistent, so a
@@ -231,26 +201,17 @@ class RegionExecutor:
 
     def _build_side(
         self, left_cell: LeafCell, condition: JoinCondition
-    ) -> "GroupedBuild | dict[object, list[int]]":
-        """The memoised hash-join build side of one (cell, condition).
-
-        Columnar runs build the grouped (stable-argsort) form; the dict
-        buckets remain the build for the columnar-off ablation and for
-        key columns outside the vectorised kernel's domain.
-        """
+    ) -> "tuple[np.ndarray, GroupedBuild | None]":
+        """The memoised hash-join build side of one (cell, condition)."""
         cache_key = (left_cell.cell_id, condition.name)
-        build = self._build_cache.get(cache_key)
-        if build is None:
-            left_values = condition.left_values(self.left)[left_cell.indices]
-            if self.columnar:
-                build = build_grouped(left_values)
-            if build is None:
-                buckets: "dict[object, list[int]]" = {}
-                for local, value in enumerate(left_values):  # caqe-check: disable=CQ009
-                    buckets.setdefault(unbox(value), []).append(local)
-                build = buckets
-            self._build_cache[cache_key] = build
-        return build
+        side = self._build_cache.get(cache_key)
+        if side is None:
+            left_values = np.asarray(
+                condition.left_values(self.left)[left_cell.indices]
+            )
+            side = (left_values, build_grouped(left_values))
+            self._build_cache[cache_key] = side
+        return side
 
     def _join_cells(
         self,
@@ -262,28 +223,19 @@ class RegionExecutor:
         # The virtual clock still pays for both scans every time — the cache
         # elides repeated Python work, not modelled algorithm cost.
         self.stats.record_join_probes(left_cell.size + right_cell.size)
-        build = self._build_side(left_cell, condition)
+        left_values, grouped = self._build_side(left_cell, condition)
         right_values = condition.right_values(self.right)[right_cell.indices]
-        if isinstance(build, GroupedBuild):
-            local = probe_grouped(build, right_values)
-            if local is None:
-                # Probe side outside the kernel domain (NaN keys): replay
-                # the reference loop against the identical build input.
-                local = bucket_join(build.values, right_values)
-            left_local, right_local = local
-            return (
-                np.asarray(left_cell.indices, dtype=np.intp)[left_local],
-                np.asarray(right_cell.indices, dtype=np.intp)[right_local],
-            )
-        left_out: "list[int]" = []
-        right_out: "list[int]" = []
-        for local_r, value in enumerate(right_values):  # caqe-check: disable=CQ009
-            for local_l in build.get(unbox(value), ()):
-                left_out.append(int(left_cell.indices[local_l]))
-                right_out.append(int(right_cell.indices[local_r]))
+        local = (
+            probe_grouped(grouped, right_values) if grouped is not None else None
+        )
+        if local is None:
+            # Keys outside the kernel's domain on either side (NaN,
+            # non-numeric): the bucket loop is the only path for them.
+            local = bucket_join(left_values, right_values)
+        left_local, right_local = local
         return (
-            np.asarray(left_out, dtype=np.intp),
-            np.asarray(right_out, dtype=np.intp),
+            np.asarray(left_cell.indices, dtype=np.intp)[left_local],
+            np.asarray(right_cell.indices, dtype=np.intp)[right_local],
         )
 
     def process(
@@ -350,19 +302,6 @@ class RegionExecutor:
                 self._functions, self.left, self.right, left_idx, right_idx
             )
         self.stats.mark_phase("map")
-        admitted_sets: dict[str, set[int]] = {q.name: set() for q in self.workload}
-        evicted_sets: dict[str, set[int]] = {q.name: set() for q in self.workload}
-
-        def absorb(key: int, report: "WorkloadInsertReport") -> None:
-            for name in report.admitted:
-                admitted_sets[name].add(key)
-            for name, evicted_keys in report.evicted.items():
-                for evicted_key in evicted_keys:
-                    if evicted_key in admitted_sets[name]:
-                        admitted_sets[name].discard(evicted_key)
-                    else:
-                        evicted_sets[name].add(evicted_key)
-
         # Insert a region's tuples best-first (ascending coordinate sum, the
         # SFS presort): dominating tuples enter the windows early, so most
         # later tuples are rejected after very few comparisons and eviction
@@ -370,90 +309,36 @@ class RegionExecutor:
         self.stats.clock.charge_sort(len(matrix))
         order = np.argsort(matrix.sum(axis=1), kind="stable")
         self.stats.mark_phase("sort")
-        if self.columnar and self.batch_inserts:
-            # Columnar commit (docs/ARCHITECTURE.md §12): bulk store
-            # append, array-native plan walk, and the absorb loop reduced
-            # to set algebra.  Within one batch a key's admission always
-            # precedes any eviction of it (only later inserts evict) and
-            # each happens at most once per query, so the loop's final
-            # sets are exactly ``admitted - evicted`` / ``evicted -
-            # admitted`` over the batch totals.
-            sorted_matrix = matrix[order]
-            left_sorted = left_idx[order]
-            right_sorted = right_idx[order]
-            masks_sorted = tuple_masks[order]
-            keys = self.store.add_batch(
-                left_sorted, right_sorted, sorted_matrix, region.region_id
-            )
-            outcome.inserted_keys.extend(keys)
-            base = keys[0] if keys else 0
-            admitted_rows, evicted_keys = self.plan.insert_batch_columnar(
-                keys, sorted_matrix, masks_sorted
-            )
-            self.stats.mark_phase("skyline")
-            for query in self.workload:
-                name = query.name
-                rows = admitted_rows.get(name)
-                adm = (
-                    set((rows + base).tolist()) if rows is not None else set()
-                )
-                evi = set(evicted_keys.get(name, ()))
-                outcome.admitted[name] = [
-                    k
-                    for k in sorted(adm - evi)
-                    if self.plan.is_candidate(name, k)
-                ]
-                outcome.evicted[name] = sorted(evi - adm)
-            outcome.matrix = sorted_matrix
-            outcome.key_base = base
-            return outcome
-        if self.batch_inserts:
-            sorted_matrix = matrix[order]
-            left_sorted = left_idx[order]
-            right_sorted = right_idx[order]
-            masks_sorted = tuple_masks[order]
-            if self.parallel_commit:
-                keys = self.store.add_batch(
-                    left_sorted, right_sorted, sorted_matrix, region.region_id
-                )
-            else:
-                # Deliberate scalar commit path: the serial store assigns
-                # keys one row at a time so parallel and serial runs share
-                # the identical key sequence.
-                # caqe-check: disable=CQ009
-                keys = [
-                    self.store.add(
-                        ResultIdentity(l, r), sorted_matrix[pos], region.region_id
-                    )
-                    for pos, (l, r) in enumerate(
-                        zip(left_sorted.tolist(), right_sorted.tolist())
-                    )
-                ]
-            outcome.inserted_keys.extend(keys)
-            outcome.matrix = sorted_matrix
-            outcome.key_base = keys[0] if keys else 0
-            reports = self.plan.insert_batch(keys, sorted_matrix, masks_sorted)
-            for key, report in zip(keys, reports):
-                absorb(key, report)
-        else:
-            # Scalar ablation corner (enable_batch_insert=False): proves the
-            # array program above bit-identical to row-at-a-time insertion.
-            # caqe-check: disable=CQ009
-            for row in order.tolist():
-                identity = ResultIdentity(int(left_idx[row]), int(right_idx[row]))
-                key = self.store.add(identity, matrix[row], region.region_id)
-                outcome.inserted_keys.append(key)
-                report = self.plan.insert(key, matrix[row], int(tuple_masks[row]))
-                absorb(key, report)
+        # Columnar commit (docs/ARCHITECTURE.md §12): bulk store append,
+        # array-native plan walk, and per-query set algebra.  Within one
+        # batch a key's admission always precedes any eviction of it (only
+        # later inserts evict) and each happens at most once per query, so
+        # the keys still current / newly invalid after the whole region
+        # are exactly ``admitted - evicted`` / ``evicted - admitted`` over
+        # the batch totals.
+        sorted_matrix = matrix[order]
+        keys = self.store.add_batch(
+            left_idx[order], right_idx[order], sorted_matrix, region.region_id
+        )
+        outcome.inserted_keys = keys
+        base = keys[0]
+        admitted_rows, evicted_keys = self.plan.insert_batch_columnar(
+            keys, sorted_matrix, tuple_masks[order]
+        )
         self.stats.mark_phase("skyline")
-        # Keep only keys still current after the whole region was absorbed.
         for query in self.workload:
-            outcome.admitted[query.name] = [
+            name = query.name
+            rows = admitted_rows.get(name)
+            adm = set((rows + base).tolist()) if rows is not None else set()
+            evi = set(evicted_keys.get(name, ()))
+            outcome.admitted[name] = [
                 k
-                for k in sorted(admitted_sets[query.name])
-                if self.plan.is_candidate(query.name, k)
+                for k in sorted(adm - evi)
+                if self.plan.is_candidate(name, k)
             ]
-            outcome.evicted[query.name] = sorted(evicted_sets[query.name])
+            outcome.evicted[name] = sorted(evi - adm)
+        outcome.matrix = sorted_matrix
+        outcome.key_base = base
         return outcome
 
 

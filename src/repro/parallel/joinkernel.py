@@ -1,9 +1,9 @@
 """Order-exact vectorised equi-join of two leaf cells.
 
-:func:`repro.core.executor.join_cell_pair` materialises join pairs with a
-Python bucket loop in a very specific order — right rows outer (cell
-order), matching left rows inner (ascending cell-local position, the
-bucket append order).  Everything downstream of the join (the SFS presort
+The join's pair order is defined by the hash-join bucket loop
+(:func:`bucket_join`): right rows outer (cell order), matching left rows
+inner (ascending cell-local position, the bucket append order).
+Everything downstream of the join (the SFS presort
 tie-breaks, the insertion-id assignment in :class:`JoinResultStore`, the
 skyline replay) is sensitive to that order, so the vectorised kernel
 reproduces it exactly: a stable argsort groups equal left keys while
@@ -13,7 +13,7 @@ run.
 The build side (the stable argsort of the left key column) is reusable
 across every probe against the same cell, so it is split out as
 :class:`GroupedBuild` / :func:`build_grouped`; the executor caches one per
-``(cell_id, condition)`` exactly like the old dict-of-lists build tables.
+``(cell_id, condition)``.
 
 The dict-based loop and the sort-based kernel can only disagree on keys
 whose hash equality differs from numeric comparison — in practice NaN
@@ -35,14 +35,8 @@ _NUMERIC_KINDS = "biuf"
 
 @dataclass(frozen=True, slots=True)
 class GroupedBuild:
-    """Sorted build side of one cell's join key column.
+    """Sorted build side of one cell's join key column."""
 
-    ``values`` keeps the original (cell-order) key array so a probe that
-    declines — NaN on the right side — can still fall back to the
-    reference bucket loop against the identical build input.
-    """
-
-    values: np.ndarray
     order: np.ndarray
     sorted_values: np.ndarray
 
@@ -59,7 +53,7 @@ def build_grouped(values: np.ndarray) -> "GroupedBuild | None":
     if lv.dtype.kind == "f" and bool(np.isnan(lv).any()):
         return None
     order = np.argsort(lv, kind="stable")
-    return GroupedBuild(values=lv, order=order, sorted_values=lv[order])
+    return GroupedBuild(order=order, sorted_values=lv[order])
 
 
 def probe_grouped(

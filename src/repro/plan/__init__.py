@@ -3,17 +3,11 @@
 from repro.plan.lattice import LatticeNode, SubspaceLattice
 from repro.plan.minmax_cuboid import CuboidNode, MinMaxCuboid, build_minmax_cuboid
 from repro.plan.report import SharingReport, sharing_report
-from repro.plan.shared_plan import (
-    InsertReport,
-    SharedCuboidPlan,
-    WorkloadInsertReport,
-    WorkloadPlan,
-)
+from repro.plan.shared_plan import SharedCuboidPlan, WorkloadPlan
 from repro.plan.subspace import SubspaceTable
 
 __all__ = [
     "CuboidNode",
-    "InsertReport",
     "LatticeNode",
     "MinMaxCuboid",
     "SharedCuboidPlan",
@@ -21,7 +15,6 @@ __all__ = [
     "SubspaceLattice",
     "sharing_report",
     "SubspaceTable",
-    "WorkloadInsertReport",
     "WorkloadPlan",
     "build_minmax_cuboid",
 ]

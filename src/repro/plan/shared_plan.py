@@ -1,7 +1,7 @@
 """Tuple-level shared skyline evaluation over the min-max cuboid.
 
 A :class:`SharedCuboidPlan` holds one incremental skyline window per cuboid
-subspace.  Inserting a (join-result) tuple walks the cuboid bottom-up:
+subspace.  Inserting (join-result) tuples walks the cuboid bottom-up:
 
 * level-0 and unseeded nodes run a normal window insert;
 * a node whose *child* subspace already admitted the tuple uses the
@@ -22,7 +22,6 @@ reported so executors know which earlier candidates became invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -31,20 +30,6 @@ from repro.errors import PlanError
 from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.skyline.dominance import ComparisonCounter
 from repro.skyline.window import SkylineWindow
-
-
-@dataclass
-class InsertReport:
-    """What one tuple insert did across the cuboid."""
-
-    key: Hashable
-    #: Cuboid masks whose skyline admitted the tuple.
-    admitted_masks: "set[int]" = field(default_factory=set)
-    #: Keys evicted from each mask's window by this insert.
-    evicted_by_mask: "dict[int, list[Hashable]]" = field(default_factory=dict)
-
-    def admitted_for(self, mask: int) -> bool:
-        return mask in self.admitted_masks
 
 
 class SharedCuboidPlan:
@@ -57,15 +42,10 @@ class SharedCuboidPlan:
         counter: "ComparisonCounter | None" = None,
         *,
         assume_dva: bool = True,
-        batch_kernel: str = "rounds",
     ) -> None:
         self.cuboid = cuboid
         self.attribute_order = tuple(attribute_order)
         self.counter = counter
-        #: Which :meth:`SkylineWindow.insert_batch` kernel batch inserts
-        #: use ("rounds" or the parallel layer's "replay") — a pure
-        #: execution-strategy switch, bit-identical either way.
-        self.batch_kernel = batch_kernel
         #: When False the Theorem 1 shortcut is disabled and every node runs
         #: a full membership scan (correct for data violating DVA).
         self.assume_dva = assume_dva
@@ -106,112 +86,6 @@ class SharedCuboidPlan:
             )
 
     # ------------------------------------------------------------------ #
-    def insert(
-        self,
-        key: Hashable,
-        vector: np.ndarray,
-        serve_mask: "int | None" = None,
-    ) -> InsertReport:
-        """Insert one tuple (full output vector) bottom-up; report effects.
-
-        ``serve_mask`` is the tuple's query lineage (the CQL of Section 6):
-        when given, only cuboid nodes serving at least one of those queries
-        are touched — the paper's restriction of skyline comparisons to
-        cells with intersecting lineage.  Skipping a node is sound because
-        a tuple whose region cannot contribute to a query is provably
-        dominated for that query's subspaces (see coarse skyline /
-        discard steps), so omitting it never changes a final skyline.
-        """
-        vec = np.asarray(vector, dtype=float)
-        if len(vec) != len(self.attribute_order):
-            raise PlanError(
-                f"vector has {len(vec)} values, plan expects {len(self.attribute_order)}"
-            )
-        report = InsertReport(key=key)
-        for mask in self.cuboid.masks:
-            node = self.cuboid.node(mask)
-            if serve_mask is not None and not (node.qserve & serve_mask):
-                continue
-            window = self._windows[mask]
-            seeded = self.assume_dva and any(
-                child in report.admitted_masks for child in node.children
-            )
-            if seeded:
-                outcome = window.insert_known_member(key, vec)
-            else:
-                outcome = window.insert(key, vec)
-            if outcome.admitted:
-                report.admitted_masks.add(mask)
-            if outcome.evicted:
-                report.evicted_by_mask[mask] = [e.key for e in outcome.evicted]
-        return report
-
-    def insert_batch(
-        self,
-        keys: "Sequence[Hashable]",
-        vectors: np.ndarray,
-        serve_masks: "np.ndarray | None" = None,
-    ) -> "list[InsertReport]":
-        """Insert a whole batch of tuples; equivalent to sequential inserts.
-
-        ``serve_masks`` carries one query-lineage mask per tuple.  The walk
-        is restructured mask-outer/tuple-inner so each cuboid window absorbs
-        its share of the batch in one :meth:`SkylineWindow.insert_batch`
-        call: windows are independent, and the Theorem 1 seeding decision
-        for a tuple at a parent node only reads that same tuple's admission
-        at child nodes — which the bottom-up mask order has already
-        produced.  Reports, final window contents and charged comparison
-        counts are identical to the tuple-at-a-time walk.
-        """
-        vecs = np.asarray(vectors, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[1] != len(self.attribute_order):
-            raise PlanError(
-                f"batch has shape {vecs.shape}, plan expects "
-                f"(n, {len(self.attribute_order)})"
-            )
-        n = len(keys)
-        reports = [InsertReport(key=key) for key in keys]
-        if n == 0:
-            return reports
-        serve = (
-            np.asarray(serve_masks, dtype=np.int64)
-            if serve_masks is not None
-            else None
-        )
-        admitted_by_mask: "dict[int, np.ndarray]" = {}
-        for mask in self.cuboid.masks:
-            node = self.cuboid.node(mask)
-            if serve is None:
-                idx = np.arange(n)
-            else:
-                idx = np.flatnonzero((serve & node.qserve) != 0)
-                if idx.size == 0:
-                    continue
-            known = np.zeros(len(idx), dtype=bool)
-            if self.assume_dva:
-                for child in node.children:
-                    child_admitted = admitted_by_mask.get(child)
-                    if child_admitted is not None:
-                        known |= child_admitted[idx]
-            outcome = self._windows[mask].insert_batch(
-                [keys[i] for i in idx.tolist()],
-                vecs[idx],
-                known_member=known,
-                kernel=self.batch_kernel,
-            )
-            mask_admitted = np.zeros(n, dtype=bool)
-            mask_admitted[idx] = outcome.admitted
-            admitted_by_mask[mask] = mask_admitted
-            for local, i in enumerate(idx.tolist()):
-                if outcome.admitted[local]:
-                    reports[i].admitted_masks.add(mask)
-                entry_evictions = outcome.evicted[local]
-                if entry_evictions:
-                    reports[i].evicted_by_mask[mask] = [
-                        e.key for e in entry_evictions
-                    ]
-        return reports
-
     def node_bit(self, mask: int) -> np.int64:
         """Position bit of a cuboid node in the admitted-bits column."""
         return self._node_bit[mask]
@@ -222,19 +96,33 @@ class SharedCuboidPlan:
         vectors: np.ndarray,
         serve_masks: "np.ndarray | None" = None,
     ) -> "tuple[np.ndarray, dict[int, dict[int, list]]]":
-        """:meth:`insert_batch` returning rid-indexed columns, not reports.
+        """Insert a batch of tuples (full output vectors) bottom-up.
 
-        Same cuboid walk, same window calls, same charged comparisons —
-        only the *packaging* differs: one int64 **admitted-bits column**
-        (row ``i`` has :meth:`node_bit` of every cuboid node that admitted
-        tuple ``i``) plus a sparse per-mask ``{row: [evicted keys]}`` map.
-        The bits column fuses the whole maintenance kernel: Theorem-1
-        seeding is ``bits & child_bits``, the per-node admission scatter
-        is one masked OR, and query-level reads downstream are one AND —
-        no per-mask boolean arrays, no per-entry dict updates.  Evictions
-        can only be caused by admitted entries, so the eviction scatter is
-        O(admissions), not O(batch × masks) — this is the plan half of
-        the parallel layer's replay commit kernel.
+        Equivalent to walking the cuboid once per tuple, in batch order:
+        the walk runs mask-outer/tuple-inner so each cuboid window absorbs
+        its share of the batch in one :meth:`SkylineWindow.insert_batch`
+        call — windows are independent, and the Theorem 1 seeding decision
+        for a tuple at a parent node only reads that same tuple's
+        admission at child nodes, which the bottom-up mask order has
+        already produced.
+
+        ``serve_masks`` carries one query-lineage mask per tuple (the CQL
+        of Section 6): a tuple only touches cuboid nodes serving at least
+        one of its queries — the paper's restriction of skyline
+        comparisons to cells with intersecting lineage.  Skipping a node
+        is sound because a tuple whose region cannot contribute to a query
+        is provably dominated for that query's subspaces (see coarse
+        skyline / discard steps), so omitting it never changes a final
+        skyline.
+
+        Returns one int64 **admitted-bits column** (row ``i`` has
+        :meth:`node_bit` of every cuboid node that admitted tuple ``i``)
+        plus a sparse per-mask ``{row: [evicted keys]}`` map.  The bits
+        column fuses the whole maintenance kernel: Theorem-1 seeding is
+        ``bits & child_bits``, the per-node admission scatter is one
+        masked OR, and query-level reads downstream are one AND.
+        Evictions can only be caused by admitted entries, so the eviction
+        scatter is O(admissions), not O(batch × masks).
         """
         vecs = np.asarray(vectors, dtype=float)
         if vecs.ndim != 2 or vecs.shape[1] != len(self.attribute_order):
@@ -257,7 +145,6 @@ class SharedCuboidPlan:
             else None
         )
         dva = self.assume_dva
-        kernel = self.batch_kernel
         for mask, window, qserve, child_bits, posbit in self._walk:
             if serve is None:
                 idx = None
@@ -278,9 +165,7 @@ class SharedCuboidPlan:
                     if dva and child_bits
                     else None
                 )
-            outcome = window.insert_batch(
-                sub_keys, sub_vecs, known_member=known, kernel=kernel
-            )
+            outcome = window.insert_batch(sub_keys, sub_vecs, known_member=known)
             admitted = outcome.admitted
             if idx is None:
                 admitted_bits[admitted] |= posbit
@@ -317,30 +202,8 @@ class SharedCuboidPlan:
     def is_candidate(self, query_name: str, key: Hashable) -> bool:
         return self._windows[self.query_mask(query_name)].contains_key(key)
 
-    def admitted_queries(self, report: InsertReport) -> "list[str]":
-        """Names of queries whose candidate skyline admitted the tuple."""
-        return [
-            name
-            for name, mask in self._query_mask.items()
-            if mask in report.admitted_masks
-        ]
-
-    def evicted_for_query(self, report: InsertReport, query_name: str) -> "list[Hashable]":
-        return report.evicted_by_mask.get(self.query_mask(query_name), [])
-
     def window_sizes(self) -> "dict[int, int]":
         return {mask: len(window) for mask, window in self._windows.items()}
-
-
-@dataclass
-class WorkloadInsertReport:
-    """Query-level view of one tuple insert across all plan groups."""
-
-    key: Hashable
-    #: Names of queries whose candidate skyline admitted the tuple.
-    admitted: "set[str]" = field(default_factory=set)
-    #: Per query name: previously-current keys this insert evicted.
-    evicted: "dict[str, list[Hashable]]" = field(default_factory=dict)
 
 
 class WorkloadPlan:
@@ -366,7 +229,6 @@ class WorkloadPlan:
         counter: "ComparisonCounter | None" = None,
         *,
         assume_dva: bool = True,
-        batch_kernel: str = "rounds",
     ) -> None:
         from repro.plan.minmax_cuboid import build_minmax_cuboid
 
@@ -390,7 +252,6 @@ class WorkloadPlan:
                 attribute_order,
                 counter=counter,
                 assume_dva=assume_dva,
-                batch_kernel=batch_kernel,
             )
             local_bit = {name: i for i, name in enumerate(names)}
             group = {
@@ -416,121 +277,25 @@ class WorkloadPlan:
     def group_count(self) -> int:
         return len(self._groups)
 
-    def insert(
-        self, key: Hashable, vector: np.ndarray, serve_mask: "int | None" = None
-    ) -> WorkloadInsertReport:
-        """Insert into every group the tuple's lineage touches.
-
-        ``serve_mask`` uses *global* workload query bits; it is translated
-        to each group's local numbering.
-        """
-        report = WorkloadInsertReport(key=key)
-        for group in self._groups:
-            local_mask = 0
-            for name in group["names"]:
-                if serve_mask is None or (serve_mask >> self.query_bits[name]) & 1:
-                    local_mask |= 1 << group["local_bit"][name]
-            if local_mask == 0:
-                continue
-            plan: SharedCuboidPlan = group["plan"]
-            sub_report = plan.insert(key, vector, local_mask)
-            for name in group["names"]:
-                mask = plan.query_mask(name)
-                # A tuple may share a cuboid node with queries outside its
-                # own lineage and evict their candidates there; admissions
-                # only count for queries the tuple actually serves.
-                evicted = sub_report.evicted_by_mask.get(mask)
-                if evicted:
-                    report.evicted.setdefault(name, []).extend(evicted)
-                if (local_mask >> group["local_bit"][name]) & 1:
-                    if mask in sub_report.admitted_masks:
-                        report.admitted.add(name)
-        return report
-
-    def insert_batch(
-        self,
-        keys: "Sequence[Hashable]",
-        vectors: np.ndarray,
-        serve_masks: "np.ndarray | None" = None,
-    ) -> "list[WorkloadInsertReport]":
-        """Batch form of :meth:`insert`; one report per tuple, in order."""
-        vecs = np.asarray(vectors, dtype=float)
-        n = len(keys)
-        reports = [WorkloadInsertReport(key=key) for key in keys]
-        if n == 0:
-            return reports
-        serve = (
-            np.asarray(serve_masks, dtype=np.int64)
-            if serve_masks is not None
-            else None
-        )
-        for group in self._groups:
-            local_masks = np.zeros(n, dtype=np.int64)
-            for name in group["names"]:
-                bit = np.int64(1) << group["local_bit"][name]
-                if serve is None:
-                    local_masks |= bit
-                else:
-                    local_masks |= np.where(
-                        (serve >> self.query_bits[name]) & 1, bit, np.int64(0)
-                    )
-            if not np.any(local_masks):
-                continue
-            plan: SharedCuboidPlan = group["plan"]
-            if plan.batch_kernel == "replay":
-                # Replay commit kernel (docs/ARCHITECTURE.md §11): same
-                # window calls and charges, but the per-tuple × per-query
-                # scatter is replaced by per-query array translation over
-                # the admitted-bits column and sparse eviction results.
-                # Report contents are identical to the scatter loop below.
-                admitted_bits, evicted_arr = plan.insert_batch_arrays(
-                    keys, vecs, local_masks
-                )
-                for name in group["names"]:
-                    mask = plan.query_mask(name)
-                    evictions = evicted_arr.get(mask)
-                    if evictions:
-                        for i, keys_out in evictions.items():
-                            reports[i].evicted.setdefault(name, []).extend(
-                                keys_out
-                            )
-                    posbit = plan.node_bit(mask)
-                    bit = np.int64(1) << group["local_bit"][name]
-                    rows = np.flatnonzero(
-                        ((admitted_bits & posbit) != 0)
-                        & ((local_masks & bit) != 0)
-                    )
-                    for i in rows.tolist():
-                        reports[i].admitted.add(name)
-                continue
-            sub_reports = plan.insert_batch(keys, vecs, local_masks)
-            for i, sub in enumerate(sub_reports):
-                for name in group["names"]:
-                    mask = plan.query_mask(name)
-                    evicted = sub.evicted_by_mask.get(mask)
-                    if evicted:
-                        reports[i].evicted.setdefault(name, []).extend(evicted)
-                    if (int(local_masks[i]) >> group["local_bit"][name]) & 1:
-                        if mask in sub.admitted_masks:
-                            reports[i].admitted.add(name)
-        return reports
-
     def insert_batch_columnar(
         self,
         keys: "Sequence[Hashable]",
         vectors: np.ndarray,
         serve_masks: "np.ndarray | None" = None,
     ) -> "tuple[dict[str, np.ndarray], dict[str, list[Hashable]]]":
-        """:meth:`insert_batch` without per-tuple report objects.
+        """Insert a batch into every group its tuples' lineage touches.
 
-        Same group walk, same window calls, same charged comparisons as
-        :meth:`insert_batch` — but the result is returned per *query*:
-        a row-index array of this batch's admissions (rows into
-        ``vectors``/``keys``) and a flat list of evicted keys.  Queries
-        with no admissions/evictions are simply absent.  This is the plan
-        half of the executor's columnar commit (docs/ARCHITECTURE.md
-        §12); each query belongs to exactly one group, so the per-group
-        results never need merging.
+        ``serve_masks`` uses *global* workload query bits (``None`` means
+        every query); it is translated to each group's local numbering
+        for :meth:`SharedCuboidPlan.insert_batch_arrays`.  The result is
+        returned per *query*: a row-index array of this batch's
+        admissions (rows into ``vectors``/``keys``) and a flat list of
+        evicted keys.  Queries with no admissions/evictions are simply
+        absent.  A tuple may share a cuboid node with queries outside its
+        own lineage and evict their candidates there; admissions only
+        count for queries the tuple actually serves.  Each query belongs
+        to exactly one group, so the per-group results never need merging
+        (docs/ARCHITECTURE.md §12).
         """
         vecs = np.asarray(vectors, dtype=float)
         n = len(keys)
@@ -586,9 +351,4 @@ class WorkloadPlan:
         return self._group_of[query_name]["plan"].current_skyline(query_name)
 
 
-__all__ = [
-    "InsertReport",
-    "SharedCuboidPlan",
-    "WorkloadInsertReport",
-    "WorkloadPlan",
-]
+__all__ = ["SharedCuboidPlan", "WorkloadPlan"]

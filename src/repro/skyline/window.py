@@ -47,8 +47,8 @@ _INITIAL_CAPACITY = 16
 _DEAD_FRACTION = 0.5
 
 #: Shared read-only eviction list for batch rows that evicted nothing —
-#: the batch kernels assign a fresh list at every admission, so this
-#: sentinel is never mutated.
+#: :meth:`SkylineWindow.insert_batch` assigns a fresh list at every
+#: admission, so this sentinel is never mutated.
 _NO_EVICTIONS: "list" = []
 
 
@@ -228,7 +228,7 @@ class SkylineWindow:
         self._size = k
 
     def _replace_all(self, keys: "list[Hashable]", rows: np.ndarray) -> None:
-        """Swap in a complete new window (rounds kernel / restore path)."""
+        """Swap in a complete new window (checkpoint restore)."""
         self._size = 0
         self._live_count = 0
         self._key_list = []
@@ -335,147 +335,15 @@ class SkylineWindow:
         keys: "Sequence[Hashable]",
         matrix: np.ndarray,
         known_member: "np.ndarray | None" = None,
-        kernel: str = "rounds",
     ) -> BatchInsertOutcome:
         """Insert many points at once, preserving sequential-BNL semantics.
 
         Equivalent to calling :meth:`insert` (or, where ``known_member[i]``
         is True, :meth:`insert_known_member`) once per batch element in
         order — identical admissions, evictions, duplicate flags, final
-        window contents *and charged comparison counts* — but computed with
-        bulk dominance passes instead of per-tuple control flow.
-
-        The replay works in rounds: one ``(window × remaining)`` broadcast
-        classifies every not-yet-inserted point against the current window.
-        All points up to the first admissible one are rejected wholesale
-        (their charge is the position of their first dominator, read from
-        the same matrix), the admissible point is admitted — evicting the
-        window rows it dominates — and the next round rescans the shrunken
-        remainder against the updated window.  Rounds therefore cost one
-        vectorised pass per *admission*, not per insertion, and skyline
-        admissions are a vanishing fraction of inserts on all but tiny
-        batches.
-
-        ``kernel`` selects the execution strategy: ``"rounds"`` (the
-        rescan-per-admission replay above) or ``"replay"`` (the parallel
-        layer's cross-round dominance-caching commit kernel, see
-        :meth:`_insert_batch_replay`) — both produce the same admissions,
-        evictions, duplicate flags, final window and charge.
-        """
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2:
-            mat = mat.reshape(len(keys), -1)
-        if self._dims_index is not None:
-            mat = mat[:, self._dims_index]
-        m = len(keys)
-        self._round += 1
-        admitted = np.zeros(m, dtype=bool)
-        duplicate = np.zeros(m, dtype=bool)
-        if known_member is None:
-            known = np.zeros(m, dtype=bool)
-        else:
-            known = np.asarray(known_member, dtype=bool)
-        if kernel == "replay":
-            # Eviction lists are written only at admissions, so rejected
-            # rows can all share one immutable empty list (callers never
-            # mutate outcome rows; ``per_entry`` copies).
-            evicted = [_NO_EVICTIONS] * m
-            if m == 0:
-                return BatchInsertOutcome(admitted, evicted, duplicate)
-            return self._insert_batch_replay(
-                keys, mat, known, admitted, duplicate, evicted
-            )
-        evicted = [[] for _ in range(m)]
-        if m == 0:
-            return BatchInsertOutcome(admitted, evicted, duplicate)
-        if self._live_count == 0:
-            cur = np.empty((0, mat.shape[1]))
-            cur_keys: "list[Hashable]" = []
-        elif self._live_count == self._size:
-            # Contiguous live prefix: the kernel never mutates ``cur`` in
-            # place (evictions re-gather), so a view is safe.
-            cur = self._store[: self._size]
-            cur_keys = list(self._key_list)
-        else:
-            live_idx = self._live_index()
-            cur = self._store[live_idx]
-            # caqe-check: disable=CQ009
-            cur_keys = [self._key_list[i] for i in live_idx.tolist()]
-        total_charge = 0
-        pos = 0
-        while pos < m:
-            n_w = len(cur_keys)
-            if n_w == 0:
-                # Empty window: the first point enters for free.
-                admitted[pos] = True
-                cur = mat[pos : pos + 1]
-                cur_keys = [keys[pos]]
-                pos += 1
-                continue
-            rem = mat[pos:]
-            # entry_le[i, j]: window row i <= remaining point j everywhere.
-            entry_le = all_le_broadcast(cur[:, None, :], rem[None, :, :], axis=2)
-            new_le = all_le_broadcast(rem[None, :, :], cur[:, None, :], axis=2)
-            equal = entry_le & new_le
-            dominators = entry_le & ~equal
-            has_dom = dominators.any(axis=0)
-            open_slots = np.flatnonzero(~has_dom)
-            first = int(open_slots[0]) if open_slots.size else m - pos
-            if first:
-                # Rejected prefix: sequential BNL pays up to the first
-                # dominating entry; a Theorem-1 insert pays the full scan.
-                duplicate[pos : pos + first] = equal[:, :first].any(axis=0)
-                charges = np.where(
-                    known[pos : pos + first],
-                    n_w,
-                    dominators[:, :first].argmax(axis=0) + 1,
-                )
-                total_charge += int(charges.sum())
-            if pos + first < m:
-                j = pos + first
-                admitted[j] = True
-                duplicate[j] = bool(equal[:, first].any())
-                total_charge += n_w
-                kill = new_le[:, first] & ~equal[:, first]
-                if kill.any():
-                    kill_idx = np.flatnonzero(kill)
-                    # Reference kernel: deliberate scalar transliteration
-                    # of the insert loop (keys are Python objects).
-                    # caqe-check: disable=CQ009
-                    evicted[j] = [
-                        WindowEntry(cur_keys[i], cur[i].copy())
-                        for i in kill_idx.tolist()
-                    ]
-                    keep = ~kill
-                    cur = cur[keep]
-                    # caqe-check: disable=CQ009
-                    cur_keys = [
-                        k for k, kept in zip(cur_keys, keep.tolist()) if kept
-                    ]
-                cur = np.vstack([cur, mat[j : j + 1]])
-                cur_keys.append(keys[j])
-                pos = j + 1
-            else:
-                break
-        if self.counter is not None and total_charge:
-            self.counter.record(total_charge)
-        self._replace_all(cur_keys, cur)
-        return BatchInsertOutcome(admitted, evicted, duplicate)
-
-    def _insert_batch_replay(
-        self,
-        keys: "Sequence[Hashable]",
-        mat: np.ndarray,
-        known: np.ndarray,
-        admitted: np.ndarray,
-        duplicate: np.ndarray,
-        evicted: "list[list[WindowEntry]]",
-    ) -> BatchInsertOutcome:
-        """The parallel layer's commit kernel: cached-dominance replay.
-
-        Sequential-BNL semantics identical to the ``"rounds"`` kernel, but
-        the dominance structure is computed **once** instead of once per
-        admission round:
+        window contents *and charged comparison counts* — but the
+        dominance structure is computed **once** per batch instead of once
+        per insertion:
 
         * batch-vs-initial-window dominance/equality matrices are built in
           a single broadcast over the physical rows (tombstoned rows are
@@ -486,8 +354,9 @@ class SkylineWindow:
           entry's dominance is always covered by its evictor (strict
           dominance is transitive through the eviction chain), which makes
           the predicate monotone and cache-safe;
-        * per-round work is then just boolean gathers over the rejected
-          prefix, not a fresh ``(window × remaining × dims)`` float pass;
+        * all points up to the next admissible one are rejected wholesale:
+          per-round work is boolean gathers over the rejected prefix, not
+          a fresh ``(window × remaining × dims)`` float pass;
         * charges need entry *positions*, not physical rows, so a
           live-prefix rank column maps a first-dominator row to its rank
           among live rows (recomputed only on the rare old-row eviction).
@@ -495,11 +364,27 @@ class SkylineWindow:
         Commits are pure column writes: old-row evictions flip tombstones,
         surviving admissions append in admission order — no entry objects,
         no key-list rebuild, no matrix reallocation beyond amortised
-        geometric growth.  Every decision, eviction list, duplicate flag,
-        final live entry order and the charged comparison total replay the
-        scalar insert loop exactly.
+        geometric growth.
         """
         m = len(keys)
+        admitted = np.zeros(m, dtype=bool)
+        duplicate = np.zeros(m, dtype=bool)
+        # Eviction lists are written only at admissions, so rejected rows
+        # can all share one immutable empty list (callers never mutate
+        # outcome rows; ``outcome`` copies).
+        evicted = [_NO_EVICTIONS] * m
+        if m == 0:
+            return BatchInsertOutcome(admitted, evicted, duplicate)
+        mat = np.asarray(matrix, dtype=float)
+        if mat.ndim != 2:
+            mat = mat.reshape(m, -1)
+        if self._dims_index is not None:
+            mat = mat[:, self._dims_index]
+        self._round += 1
+        if known_member is None:
+            known = np.zeros(m, dtype=bool)
+        else:
+            known = np.asarray(known_member, dtype=bool)
         n_rows = self._size
         width = mat.shape[1]
         if n_rows:

@@ -18,6 +18,7 @@ docs/ARCHITECTURE.md §12) is asserted to be identical on both paths via
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,3 +159,53 @@ def test_probe_charge_is_identical_on_both_paths():
         charges[label] = (stats.join_probes, _as_pairs(pairs))
     assert charges["vectorised"] == charges["reference"]
     assert charges["vectorised"][0] == lc.size + rc.size
+
+
+@pytest.mark.parametrize("nan_side", ["left", "right"])
+def test_executor_replays_the_bucket_loop_on_nan_keys(nan_side):
+    """Keys outside the kernel domain take the executor's one fallback:
+    a declined build (NaN on the left) or a declined probe (NaN on the
+    right) both yield ``bucket_join``'s pairs, cached build included."""
+    from repro.core.executor import JoinResultStore, RegionExecutor
+    from repro.partition.quadtree import quadtree_partition
+    from repro.plan import WorkloadPlan
+    from repro.query import Preference, SkylineJoinQuery, Workload, add
+    from repro.query.predicates import JoinCondition
+    from repro.relation.relation import Relation
+    from repro.relation.schema import Role, Schema
+
+    schema = Schema.of(m=Role.MEASURE, j=Role.JOIN)
+
+    def rows(n, mod, dirty):
+        keys = [float(k % mod) for k in range(n)]
+        if dirty:
+            keys[1] = keys[4] = float("nan")
+        return [(float(k), key) for k, key in enumerate(keys)]
+
+    left = Relation.from_rows("L", schema, rows(12, 3, nan_side == "left"))
+    right = Relation.from_rows("R", schema, rows(9, 4, nan_side == "right"))
+    condition = JoinCondition.on("j", name="JC")
+    workload = Workload(
+        [
+            SkylineJoinQuery(
+                "Q", condition, (add("m", "m", "d"),), Preference.over("d")
+            )
+        ]
+    )
+    lp = quadtree_partition(left, ("m",), (condition,), "left", capacity=16)
+    rp = quadtree_partition(right, ("m",), (condition,), "right", capacity=16)
+    lc, rc = lp.leaves[0], rp.leaves[0]
+    stats = ExecutionStats()
+    executor = RegionExecutor(
+        workload, left, right,
+        WorkloadPlan(workload, workload.output_dims), JoinResultStore(), stats,
+    )
+    lv = condition.left_values(left)[lc.indices]
+    rv = condition.right_values(right)[rc.indices]
+    ref_l, ref_r = bucket_join(lv, rv)
+    assert len(ref_l) > 0
+    for _ in range(2):  # second call is served from the build cache
+        got_l, got_r = executor._join_cells(lc, rc, condition)
+        np.testing.assert_array_equal(got_l, lc.indices[ref_l])
+        np.testing.assert_array_equal(got_r, rc.indices[ref_r])
+    assert stats.join_probes == 2 * (lc.size + rc.size)

@@ -136,7 +136,10 @@ class TestRegionExecutor:
 class TestJoinResultStore:
     def test_add_and_lookup(self):
         store = JoinResultStore()
-        key = store.add(ResultIdentity(3, 7), np.array([1.0, 2.0]), region_id=5)
+        (key,) = store.add_batch(
+            np.array([3]), np.array([7]), np.array([[1.0, 2.0]]), region_id=5
+        )
+        assert store.identity(key) == ResultIdentity(3, 7)
         assert store.identity(key).as_tuple() == (3, 7)
         np.testing.assert_array_equal(store.vector(key), [1.0, 2.0])
         assert store.region_of[key] == 5
@@ -144,6 +147,12 @@ class TestJoinResultStore:
 
     def test_keys_are_sequential(self):
         store = JoinResultStore()
-        k1 = store.add(ResultIdentity(0, 0), np.zeros(1), 0)
-        k2 = store.add(ResultIdentity(0, 1), np.zeros(1), 0)
-        assert k2 == k1 + 1
+        first = store.add_batch(
+            np.array([0, 0]), np.array([0, 1]), np.zeros((2, 1)), 0
+        )
+        second = store.add_batch(np.array([1]), np.array([0]), np.zeros((1, 1)), 1)
+        assert first + second == [0, 1, 2]
+        assert store.add_batch(
+            np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, 1)), 2
+        ) == []
+        assert len(store) == 3

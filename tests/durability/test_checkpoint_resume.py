@@ -220,7 +220,7 @@ class TestResumeSafety:
         with pytest.raises(QueryCancelled):
             run(journaled_config(tmp_path), inputs, cancel_token=StopAfter(4))
         drifted = dataclasses.replace(
-            journaled_config(tmp_path), enable_batch_insert=False
+            journaled_config(tmp_path), enable_feedback=False
         )
         with pytest.raises(DurabilityError, match="fingerprint"):
             resume_run(

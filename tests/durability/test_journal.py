@@ -125,11 +125,11 @@ class TestFingerprints:
 
     def test_engine_knobs_do_change_run_identity(self, small_pair, figure1_workload):
         base = CAQEConfig()
-        batched = dataclasses.replace(base, enable_batch_insert=False)
+        static = dataclasses.replace(base, enable_feedback=False)
         assert run_fingerprint(
             base, small_pair.left, small_pair.right, figure1_workload
         ) != run_fingerprint(
-            batched, small_pair.left, small_pair.right, figure1_workload
+            static, small_pair.left, small_pair.right, figure1_workload
         )
 
     def test_input_bytes_change_run_identity(self, small_pair, figure1_workload):

@@ -11,13 +11,12 @@ against ``BENCH_history.jsonl``:
   a semantics change that slipped past the equivalence suites.
 * **performance** — wall-clock is machine- and load-dependent, so the
   gate never compares absolute seconds across runs.  It compares
-  *within-run* speedup ratios (``scalar+naive / batch+cache``,
-  ``workers=N / workers=0``, and the scale sweep's throughput relative
-  to its own 1x cell) against the median of recent passing entries, with
-  a noise tolerance: a real regression slows the optimised engine
-  relative to its own naive mode on the same machine in the same run,
-  and a storage-layer blow-up shows up as falling relative throughput at
-  4x/16x cardinality.
+  *within-run* ratios (``workers=N / workers=0``, and the scale sweep's
+  throughput relative to its own 1x cell) against the median of recent
+  passing entries, with a noise tolerance: a storage-layer blow-up shows
+  up as falling relative throughput at 4x/16x cardinality.  (History
+  entries up to PR 15 also carry a ``speedup`` of the engine over its
+  since-deleted scalar/naive mode; it is no longer produced or gated.)
 
 ``REPRO_SCALE`` overrides rescale every cardinality, so each scale forms
 its own baseline lineage in the history file — the CI scaled smoke job
@@ -99,8 +98,8 @@ def _git_rev() -> str:
     return "unknown"
 
 
-def _invariants(modes_row: dict) -> dict:
-    return {k: modes_row[k] for k in INVARIANT_KEYS}
+def _invariants(cell: dict) -> dict:
+    return {k: cell[k] for k in INVARIANT_KEYS}
 
 
 def distil_serving(serving: dict) -> dict:
@@ -182,15 +181,13 @@ def distil(perf: dict, parallel: "dict | None") -> dict:
         "python": perf.get("python"),
         "machine": perf.get("machine"),
         "fig9": {
-            "invariants": _invariants(fig9["modes"]["batch+cache"]),
-            "speedup": fig9["speedup"],
-            "wall_s": fig9["modes"]["batch+cache"]["wall_s"],
+            "invariants": _invariants(fig9),
+            "wall_s": fig9["wall_s"],
         },
         "fig11": [
             {
                 "queries": cell["scenario"]["queries"],
-                "invariants": _invariants(cell["modes"]["batch+cache"]),
-                "speedup": cell["speedup"],
+                "invariants": _invariants(cell),
             }
             for cell in perf["fig11_size_sweep"]
         ],
@@ -313,21 +310,6 @@ def gate(record: dict, history: "list[dict]", tolerance: float) -> "list[str]":
                 f"{len(baseline_values)} runs - {tolerance:.0%} tolerance)"
             )
 
-    ratio_gate(
-        "fig9 batch+cache vs scalar+naive",
-        record["fig9"]["speedup"],
-        [e["fig9"]["speedup"] for e in window],
-    )
-    for pos, cell in enumerate(record["fig11"]):
-        ratio_gate(
-            f"fig11 |S_Q|={cell['queries']}",
-            cell["speedup"],
-            [
-                e["fig11"][pos]["speedup"]
-                for e in window
-                if len(e.get("fig11", [])) > pos
-            ],
-        )
     for pos, cell in enumerate(record.get("scale_sweep", [])):
         if cell["scale"] == 1:
             continue  # the 1x cell is the within-run denominator
@@ -453,7 +435,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if e.get("status") == "pass" and _comparable(record, e)
     )
     print(
-        f"bench-gate: fig9 speedup {record['fig9']['speedup']}x, "
+        f"bench-gate: fig9 wall {record['fig9']['wall_s']}s, "
         f"{len(record['fig11'])} fig11 cells, "
         f"{len(record.get('scale_sweep', []))} scale cells "
         f"(REPRO_SCALE={record.get('repro_scale', 1.0)}), "
