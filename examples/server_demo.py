@@ -9,10 +9,10 @@ to end:
    budget with degraded (MQLA-bound) answers instead of running on;
 3. a cancelled submission — the cooperative token stops the run at the
    next region boundary;
-4. **4x overload** — with one worker parked and the admission queue at
-   capacity, four queues' worth of extra submissions are shed with
-   explicit ``Rejected(reason="queue_full")``; nothing blocks, nothing
-   deadlocks, and every admitted submission still terminates;
+4. **overload** — a burst of ten submissions against a bound of two
+   live ones: whatever does not fit is shed with an explicit
+   ``Rejected(reason="queue_full")``; nothing blocks, nothing deadlocks,
+   and every admitted submission still terminates;
 5. a circuit breaker — a workload whose every run quarantines regions
    trips its per-signature breaker, later submissions shed with
    ``Rejected(reason="circuit_open")`` until a cooldown admits a
@@ -26,7 +26,6 @@ are bit-identical to the serial engine.
 """
 
 import argparse
-import threading
 
 from repro import CAQEConfig, c2, generate_pair
 from repro.query import JoinCondition, Preference, SkylineJoinQuery, add
@@ -75,21 +74,6 @@ def show(label, outcome):
     print(line)
 
 
-class Gate:
-    """Duck-typed cancel token that parks a run until released —
-    it keeps the single worker busy so queue occupancy is exact."""
-
-    def __init__(self):
-        self._event = threading.Event()
-
-    def open(self):
-        self._event.set()
-
-    def is_cancelled(self):
-        self._event.wait()
-        return False
-
-
 print("=== deadlines and cancellation ===")
 with CAQEServer(pair.left, pair.right, CAQEConfig(workers=WORKERS)) as server:
     normal = server.submit(workload, contracts)
@@ -101,20 +85,16 @@ with CAQEServer(pair.left, pair.right, CAQEConfig(workers=WORKERS)) as server:
     show("deadline ", tight.result())
     show("cancelled", doomed.result())
 
-print("\n=== 4x overload: explicit shedding, no deadlock ===")
-config = CAQEConfig(server_workers=1, server_queue_limit=2, workers=WORKERS)
+print("\n=== overload: explicit shedding, no deadlock ===")
+config = CAQEConfig(server_queue_limit=2, workers=WORKERS)
 with CAQEServer(pair.left, pair.right, config) as server:
-    gate = Gate()
-    running = server.submit(workload, contracts, cancel_token=gate)
-    while server._queue.qsize() > 0:  # worker picks up the gated run
-        pass
-    admitted = [server.submit(workload, contracts) for _ in range(2)]
-    overload = [server.submit(workload, contracts) for _ in range(8)]
-    shed = [r for r in overload if isinstance(r, Rejected)]
-    print(f"  queue capacity 2, workers 1; extra submissions: {len(overload)}")
+    # The bound is on live submissions; how many of the burst fit depends
+    # on how many regions the driver thread got through between submits.
+    burst = [server.submit(workload, contracts) for _ in range(10)]
+    shed = [r for r in burst if isinstance(r, Rejected)]
+    print(f"  live bound 2; burst of {len(burst)} submissions")
     print(f"  shed with Rejected(reason='queue_full'): {len(shed)}")
-    gate.open()
-    for i, ticket in enumerate([running, *admitted]):
+    for i, ticket in enumerate(t for t in burst if t):
         show(f"admitted #{i + 1}", ticket.result())
     print(f"  metrics: {dict(server.metrics)}")
 
@@ -123,7 +103,6 @@ toxic = CAQEConfig(
     enable_recovery=True,
     retry_policy=RetryPolicy(max_attempts=1),
     fault_plan=FaultPlan(FaultConfig(seed=SEED, persistent_failure_rate=1.0)),
-    server_workers=1,
     server_breaker_threshold=2,
     server_breaker_cooldown=2,
     workers=WORKERS,

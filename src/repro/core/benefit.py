@@ -188,17 +188,15 @@ class _SampleCounts:
     departing region's domination mask per event.
     """
 
-    __slots__ = (
-        "samples", "counts", "uppers", "slot_arr", "rids", "live", "size",
-    )
+    __slots__ = ("samples", "counts", "slot_arr", "rids", "live", "size")
 
     def __init__(self, n_samples: int, width: int, n_ids: int) -> None:
         cap = 64
         self.samples = np.empty((cap, n_samples, width))
         self.counts = np.zeros((cap, n_samples), dtype=np.int32)
-        self.uppers = np.empty((cap, width))
         #: ``slot_arr[region_id]`` is the row index, or -1 when absent —
-        #: an array so batched lookups stay loop-free.
+        #: an array so batched lookups stay loop-free.  Sized once over
+        #: the attached id range: only attached regions ever own a row.
         self.slot_arr = np.full(n_ids, -1, dtype=np.int64)
         #: Row → owning region id (stale for tombstoned rows, which the
         #: ``live`` mask filters out of every batched read).
@@ -208,11 +206,6 @@ class _SampleCounts:
         self.live = np.zeros(cap, dtype=bool)
         self.size = 0
 
-    def slot(self, region_id: int) -> int:
-        if region_id >= len(self.slot_arr):
-            return -1
-        return int(self.slot_arr[region_id])
-
     def drop(self, region_id: int) -> None:
         if region_id < len(self.slot_arr):
             row = self.slot_arr[region_id]
@@ -221,11 +214,7 @@ class _SampleCounts:
             self.slot_arr[region_id] = -1
 
     def add(
-        self,
-        region_id: int,
-        samples: np.ndarray,
-        upper: np.ndarray,
-        counts: np.ndarray,
+        self, region_id: int, samples: np.ndarray, counts: np.ndarray
     ) -> int:
         if self.size == len(self.samples):
             def grown(arr: np.ndarray) -> np.ndarray:
@@ -235,23 +224,15 @@ class _SampleCounts:
 
             self.samples = grown(self.samples)
             self.counts = grown(self.counts)
-            self.uppers = grown(self.uppers)
             grown_rids = np.zeros(2 * len(self.rids), dtype=np.intp)
             grown_rids[: self.size] = self.rids[: self.size]
             self.rids = grown_rids
             grown_live = np.zeros(2 * len(self.live), dtype=bool)
             grown_live[: self.size] = self.live[: self.size]
             self.live = grown_live
-        if region_id >= len(self.slot_arr):
-            wider = np.full(
-                max(region_id + 1, 2 * len(self.slot_arr)), -1, dtype=np.int64
-            )
-            wider[: len(self.slot_arr)] = self.slot_arr
-            self.slot_arr = wider
         row = self.size
         self.samples[row] = samples
         self.counts[row] = counts
-        self.uppers[row] = upper
         self.slot_arr[region_id] = row
         self.rids[row] = region_id
         self.live[row] = True
@@ -272,8 +253,8 @@ class _CellCounts:
     """
 
     __slots__ = (
-        "cells", "counts", "uppers", "ncells", "slot_arr", "rids", "live",
-        "size", "limit", "arange",
+        "cells", "counts", "ncells", "slot_arr", "rids", "live", "size",
+        "limit", "arange",
     )
 
     def __init__(self, limit: int, width: int, n_ids: int) -> None:
@@ -282,18 +263,12 @@ class _CellCounts:
         self.arange = np.arange(limit)
         self.cells = np.zeros((cap, limit, width))
         self.counts = np.zeros((cap, limit), dtype=np.int32)
-        self.uppers = np.empty((cap, width))
         self.ncells = np.zeros(cap, dtype=np.intp)
         self.slot_arr = np.full(n_ids, -1, dtype=np.int64)
         self.rids = np.zeros(cap, dtype=np.intp)
         #: Same tombstone discipline as :class:`_SampleCounts`.
         self.live = np.zeros(cap, dtype=bool)
         self.size = 0
-
-    def slot(self, region_id: int) -> int:
-        if region_id >= len(self.slot_arr):
-            return -1
-        return int(self.slot_arr[region_id])
 
     def drop(self, region_id: int) -> None:
         if region_id < len(self.slot_arr):
@@ -303,11 +278,7 @@ class _CellCounts:
             self.slot_arr[region_id] = -1
 
     def add(
-        self,
-        region_id: int,
-        cells: np.ndarray,
-        upper: np.ndarray,
-        counts: np.ndarray,
+        self, region_id: int, cells: np.ndarray, counts: np.ndarray
     ) -> int:
         if self.size == len(self.cells):
             def grown(arr: np.ndarray) -> np.ndarray:
@@ -317,50 +288,21 @@ class _CellCounts:
 
             self.cells = grown(self.cells)
             self.counts = grown(self.counts)
-            self.uppers = grown(self.uppers)
             self.ncells = grown(self.ncells)
             self.rids = grown(self.rids)
             self.live = grown(self.live)
-        if region_id >= len(self.slot_arr):
-            wider = np.full(
-                max(region_id + 1, 2 * len(self.slot_arr)), -1, dtype=np.int64
-            )
-            wider[: len(self.slot_arr)] = self.slot_arr
-            self.slot_arr = wider
         row = self.size
         n = len(cells)
         self.cells[row, :n] = cells
         self.cells[row, n:] = 0.0
         self.counts[row, :n] = counts
         self.counts[row, n:] = 0
-        self.uppers[row] = upper
         self.ncells[row] = n
         self.slot_arr[region_id] = row
         self.rids[row] = region_id
         self.live[row] = True
         self.size += 1
         return row
-
-
-class _ById:
-    """Candidate-index view over attached regions, resolved lazily by id.
-
-    Lets the scheduler hand :meth:`BenefitModel.estimate_roots_arrays` a
-    bare id array without materialising a region-object list per
-    iteration; only the scalar fallback paths ever index into this.
-    """
-
-    __slots__ = ("_by_id", "_ids")
-
-    def __init__(self, by_id: "dict[int, OutputRegion]", ids: np.ndarray):
-        self._by_id = by_id
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, k: int) -> "OutputRegion":
-        return self._by_id[int(self._ids[k])]
 
 
 class BenefitModel:
@@ -395,11 +337,9 @@ class BenefitModel:
             for q in workload
         ]
         self.query_dims = [len(p) for p in self.query_positions]
-        # Memoised time-invariant inputs: ``t_c``, the Buchta cardinality
-        # vector and the sample lattice depend only on a region's immutable
-        # geometry, so they survive every change to the progressive term.
-        self._costs: dict[int, float] = {}
-        self._cards: dict[int, np.ndarray] = {}
+        # Memoised time-invariant input: the sample lattice depends only on
+        # a region's immutable geometry, so it survives every change to the
+        # progressive term.
         self._lattices: "dict[tuple[int, int], np.ndarray]" = {}
         # Full-dimension cell lower corners of each region's coordinate
         # box — immutable geometry the exact branch re-reads on every
@@ -448,9 +388,8 @@ class BenefitModel:
         # ``_active_all`` this never flips back off.
         self._attached_all: "np.ndarray | None" = None
         # Static per-region scalars (Buchta cardinalities, t_c, cell
-        # counts) precomputed at attach time with the same scalar
-        # functions the lazy memos use, so batched gathers replace
-        # per-iteration dict lookups.
+        # counts) computed once at attach time, so batched gathers
+        # replace per-iteration lookups.
         self._cards_all: "np.ndarray | None" = None
         self._cost_all: "np.ndarray | None" = None
         self._ccnt_all: "np.ndarray | None" = None
@@ -465,8 +404,6 @@ class BenefitModel:
     # ------------------------------------------------------------------ #
     def attach_regions(self, regions: "list[OutputRegion]") -> None:
         """Register the run's alive regions for vectorised estimation."""
-        self._costs.clear()
-        self._cards.clear()
         self._lattices.clear()
         self._boxes.clear()
         self._scounts.clear()
@@ -508,9 +445,10 @@ class BenefitModel:
             self._rql_all[r.region_id] = r.active_rql
             self._active_all[r.region_id] = True
             self._attached_all[r.region_id] = True
-            # Same scalar computations the lazy memos run, done once.
-            self._cards_all[r.region_id] = self._cards_for(r)
-            self._cost_all[r.region_id] = self._cost_for(r)
+            self._cards_all[r.region_id] = [
+                self.cardinality(r, qi) for qi in range(n_q)
+            ]
+            self._cost_all[r.region_id] = self.estimate_cost(r)
             self._ccnt_all[r.region_id] = r.cell_count
             self._regions_by_id[r.region_id] = r
         # Upper corner of each region's lowest cell — the corner Definition
@@ -548,8 +486,6 @@ class BenefitModel:
         if self._active_all is not None and region_id < len(self._active_all):
             self._active_all[region_id] = False
             self._prog_ok[region_id, :] = False
-        self._costs.pop(region_id, None)
-        self._cards.pop(region_id, None)
         self._boxes.pop(region_id, None)
         for qi in range(len(self.workload)):
             self._lattices.pop((region_id, qi), None)
@@ -612,21 +548,10 @@ class BenefitModel:
             sc = self._scounts.get(qi)
             if sc is not None and sc.size:
                 n = sc.size
-                ridx = sc.rids[:n]
-                if int(ridx.max(initial=0)) < reach_all.shape[1]:
-                    reach = reach_all[:, ridx]
-                else:
-                    # Rows owned by never-attached regions (detached
-                    # estimates) sit outside the geometry arrays.
-                    reach = all_lt_broadcast(
-                        lowers[:, None, :], sc.uppers[None, :n, :], axis=2
-                    )
+                reach = reach_all[:, sc.rids[:n]]
                 reach &= sc.live[None, :n]
-                covered = rid_arr < len(sc.slot_arr)
-                own = np.where(
-                    covered, sc.slot_arr[np.where(covered, rid_arr, 0)], -1
-                )
-                valid = np.flatnonzero((own >= 0) & (own < n))
+                own = sc.slot_arr[rid_arr]
+                valid = np.flatnonzero(own >= 0)
                 if valid.size:
                     reach[valid, own[valid]] = False
                 rows = np.flatnonzero(reach.any(axis=0))
@@ -642,19 +567,10 @@ class BenefitModel:
             ec = self._ecounts.get(qi)
             if ec is not None and ec.size:
                 n = ec.size
-                ridx = ec.rids[:n]
-                if int(ridx.max(initial=0)) < reach_all.shape[1]:
-                    reach = reach_all[:, ridx]
-                else:
-                    reach = all_lt_broadcast(
-                        lowers[:, None, :], ec.uppers[None, :n, :], axis=2
-                    )
+                reach = reach_all[:, ec.rids[:n]]
                 reach &= ec.live[None, :n]
-                covered = rid_arr < len(ec.slot_arr)
-                own = np.where(
-                    covered, ec.slot_arr[np.where(covered, rid_arr, 0)], -1
-                )
-                valid = np.flatnonzero((own >= 0) & (own < n))
+                own = ec.slot_arr[rid_arr]
+                valid = np.flatnonzero(own >= 0)
                 if valid.size:
                     reach[valid, own[valid]] = False
                 rows = np.flatnonzero(reach.any(axis=0))
@@ -782,22 +698,6 @@ class BenefitModel:
             self._boxes[region.region_id] = lowers
         return lowers
 
-    def _cards_for(self, region: OutputRegion) -> np.ndarray:
-        cards = self._cards.get(region.region_id)
-        if cards is None:
-            cards = np.array(
-                [self.cardinality(region, qi) for qi in range(len(self.workload))]
-            )
-            self._cards[region.region_id] = cards
-        return cards
-
-    def _cost_for(self, region: OutputRegion) -> float:
-        t_c = self._costs.get(region.region_id)
-        if t_c is None:
-            t_c = self.estimate_cost(region)
-            self._costs[region.region_id] = t_c
-        return t_c
-
     def _lattice_for(
         self, region: OutputRegion, qi: int, positions: "list[int]"
     ) -> np.ndarray:
@@ -809,70 +709,6 @@ class BenefitModel:
             )
             self._lattices[key] = samples
         return samples
-
-    def _ratio_value(
-        self,
-        region: OutputRegion,
-        qi: int,
-        ids: np.ndarray,
-        lowers: np.ndarray,
-        positions: "list[int]",
-    ) -> float:
-        """Progressive ratio of a *detached* (region, query) given its reach set.
-
-        ``ids``/``lowers`` are the reaching dominators — the ratio's entire
-        input besides immutable region geometry.  Both branches read the
-        incrementally maintained dominator counts (:class:`_CellCounts`
-        for the exact branch, :class:`_SampleCounts` for the sampled one),
-        creating the region's count row on first touch;
-        :meth:`prog_ratio` is the from-scratch form of the same value.
-        """
-        if len(ids) == 0:
-            return 1.0
-        if (
-            region.cell_count <= self.exact_cell_limit
-            and len(ids) <= EXACT_DOMINATOR_LIMIT
-        ):
-            ec = self._ecounts.get(qi)
-            if ec is None:
-                ec = _CellCounts(
-                    self.exact_cell_limit, len(positions), len(self._rql_all)
-                )
-                self._ecounts[qi] = ec
-            row = ec.slot(region.region_id)
-            if row < 0:
-                cell_lowers = self._cell_lowers_for(region)[:, positions]
-                threat_uppers = self._cupper_all[ids][:, positions]
-                counts = dominance_mask(threat_uppers, cell_lowers).sum(
-                    axis=0, dtype=np.int32
-                )
-                row = ec.add(
-                    region.region_id,
-                    cell_lowers,
-                    region.upper[positions],
-                    counts,
-                )
-            total = region.cell_count
-            n = int(ec.ncells[row])
-            safe = total - int((ec.counts[row, :n] > 0).sum())
-            return safe / total if total else 0.0
-        samples = self._lattice_for(region, qi, positions)
-        sc = self._scounts.get(qi)
-        if sc is None:
-            sc = _SampleCounts(
-                len(samples), len(positions), len(self._rql_all)
-            )
-            self._scounts[qi] = sc
-        row = sc.slot(region.region_id)
-        if row < 0:
-            counts = dominance_mask(lowers, samples).sum(axis=0, dtype=np.int32)
-            row = sc.add(
-                region.region_id,
-                samples,
-                region.upper[positions],
-                counts,
-            )
-        return float(1.0 - (sc.counts[row] > 0).mean())
 
     def estimate(self, region: OutputRegion) -> RegionEstimate:
         """``t_c`` and per-query ProgEst for one region."""
@@ -904,9 +740,11 @@ class BenefitModel:
         Results are bit-identical to ``prog_ratio × cardinality`` computed
         from scratch per candidate.
 
-        The hot caller (the scheduler loop) passes ``rid_arr`` — a sorted
-        ``intp`` array of *attached* region ids — and no object list; the
-        few scalar fallback paths then resolve regions by id.
+        Candidates are named by id — the hot caller (the scheduler loop)
+        passes ``rid_arr``, a sorted ``intp`` array, and no object list —
+        and every one must have been attached: estimates read the
+        attached geometry, and only attached regions take part in the
+        events that keep the cached values current.
         """
         if self._active_all is None:
             raise ExecutionError("attach_regions() must run before estimation")
@@ -914,41 +752,29 @@ class BenefitModel:
             self._flush_events()
         n_q = len(self.workload)
         if rid_arr is None:
-            if not regions:
-                return np.zeros(0), np.zeros((0, n_q))
-            rid_arr = np.asarray([r.region_id for r in regions], dtype=np.intp)
-        elif not rid_arr.size:
+            rid_arr = np.asarray(
+                [r.region_id for r in regions or ()], dtype=np.intp
+            )
+        if not rid_arr.size:
             return np.zeros(0), np.zeros((0, n_q))
-        prog = np.zeros((len(rid_arr), n_q))
-        # Caching requires every candidate to be attached — only attached
-        # geometry participates in the eviction events.
-        attached = int(rid_arr.max()) < len(self._attached_all) and bool(
+        if int(rid_arr.max()) >= len(self._attached_all) or not bool(
             self._attached_all[rid_arr].all()
-        )
-        if regions is None:
-            if not attached:
-                raise ExecutionError(
-                    "estimate_roots_arrays(rid_arr=...) requires attached regions"
-                )
-            regions = _ById(self._regions_by_id, rid_arr)
-        if attached:
-            cards_m = self._cards_all[rid_arr]
-            ccnt = self._ccnt_all[rid_arr]
-            arql = self._rql_all[rid_arr]
-        else:
-            cards_m = np.vstack([self._cards_for(r) for r in regions])
-            ccnt = np.asarray([r.cell_count for r in regions], dtype=np.int64)
-            arql = np.asarray([r.active_rql for r in regions], dtype=np.int64)
+        ):
+            raise ExecutionError(
+                "estimate_roots_arrays() requires attached regions"
+            )
+        by_id = self._regions_by_id
+        prog = np.zeros((len(rid_arr), n_q))
+        cards_m = self._cards_all[rid_arr]
+        ccnt = self._ccnt_all[rid_arr]
+        arql = self._rql_all[rid_arr]
         # One (candidates, queries) membership matrix; cached ProgEst values
         # are copied out in a single gather, so the per-query loop only
         # touches queries with at least one cache miss.
         bits = ((arql[:, None] >> np.arange(n_q, dtype=np.int64)[None, :]) & 1).astype(bool)
-        if attached:
-            hit_m = bits & self._prog_ok[rid_arr]
-            np.copyto(prog, self._prog_val[rid_arr], where=hit_m)
-            miss_m = bits & ~hit_m
-        else:
-            miss_m = bits
+        hit_m = bits & self._prog_ok[rid_arr]
+        np.copyto(prog, self._prog_val[rid_arr], where=hit_m)
+        miss_m = bits & ~hit_m
         for qi in np.flatnonzero(miss_m.any(axis=0)).tolist():
             miss = np.flatnonzero(miss_m[:, qi])
             mrids = rid_arr[miss]
@@ -961,11 +787,11 @@ class BenefitModel:
             # cell count is fixed; an over-limit box can never turn exact),
             # and a row whose reach set emptied reads ratio 1.0 — exactly
             # the empty-reach shortcut value.
-            if attached and ec is not None:
+            if ec is not None:
                 eslots = ec.slot_arr[mrids]
             else:
                 eslots = np.full(len(miss), -1, dtype=np.int64)
-            if attached and sc is not None:
+            if sc is not None:
                 sslots = sc.slot_arr[mrids]
             else:
                 sslots = np.full(len(miss), -1, dtype=np.int64)
@@ -980,18 +806,16 @@ class BenefitModel:
                 totals = ccnt[miss[er]]
                 vals = ((totals - at_risk) / totals) * cards_m[miss[er], qi]
                 prog[miss[er], qi] = vals
-                if attached:
-                    self._prog_val[mrids[er], qi] = vals
-                    self._prog_ok[mrids[er], qi] = True
+                self._prog_val[mrids[er], qi] = vals
+                self._prog_ok[mrids[er], qi] = True
             if s_read.any():
                 sr = np.flatnonzero(s_read)
                 ss = sslots[sr]
                 ratios = 1.0 - (sc.counts[ss] > 0).mean(axis=1)
                 vals = ratios * cards_m[miss[sr], qi]
                 prog[miss[sr], qi] = vals
-                if attached:
-                    self._prog_val[mrids[sr], qi] = vals
-                    self._prog_ok[mrids[sr], qi] = True
+                self._prog_val[mrids[sr], qi] = vals
+                self._prog_ok[mrids[sr], qi] = True
             rest = np.flatnonzero(~(e_read | s_read))
             if not rest.size:
                 continue
@@ -1010,18 +834,12 @@ class BenefitModel:
             if len(ids_all) == 0:
                 rrows = miss[rest]
                 prog[rrows, qi] = cards_m[rrows, qi]
-                if attached:
-                    self._prog_val[rrids, qi] = prog[rrows, qi]
-                    self._prog_ok[rrids, qi] = True
+                self._prog_val[rrids, qi] = prog[rrows, qi]
+                self._prog_ok[rrids, qi] = True
                 continue
-            if attached:
-                # Attached geometry is immutable, so these rows hold the
-                # same float64 values as each region's own ``upper``.
-                uppers = self._upper_q[qi][rrids]
-            else:
-                uppers = np.vstack(
-                    [regions[int(k)].upper[positions] for k in miss[rest]]
-                )
+            # Attached geometry is immutable, so these rows hold the same
+            # float64 values as each region's own ``upper``.
+            uppers = self._upper_q[qi][rrids]
             # reach[r, i]: active member i can lower rest-row r's ratio.
             reach_r = all_lt_broadcast(lowers_all[None, :, :], uppers[:, None, :])
             reach_r &= ids_all[None, :] != rrids[:, None]
@@ -1036,40 +854,36 @@ class BenefitModel:
             if zero_r.any():
                 zrows = miss[rest[zero_r]]
                 prog[zrows, qi] = cards_m[zrows, qi]
-                if attached:
-                    self._prog_val[rrids[zero_r], qi] = prog[zrows, qi]
-                    self._prog_ok[rrids[zero_r], qi] = True
+                self._prog_val[rrids[zero_r], qi] = prog[zrows, qi]
+                self._prog_ok[rrids[zero_r], qi] = True
             exact = np.zeros(len(miss), dtype=bool)
             exact[rest] = small[rest] & (n_dom_r <= EXACT_DOMINATOR_LIMIT) & ~zero_r
             scalar = rest[~zero_r]
-            if attached:
-                sinit = [j for j in scalar.tolist() if not exact[j]]
-                scalar = scalar[exact[scalar]]
-                if sinit and sc is not None:
-                    # Small-box rows that stayed sampled (n_dom still over
-                    # the exact limit) already hold a live count row —
-                    # batched read, not a re-init.
-                    sj = np.asarray(sinit, dtype=np.intp)
-                    slots2 = sc.slot_arr[mrids[sj]]
-                    have = slots2 >= 0
-                    if have.any():
-                        sr2 = sj[have]
-                        ss2 = slots2[have]
-                        ratios = 1.0 - (sc.counts[ss2] > 0).mean(axis=1)
-                        vals = ratios * cards_m[miss[sr2], qi]
-                        prog[miss[sr2], qi] = vals
-                        self._prog_val[mrids[sr2], qi] = vals
-                        self._prog_ok[mrids[sr2], qi] = True
-                        sinit = sj[~have].tolist()
-            else:
-                sinit = []
+            sinit = [j for j in scalar.tolist() if not exact[j]]
+            scalar = scalar[exact[scalar]]
+            if sinit and sc is not None:
+                # Small-box rows that stayed sampled (n_dom still over the
+                # exact limit) already hold a live count row — batched
+                # read, not a re-init.
+                sj = np.asarray(sinit, dtype=np.intp)
+                slots2 = sc.slot_arr[mrids[sj]]
+                have = slots2 >= 0
+                if have.any():
+                    sr2 = sj[have]
+                    ss2 = slots2[have]
+                    ratios = 1.0 - (sc.counts[ss2] > 0).mean(axis=1)
+                    vals = ratios * cards_m[miss[sr2], qi]
+                    prog[miss[sr2], qi] = vals
+                    self._prog_val[mrids[sr2], qi] = vals
+                    self._prog_ok[mrids[sr2], qi] = True
+                    sinit = sj[~have].tolist()
             if sinit:
                 # Sampled-branch first touches, initialised in one padded
                 # broadcast: threat rows are padded with +inf corners,
                 # which dominate nothing, so the per-row counts equal the
                 # unpadded scalar initialisation exactly.
                 latts = [
-                    self._lattice_for(regions[int(miss[j])], qi, positions)
+                    self._lattice_for(by_id[int(mrids[j])], qi, positions)
                     for j in sinit
                 ]
                 if sc is None:
@@ -1089,30 +903,27 @@ class BenefitModel:
                 ratios = 1.0 - (counts > 0).mean(axis=1)
                 for b, j in enumerate(sinit):
                     k = int(miss[j])
-                    rid = regions[k].region_id
-                    sc.add(
-                        rid,
-                        latts[b],
-                        self._upper_q[qi][rid],
-                        counts[b],
-                    )
+                    rid = int(mrids[j])
+                    sc.add(rid, latts[b], counts[b])
                     prog[k, qi] = ratios[b] * cards_m[k, qi]
                     self._prog_val[rid, qi] = prog[k, qi]
                     self._prog_ok[rid, qi] = True
-            if attached and scalar.size and ec is None:
-                ec = _CellCounts(
-                    self.exact_cell_limit, len(positions), len(self._rql_all)
-                )
-                self._ecounts[qi] = ec
-            if attached and scalar.size:
+            if scalar.size:
                 # Exact-branch first touches (every cached exact row was
                 # already read above, so these are all row-less).  Cell
                 # lattices pad to the widest box — padded columns are
                 # sliced off before the count rows are stored — and threat
                 # rows pad with +inf corners, which dominate nothing.
+                if ec is None:
+                    ec = _CellCounts(
+                        self.exact_cell_limit,
+                        len(positions),
+                        len(self._rql_all),
+                    )
+                    self._ecounts[qi] = ec
                 sl = scalar.tolist()
                 cls = [
-                    self._cell_lowers_for(regions[int(miss[j])])[:, positions]
+                    self._cell_lowers_for(by_id[int(mrids[j])])[:, positions]
                     for j in sl
                 ]
                 ncl = [len(c) for c in cls]
@@ -1129,34 +940,15 @@ class BenefitModel:
                 ).sum(axis=1, dtype=np.int32)
                 for b, j in enumerate(sl):
                     k = int(miss[j])
-                    region = regions[k]
-                    rid = region.region_id
-                    row = ec.add(
-                        rid,
-                        cls[b],
-                        self._upper_q[qi][rid],
-                        counts[b, : ncl[b]],
-                    )
-                    total = region.cell_count
+                    rid = int(mrids[j])
+                    row = ec.add(rid, cls[b], counts[b, : ncl[b]])
+                    total = int(ccnt[k])
                     safe = total - int((ec.counts[row, : ncl[b]] > 0).sum())
                     ratio = safe / total if total else 0.0
                     prog[k, qi] = ratio * cards_m[k, qi]
                     self._prog_val[rid, qi] = prog[k, qi]
                     self._prog_ok[rid, qi] = True
-                continue
-            # Detached candidates only: attached rows all ``continue`` above.
-            for j in scalar.tolist():
-                k = int(miss[j])
-                row = reach[j]
-                ratio = self._ratio_value(
-                    regions[k], qi, ids_all[row], lowers_all[row], positions
-                )
-                prog[k, qi] = ratio * cards_m[k, qi]
-        if attached:
-            t_c = self._cost_all[rid_arr]
-        else:
-            t_c = np.asarray([self._cost_for(r) for r in regions])
-        return t_c, prog
+        return self._cost_all[rid_arr], prog
 
     # ------------------------------------------------------------------ #
     # Equation 8
@@ -1287,9 +1079,9 @@ def rank_offers(
 ) -> "list[int]":
     """Offer indices best-first; ties break toward the earlier offer.
 
-    The stable descending sort mirrors :meth:`CAQE._rank_regions`'s
-    tie-break discipline, so the cross-tenant pick is deterministic for
-    any fixed submission order.
+    The stable descending sort mirrors the tie-break of
+    :meth:`LiveRun.step`'s root ranking, so the cross-tenant pick is
+    deterministic for any fixed submission order.
     """
     if not offers:
         return []

@@ -143,11 +143,9 @@ class CAQEConfig:
     journal_dir: "str | None" = None
     #: Full-snapshot cadence, in completed regions.
     checkpoint_every_regions: int = 25
-    #: Serving layer (:mod:`repro.serving`).  Bound of the admission
-    #: queue: submissions beyond it are shed with ``Rejected``.
+    #: Serving layer (:mod:`repro.serving`).  Bound on *live* (admitted,
+    #: unfinished) submissions: those beyond it are shed with ``Rejected``.
     server_queue_limit: int = 16
-    #: Worker threads draining the admission queue.
-    server_workers: int = 2
     #: Consecutive quarantine-failures of one workload signature that
     #: trip its circuit breaker open.
     server_breaker_threshold: int = 3
@@ -184,9 +182,10 @@ class CAQEConfig:
     #: Deterministic worker-kill schedule (chaos testing only;
     #: ``None`` = no process-level faults — the default behaviour).
     pool_kill_plan: "WorkerKillPlan | None" = None
-    #: Multi-tenant serving (docs/ARCHITECTURE.md §15).  ``"fifo"`` is the
-    #: classic whole-run worker-thread server; ``"interleaved"`` drives
-    #: every live submission through one cross-tenant region scheduler.
+    #: Scheduling policy of :class:`~repro.serving.CAQEServer`'s region
+    #: scheduler (docs/ARCHITECTURE.md §10.6, §15).  ``"fifo"`` serves
+    #: whole runs in arrival order; ``"interleaved"`` multiplexes live
+    #: submissions region by region under the cross-tenant benefit ranking.
     server_mode: str = "fifo"
     #: Fair-share weight assumed for tenants registered without one.
     tenant_default_weight: float = 1.0
@@ -236,7 +235,6 @@ class CAQEConfig:
         # engine's ExecutionError.
         for knob in (
             "server_queue_limit",
-            "server_workers",
             "server_breaker_threshold",
             "server_breaker_cooldown",
             "tenant_max_live",
@@ -858,45 +856,6 @@ class CAQE:
             out[query.name] = max(buchta_skyline_size(total_join, d), 1.0)
         return out
 
-    def _rank_regions(
-        self,
-        roots: "set[int]",
-        alive: "dict[int, OutputRegion]",
-        benefit: BenefitModel,
-        weights: np.ndarray,
-        now: float,
-    ) -> "list[int]":
-        """Root ids best-first under the configured objective.
-
-        The head of the ranking is exactly :meth:`_pick_region`'s choice
-        (stable descending sort ties break toward the lower region id,
-        matching ``argmax``); the tail orders the wave scheduler's
-        speculative dispatches.
-        """
-        if not roots:
-            raise ExecutionError("no schedulable region (empty root set)")
-        root_arr = np.fromiter(roots, dtype=np.intp, count=len(roots))
-        root_arr.sort()
-        if self.config.objective == "scan":
-            return root_arr.tolist()
-        t_c, prog = benefit.estimate_roots_arrays(rid_arr=root_arr)
-        if self.config.objective == "count":
-            scores = prog @ weights
-        else:
-            scores = benefit.csm_batch_arrays(t_c, prog, weights, now)
-        order = np.argsort(-scores, kind="stable")
-        return root_arr[order].tolist()
-
-    def _pick_region(
-        self,
-        roots: "set[int]",
-        alive: "dict[int, OutputRegion]",
-        benefit: BenefitModel,
-        weights: np.ndarray,
-        now: float,
-    ) -> OutputRegion:
-        return alive[self._rank_regions(roots, alive, benefit, weights, now)[0]]
-
     def _discard_dominated(
         self,
         region: OutputRegion,
@@ -1138,25 +1097,32 @@ class LiveRun:
         caches the next :meth:`step` consults and nothing is charged to
         the virtual clock, so peeking never perturbs an observable.
         """
-        rs = self.rs
-        if not rs.alive:
+        if not self.rs.alive:
             return 0.0
-        cfg = self._engine.config
+        scores = self._root_scores()[1]
+        return float(scores.max()) if scores.size else 0.0
+
+    def _root_scores(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Schedulable root ids, ascending, and each one's score under the
+        configured objective — ranked by :meth:`step`, maxed by
+        :meth:`peek_best_csm`."""
+        rs = self.rs
         roots = rs.graph.roots() & rs.alive.keys()
         if not roots:
             roots = rs.graph.force_roots() & rs.alive.keys()
-        if not roots or cfg.objective == "scan":
-            return 0.0
         root_arr = np.fromiter(roots, dtype=np.intp, count=len(roots))
         root_arr.sort()
+        objective = self._engine.config.objective
+        if objective == "scan" or not root_arr.size:
+            # Creation order: every root ties and the ranking's stable
+            # sort keeps the ids ascending.
+            return root_arr, np.zeros(len(root_arr))
         t_c, prog = rs.benefit.estimate_roots_arrays(rid_arr=root_arr)
-        if cfg.objective == "count":
-            scores = prog @ rs.weights
-        else:
-            scores = rs.benefit.csm_batch_arrays(
-                t_c, prog, rs.weights, rs.stats.clock.now()
-            )
-        return float(scores.max()) if len(scores) else 0.0
+        if objective == "count":
+            return root_arr, prog @ rs.weights
+        return root_arr, rs.benefit.csm_batch_arrays(
+            t_c, prog, rs.weights, rs.stats.clock.now()
+        )
 
     def degrade_all(self, reason: str) -> None:
         """Brownout: answer every remaining query from coarse MQLA bounds
@@ -1184,21 +1150,17 @@ class LiveRun:
             engine._degrade_exhausted_queries(rs)
             if not rs.alive:
                 return
-        roots = rs.graph.roots() & rs.alive.keys()
-        if not roots:
-            roots = rs.graph.force_roots() & rs.alive.keys()
-        if client is None:
-            region = engine._pick_region(
-                roots, rs.alive, rs.benefit, rs.weights, stats.clock.now()
-            )
-        else:
-            ranked = engine._rank_regions(
-                roots, rs.alive, rs.benefit, rs.weights, stats.clock.now()
-            )
-            region = rs.alive[ranked[0]]
+        root_arr, scores = self._root_scores()
+        if not root_arr.size:
+            raise ExecutionError("no schedulable region (empty root set)")
+        # Best first; the stable descending sort breaks ties toward the
+        # lower region id, matching ``argmax``.
+        ranked = root_arr[np.argsort(-scores, kind="stable")]
+        region = rs.alive[int(ranked[0])]
+        if client is not None:
             # Wave dispatch: the next few commits almost always come
             # from the current top of the ranking, so ship those now.
-            for rid in ranked[: cfg.parallel_chunk_regions]:
+            for rid in ranked[: cfg.parallel_chunk_regions].tolist():
                 if rid not in self._prepared_cache:
                     spec = rs.alive[rid]
                     client.dispatch(

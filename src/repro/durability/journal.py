@@ -78,7 +78,6 @@ _NEUTRAL_FIELDS = {
     "journal_dir": None,
     "checkpoint_every_regions": 25,
     "server_queue_limit": 16,
-    "server_workers": 2,
     "server_breaker_threshold": 3,
     "server_breaker_cooldown": 8,
     "server_default_deadline": None,

@@ -1,11 +1,12 @@
-"""Overload-safe concurrent serving of CAQE workloads.
+"""Overload-safe serving of CAQE workloads.
 
-``python -m repro.serving`` runs a self-contained quickstart demo;
-:mod:`repro.serving.server` holds the FIFO server and shared ticket
-machinery, :mod:`repro.serving.scheduler` the cross-tenant region
-scheduler behind ``server_mode="interleaved"``.  See
-docs/ARCHITECTURE.md §10.6 (admission/cancellation state machine) and
-§15 (multi-tenant scheduling, brownout ladder, fairness).
+``python -m repro.serving`` runs a self-contained quickstart demo.
+:mod:`repro.serving.scheduler` is the one serving mechanism — admission
+control, breakers, the shared pool, the cross-tenant region scheduler
+and its FIFO policy; :mod:`repro.serving.server` holds the ticket
+machinery it hands out and :class:`CAQEServer`, the driver thread that
+steps it.  See docs/ARCHITECTURE.md §10.6 (admission and ticket
+lifecycle) and §15 (multi-tenant scheduling, brownout ladder, fairness).
 """
 
 from repro.serving.scheduler import (

@@ -1,9 +1,9 @@
 """Serving-layer quickstart: ``python -m repro.serving``.
 
 Stands up a :class:`~repro.serving.CAQEServer` over a generated table
-pair, pushes the paper's Figure-1 workload through it several times
-concurrently, and prints each submission's terminal status — including
-a deliberately tight deadline (degraded answer) and a cancellation.
+pair, pushes the paper's Figure-1 workload through it three times, and
+prints each submission's terminal status — including a deliberately
+tight deadline (degraded answer) and a cancellation.
 ``examples/server_demo.py`` is the richer walkthrough with overload
 shedding and circuit-breaker behaviour.
 """
@@ -34,9 +34,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--mode",
         choices=("fifo", "interleaved"),
         default="fifo",
-        help="serving mode: 'fifo' runs whole submissions back to back, "
-        "'interleaved' multiplexes live submissions region by region "
-        "under the cross-tenant benefit scheduler",
+        help="scheduler policy: 'fifo' runs whole submissions in arrival "
+        "order, 'interleaved' multiplexes live submissions region by "
+        "region under the cross-tenant benefit ranking",
     )
     args = parser.parse_args(argv)
 
@@ -46,7 +46,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     config = CAQEConfig(
         server_mode=args.mode,
-        server_workers=2,
         server_queue_limit=4,
         workers=args.workers,
     )

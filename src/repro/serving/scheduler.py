@@ -10,6 +10,14 @@ root CSM, scaled by its tenant's fair-share weight, plus a deficit-round-
 robin correction that converts owed virtual time into benefit currency so
 no tenant starves.
 
+Admission control is one sequence under the one scheduler lock —
+closed → circuit breaker (per workload signature) → brownout shed →
+queue bound → bulkhead — and every admitted submission terminates
+``answered``, ``degraded``, ``cancelled`` or ``failed`` (a run whose
+MQLA prologue raises is an admitted ticket finished ``failed``), so
+``submitted == admitted + Σ rejected_*`` always holds and a half-open
+breaker trial always closes or re-opens its breaker.
+
 Isolation and overload controls:
 
 * **fair-share weights + deficit accounting** — service is measured in
@@ -37,7 +45,10 @@ deterministic, and a single-tenant scheduler run is *bit-identical* to
 
 ``policy="fifo"`` drives the identical machinery as a whole-run FIFO
 server (always step the oldest submission; no ladder, no bulkheads) —
-the load generator's baseline arm.
+the load generator's baseline arm and ``server_mode="fifo"``.  The
+scheduler owns the shared region pool and its trip counters; library
+users drive it with ``step``/``drain``, :class:`~repro.serving.server.
+CAQEServer` steps it from one driver thread.
 """
 
 from __future__ import annotations
@@ -59,9 +70,12 @@ from repro.serving.server import (
     CANCELLED,
     DEGRADED,
     FAILED,
+    HALF_OPEN,
+    REASON_CIRCUIT_OPEN,
     REASON_QUEUE_FULL,
     REASON_SERVER_CLOSED,
     CancellationToken,
+    CircuitBreaker,
     Rejected,
     ServedResult,
     Ticket,
@@ -134,20 +148,23 @@ class _LiveSub:
     weight: float
     ticket: Ticket
     live: LiveRun
-    arrival: float
-    deadline_abs: "float | None"
+
+
+def _failed(exc: ReproError) -> ServedResult:
+    return ServedResult(FAILED, error=f"{type(exc).__name__}: {exc}")
 
 
 class RegionScheduler:
     """Interleaves many live CAQE submissions at region granularity.
 
     One scheduler owns one immutable pair of base tables, one shared
-    virtual clock, and (optionally) one shared region pool.  ``submit``
-    may be called from any thread; ``step`` is serialized by the
-    scheduler lock and advances exactly one run by one region.  Library
-    users drive it with :meth:`drain`; :class:`~repro.serving.server.
-    CAQEServer` in ``server_mode="interleaved"`` drives it from a single
-    scheduler thread.
+    virtual clock, one breaker per workload signature and (when
+    ``config.workers > 0``) one region pool shared by every submission.
+    ``submit`` may be called from any thread; ``step`` is serialized by
+    the scheduler lock and advances exactly one run by one region.
+    ``on_finish(ticket, outcome, breaker_failure)`` runs under that lock
+    just before the ticket resolves — inside ``submit`` itself when the
+    prologue fails.
     """
 
     def __init__(
@@ -156,7 +173,6 @@ class RegionScheduler:
         right: "Relation",
         config: "CAQEConfig | None" = None,
         *,
-        pool: "object | None" = None,
         policy: str = POLICY_BENEFIT,
         on_finish: "Callable[[Ticket, ServedResult, bool], None] | None" = None,
     ) -> None:
@@ -175,10 +191,16 @@ class RegionScheduler:
         self._ids = itertools.count(1)
         self._closed = False
         self._on_finish = on_finish
+        self._breakers: "dict[str, CircuitBreaker]" = {}
+        # Hash-join build tables per workload signature: same relations +
+        # same config partition identically, so same-signature submissions
+        # reuse each other's build side instead of rebuilding it per run.
         self._build_caches: "dict[str, dict]" = {}
-        self._pool = pool
-        self._pool_owned = False
-        if pool is None and self.config.workers > 0:
+        # One region pool shared by every submission (docs/ARCHITECTURE.md
+        # §11.5): worker processes and the shared-memory relation blocks
+        # are paid for once per scheduler, not once per run.
+        self._pool = None
+        if self.config.workers > 0:
             from repro.parallel import RegionPool
 
             self._pool = RegionPool(
@@ -190,10 +212,10 @@ class RegionScheduler:
                 poison_threshold=self.config.pool_poison_threshold,
                 kill_plan=self.config.pool_kill_plan,
             )
-            self._pool_owned = True
         self.metrics: "dict[str, int]" = {
             "submitted": 0,
             "admitted": 0,
+            "rejected_circuit_open": 0,
             "rejected_queue_full": 0,
             "rejected_bulkhead": 0,
             "rejected_brownout": 0,
@@ -204,6 +226,8 @@ class RegionScheduler:
             "failed": 0,
             "steps": 0,
             "brownout_degraded": 0,
+            "pool_poisoned_runs": 0,
+            "pool_serial_trips": 0,
         }
 
     # -- tenants --------------------------------------------------------- #
@@ -261,90 +285,121 @@ class RegionScheduler:
 
         ``deadline`` is a *relative* virtual-time allowance from the
         moment of admission (mapped onto an absolute budget on the shared
-        clock); it defaults to ``config.server_default_deadline``.
-        Admission control runs bottom-up: closed server, brownout shed
-        (rung 3, spares tier 0), global queue bound, per-tenant bulkhead.
+        clock, so time spent live behind other runs consumes it); it
+        defaults to ``config.server_default_deadline``.  The MQLA prologue
+        runs here, on the caller's thread; if it raises, the admitted
+        ticket finishes ``failed`` and counts against its breaker.
         """
         cfg = self.config
         if deadline is None:
             deadline = cfg.server_default_deadline
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
+        signature = workload_signature(workload)
         with self._lock:
             self.metrics["submitted"] += 1
-            if self._closed:
-                self.metrics["rejected_server_closed"] += 1
-                return Rejected(REASON_SERVER_CLOSED)
-            state = self._tenant_state(tenant)
-            spec = state.spec
-            ladder = self.policy == POLICY_BENEFIT
-            if (
-                ladder
-                and spec.tier > 0
-                and len(self._live) >= cfg.tenant_brownout_shed_live
-            ):
-                self.metrics["rejected_brownout"] += 1
-                return Rejected(
-                    REASON_BROWNOUT_SHED,
-                    f"brownout rung 3: {len(self._live)} live submission(s) "
-                    f">= shed threshold {cfg.tenant_brownout_shed_live}",
-                )
-            if len(self._live) >= cfg.server_queue_limit:
-                self.metrics["rejected_queue_full"] += 1
-                return Rejected(
-                    REASON_QUEUE_FULL,
-                    f"admission queue at capacity ({cfg.server_queue_limit})",
-                )
-            if ladder and state.live >= spec.max_live:
-                self.metrics["rejected_bulkhead"] += 1
-                return Rejected(
-                    REASON_BULKHEAD,
-                    f"tenant {tenant!r} at its bulkhead cap "
-                    f"({spec.max_live} in-flight submission(s))",
-                )
+            shed = self._shed(signature, tenant)
+            if shed is not None:
+                self.metrics[f"rejected_{shed.reason}"] += 1
+                return shed
+            state = self._tenants[tenant]
             sid = next(self._ids)
-            now = self.clock.now()
-            deadline_abs = None
             overrides: "dict[str, Any]" = {}
             if deadline is not None:
-                deadline_abs = now + float(deadline)
-                overrides["query_time_budget"] = deadline_abs
+                # Deadline -> absolute virtual budget; recovery on so the
+                # run degrades to MQLA bounds at the deadline instead of
+                # failing loudly.
+                overrides["query_time_budget"] = self.clock.now() + float(
+                    deadline
+                )
                 overrides["enable_recovery"] = True
             if cfg.enable_journal and cfg.journal_dir:
+                # One journal directory per submission: live runs must not
+                # share an append-only journal file.
                 overrides["journal_dir"] = os.path.join(
                     cfg.journal_dir, f"sub-{sid:06d}"
                 )
             run_cfg = replace(cfg, **overrides) if overrides else cfg
-            signature = workload_signature(workload)
             token = cancel_token or CancellationToken()
             ticket = Ticket(
                 sid, workload, contracts, deadline, token, signature
             )
-            engine = CAQE(run_cfg)
-            live = engine.open_run(
-                self.left,
-                self.right,
-                workload,
-                contracts,
-                ExecutionStats(clock=self.clock),
-                cancel_token=token,
-                pool=self._pool,
-                build_cache=self._build_caches.setdefault(signature, {}),
-                budget_reason=REASON_DEADLINE,
-            )
+            self.metrics["admitted"] += 1
+            try:
+                live = CAQE(run_cfg).open_run(
+                    self.left,
+                    self.right,
+                    workload,
+                    contracts,
+                    ExecutionStats(clock=self.clock),
+                    cancel_token=token,
+                    pool=self._pool,
+                    build_cache=self._build_caches.setdefault(signature, {}),
+                    # Deadline-driven budgets stamp "deadline" on degraded
+                    # reports so the reason taxonomy needs no re-derivation.
+                    budget_reason=REASON_DEADLINE,
+                )
+            except ReproError as exc:
+                self._finish(ticket, _failed(exc), breaker_failure=True)
+                return ticket
             self._live[sid] = _LiveSub(
                 sid=sid,
                 tenant=tenant,
-                tier=spec.tier,
-                weight=spec.weight,
+                tier=state.spec.tier,
+                weight=state.spec.weight,
                 ticket=ticket,
                 live=live,
-                arrival=now,
-                deadline_abs=deadline_abs,
             )
             state.live += 1
-            self.metrics["admitted"] += 1
             return ticket
+
+    def _shed(self, signature: str, tenant: str) -> "Rejected | None":
+        """The one admission sequence: closed, circuit breaker, brownout
+        shed (rung 3, spares tier 0), global queue bound, per-tenant
+        bulkhead.  ``None`` admits."""
+        cfg = self.config
+        if self._closed:
+            return Rejected(REASON_SERVER_CLOSED)
+        breaker = self._breakers.setdefault(
+            signature,
+            CircuitBreaker(
+                threshold=cfg.server_breaker_threshold,
+                cooldown=cfg.server_breaker_cooldown,
+            ),
+        )
+        if not breaker.admit():
+            return Rejected(
+                REASON_CIRCUIT_OPEN,
+                f"workload has failed {breaker.consecutive_failures} "
+                "consecutive run(s)",
+            )
+        state = self._tenant_state(tenant)
+        spec = state.spec
+        ladder = self.policy == POLICY_BENEFIT
+        live = len(self._live)
+        shed = None
+        if ladder and spec.tier > 0 and live >= cfg.tenant_brownout_shed_live:
+            shed = Rejected(
+                REASON_BROWNOUT_SHED,
+                f"brownout rung 3: {live} live submission(s) "
+                f">= shed threshold {cfg.tenant_brownout_shed_live}",
+            )
+        elif live >= cfg.server_queue_limit:
+            shed = Rejected(
+                REASON_QUEUE_FULL,
+                f"admission queue at capacity ({cfg.server_queue_limit})",
+            )
+        elif ladder and state.live >= spec.max_live:
+            shed = Rejected(
+                REASON_BULKHEAD,
+                f"tenant {tenant!r} at its bulkhead cap "
+                f"({spec.max_live} in-flight submission(s))",
+            )
+        if shed is not None and breaker.state == HALF_OPEN:
+            # A half-open trial that cannot even be admitted re-opens its
+            # breaker with a fresh cooldown.
+            breaker.record_failure()
+        return shed
 
     # -- scheduling ------------------------------------------------------ #
     @property
@@ -373,9 +428,7 @@ class RegionScheduler:
             except QueryCancelled as exc:
                 outcome = ServedResult(CANCELLED, error=str(exc))
             except ReproError as exc:
-                outcome = ServedResult(
-                    FAILED, error=f"{type(exc).__name__}: {exc}"
-                )
+                outcome = _failed(exc)
                 breaker_failure = True
             self._account_service(sub, self.clock.now() - before)
             if outcome is not None:
@@ -477,12 +530,49 @@ class RegionScheduler:
             )
         del self._live[sub.sid]
         self._tenants[sub.tenant].live -= 1
+        self._finish(sub.ticket, outcome, breaker_failure)
+
+    def _finish(
+        self, ticket: Ticket, outcome: ServedResult, breaker_failure: bool
+    ) -> None:
+        """Terminal bookkeeping of one admitted ticket: status and pool
+        counters, the breaker verdict, the completion hook."""
         self.metrics[outcome.status] += 1
+        breaker = self._breakers[ticket.signature]
+        if outcome.status == CANCELLED:
+            # Cancellation says nothing about workload health — but a
+            # cancelled half-open trial must not strand its breaker:
+            # re-open it so a later cooldown admits another trial.
+            if breaker.state == HALF_OPEN:
+                breaker.record_failure()
+        elif breaker_failure:
+            breaker.record_failure()
+        else:
+            breaker.record_success()
+        # Pool supervision outcomes (docs/ARCHITECTURE.md §14): a run whose
+        # regions poisoned the shared pool is a breaker failure for its
+        # signature; a pool that exhausted its restart budget has tripped
+        # to serial mode for the rest of the scheduler's life — counted
+        # once.
+        if outcome.result is not None and "pool" in outcome.result.quarantine:
+            self.metrics["pool_poisoned_runs"] += 1
+        if (
+            self._pool is not None
+            and self._pool.degraded
+            and not self.metrics["pool_serial_trips"]
+        ):
+            self.metrics["pool_serial_trips"] = 1
         if self._on_finish is not None:
-            self._on_finish(sub.ticket, outcome, breaker_failure)
-        sub.ticket._finish(outcome)
+            self._on_finish(ticket, outcome, breaker_failure)
+        ticket._finish(outcome)
 
     # -- observability --------------------------------------------------- #
+    def pool_health(self) -> "dict[str, object] | None":
+        """Supervision snapshot of the shared region pool (None = serial
+        scheduler).  Counters only — safe to poll from any thread."""
+        pool = self._pool
+        return None if pool is None else pool.health().as_dict()
+
     def tenant_report(self) -> "dict[str, dict[str, float]]":
         """Per-tenant fairness snapshot (service, entitlement, deficit)."""
         with self._lock:
@@ -499,16 +589,15 @@ class RegionScheduler:
             }
 
     # -- lifecycle ------------------------------------------------------- #
-    def close(self, drain: bool = True) -> None:
-        """Stop admitting; by default finish every admitted submission
-        (every admission terminates), then release the owned pool."""
+    def close(self) -> None:
+        """Stop admitting, finish every admitted submission (every
+        admission terminates), then release the pool (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if drain:
-            self.drain()
-        if self._pool_owned and self._pool is not None:
+        self.drain()
+        if self._pool is not None:
             self._pool.close()
             self._pool = None
 

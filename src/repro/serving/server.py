@@ -1,48 +1,32 @@
-"""The overload-safe concurrent serving layer (docs/ARCHITECTURE.md §10.6).
+"""Tickets, outcomes, the circuit breaker — and the thread that serves
+(docs/ARCHITECTURE.md §10.6).
 
-:class:`CAQEServer` turns the single-run engine into a small decision
-support service over one fixed pair of base tables:
+Everything a submission's caller holds lives here: the :class:`Ticket`
+(or falsy :class:`Rejected`) ``submit`` hands back, the
+:class:`ServedResult` a ticket resolves to, the duck-typed
+:class:`CancellationToken`, and the count-based :class:`CircuitBreaker`
+the scheduler keeps per workload signature.  Wall clocks are banned in
+``src/repro`` (caqe-check rule CQ007), so the breaker cooldown counts
+*events* (shed submissions), not seconds — the same load that trips a
+breaker is what eventually re-tests it.
 
-* **bounded admission** — submissions enter a fixed-size queue drained
-  by worker threads; when the queue is full the submission is *shed*
-  with an explicit :class:`Rejected` (reason ``"queue_full"``) instead
-  of growing an unbounded backlog;
-* **deadlines** — a per-submission deadline is mapped onto the engine's
-  deterministic virtual-clock budget (``query_time_budget`` with
-  ``enable_recovery=True``), so a workload past its deadline finishes
-  with degraded MQLA-bound answers rather than running forever;
-* **cooperative cancellation** — every admitted submission carries a
-  :class:`CancellationToken` polled at region boundaries; cancelling
-  mid-run raises :class:`~repro.errors.QueryCancelled` inside the worker
-  and the ticket completes with status ``"cancelled"``;
-* **circuit breaking** — a per-workload-signature :class:`CircuitBreaker`
-  opens after repeated runs that quarantined regions (persistent
-  :class:`~repro.errors.RegionFailure` offenders) and sheds further
-  submissions of that workload (reason ``"circuit_open"``) until an
-  event-count cooldown admits a half-open trial.
-
-Wall clocks are banned in ``src/repro`` (caqe-check rule CQ007), so the
-breaker cooldown counts *events* (rejected submissions), not seconds —
-the same load that trips a breaker is what eventually re-tests it.
-
-Every admitted submission terminates: answered, degraded, cancelled, or
-failed.  Worker threads never hold a lock while running the engine, and
-the queue is the only cross-thread handoff, so the server cannot
-deadlock on its own primitives.
+:class:`CAQEServer` adds exactly one thing to
+:class:`~repro.serving.scheduler.RegionScheduler`: a driver thread that
+steps it, so callers can ``submit`` and block on tickets instead of
+stepping the scheduler themselves.  Admission control, the breaker
+table, the shared region pool and every counter belong to the scheduler;
+the server holds no lock and no state of its own beyond the thread and
+its wake-up event.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import queue
 import threading
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.caqe import CAQE, CAQEConfig, RunResult
-from repro.errors import QueryCancelled, ReproError
+from repro.core.caqe import CAQEConfig, RunResult
 from repro.robustness.recovery import REASON_BROWNOUT, REASON_DEADLINE
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -62,14 +46,14 @@ REASON_CIRCUIT_OPEN = "circuit_open"
 REASON_SERVER_CLOSED = "server_closed"
 
 #: Structured outcome-reason taxonomy surfaced on :class:`ServedResult`
-#: (uniform across FIFO and interleaved serving — callers never dig
-#: through ``RunResult`` internals to classify a degradation).
+#: (callers never dig through ``RunResult`` internals to classify a
+#: degradation).
 OUTCOME_DEADLINE = "deadline"
 OUTCOME_BROWNOUT = "brownout"
 OUTCOME_BREAKER = "breaker"
 OUTCOME_POOL = "pool"
 
-#: Bounded-wait tick for worker loops: every blocking primitive in the
+#: Bounded-wait tick of the driver loop: every blocking primitive in the
 #: serving layer carries a timeout (caqe-check rule CQ013) so a lost
 #: wakeup can never hang a thread forever.
 _WAIT_TICK = 0.1
@@ -259,9 +243,9 @@ _signature_cache: "weakref.WeakKeyDictionary[Any, str]" = (
 def workload_signature(workload: "Workload") -> str:
     """Stable identity of a workload for breaker bookkeeping.
 
-    Memoised per workload object: the server recomputes this on every
-    submission *and* every completion, and repr-ing each query is by far
-    the most expensive part of admission control under load.
+    Memoised per workload object: admission looks it up on every
+    submission, and repr-ing each query is by far the most expensive
+    part of admission control under load.
     """
     try:
         cached = _signature_cache.get(workload)
@@ -273,15 +257,16 @@ def workload_signature(workload: "Workload") -> str:
     return cached
 
 
-_SHUTDOWN = object()
-
-
 class CAQEServer:
-    """Thread-based concurrent serving of CAQE workloads.
+    """A :class:`~repro.serving.scheduler.RegionScheduler` plus the thread
+    that steps it.
 
-    One server owns one immutable pair of base tables; each admitted
-    submission runs a full :class:`~repro.core.caqe.CAQE` pass with its
-    own stats/clock, so concurrent runs share nothing mutable.
+    ``config.server_mode`` names the scheduler policy: ``"fifo"`` serves
+    whole runs in arrival order (``POLICY_FIFO``), ``"interleaved"``
+    multiplexes live submissions region by region under the cross-tenant
+    benefit ranking (``POLICY_BENEFIT``).  Either way ``submit`` pays the
+    MQLA prologue on the caller's thread and regions run on the one
+    driver thread (``shutdown`` lends its caller's thread to the drain).
     """
 
     def __init__(
@@ -290,94 +275,30 @@ class CAQEServer:
         right: "Relation",
         config: "CAQEConfig | None" = None,
     ) -> None:
-        self.left = left
-        self.right = right
-        self.config = config or CAQEConfig()
-        self._queue: "queue.Queue[Any]" = queue.Queue(
-            maxsize=self.config.server_queue_limit
+        # Deferred import: scheduler.py imports this module's ticket and
+        # result types at module scope.
+        from repro.serving.scheduler import (
+            POLICY_BENEFIT,
+            POLICY_FIFO,
+            RegionScheduler,
         )
-        self._lock = threading.Lock()
-        self._breakers: "dict[str, CircuitBreaker]" = {}
-        self._ids = itertools.count(1)
-        self._closed = False
-        self.metrics: "dict[str, int]" = {
-            "submitted": 0,
-            "admitted": 0,
-            "rejected_queue_full": 0,
-            "rejected_circuit_open": 0,
-            "rejected_server_closed": 0,
-            "rejected_bulkhead": 0,
-            "rejected_brownout": 0,
-            "answered": 0,
-            "degraded": 0,
-            "cancelled": 0,
-            "failed": 0,
-            "pool_serial_trips": 0,
-            "pool_poisoned_runs": 0,
-        }
-        # One region pool shared by every submission (docs/ARCHITECTURE.md
-        # §11.5): worker processes and the shared-memory relation blocks
-        # are paid for once per server, not once per run.  Created before
-        # the worker threads so no submission can observe a half-built
-        # pool.
-        self._pool = None
-        if self.config.workers > 0:
-            from repro.parallel import RegionPool
 
-            self._pool = RegionPool(
-                left,
-                right,
-                workers=self.config.workers,
-                use_shared_memory=self.config.enable_shared_memory,
-                restart_budget=self.config.pool_restart_budget,
-                poison_threshold=self.config.pool_poison_threshold,
-                kill_plan=self.config.pool_kill_plan,
-            )
-        #: Latched once the shared pool exhausts its restart budget and
-        #: trips to serial (degraded) mode — metrics record the event a
-        #: single time, after which every run simply prepares inline.
-        self._pool_tripped = False
-        # Hash-join build tables per workload signature: same relations +
-        # same config partition identically, so same-signature submissions
-        # reuse each other's build side instead of rebuilding it per run.
-        self._build_caches: "dict[str, dict]" = {}
-        self._workers: "list[threading.Thread]" = []
-        self._scheduler = None
+        self.config = config or CAQEConfig()
+        self.scheduler = RegionScheduler(
+            left,
+            right,
+            self.config,
+            policy=POLICY_BENEFIT
+            if self.config.server_mode == "interleaved"
+            else POLICY_FIFO,
+        )
         self._wake = threading.Event()
-        if self.config.server_mode == "interleaved":
-            # One cross-tenant region scheduler multiplexes every live
-            # submission over this server's engine host; a single driver
-            # thread steps it.  Deferred import: scheduler.py imports this
-            # module's ticket/result types at module scope.
-            from repro.serving.scheduler import RegionScheduler
+        self._stopped = False
+        self._driver = threading.Thread(
+            target=self._drive, name="caqe-server-driver", daemon=True
+        )
+        self._driver.start()
 
-            self._scheduler = RegionScheduler(
-                left,
-                right,
-                self.config,
-                pool=self._pool,
-                on_finish=self._on_scheduled_finish,
-            )
-            self._workers = [
-                threading.Thread(
-                    target=self._driver_loop,
-                    name="caqe-server-scheduler",
-                    daemon=True,
-                )
-            ]
-        else:
-            self._workers = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    name=f"caqe-server-worker-{i}",
-                    daemon=True,
-                )
-                for i in range(self.config.server_workers)
-            ]
-        for worker in self._workers:
-            worker.start()
-
-    # -- admission ------------------------------------------------------- #
     def submit(
         self,
         workload: "Workload",
@@ -387,311 +308,44 @@ class CAQEServer:
         *,
         tenant: str = "default",
     ) -> "Ticket | Rejected":
-        """Admit or shed one workload submission.
+        """:meth:`RegionScheduler.submit`, then wake the driver.
 
-        ``deadline`` is a *virtual-time* budget (the engine has no wall
-        clock); it defaults to ``config.server_default_deadline``.
-        ``tenant`` selects the fair-share/SLO identity in
-        ``server_mode="interleaved"`` (ignored by the FIFO server).
         Returns a :class:`Ticket` (truthy) or a :class:`Rejected`
         (falsy) — callers can branch on truthiness.
         """
-        if self._scheduler is not None:
-            return self._submit_interleaved(
-                workload, contracts, deadline, cancel_token, tenant
-            )
-        signature = workload_signature(workload)
-        with self._lock:
-            self.metrics["submitted"] += 1
-            if self._closed:
-                self.metrics["rejected_server_closed"] += 1
-                return Rejected(REASON_SERVER_CLOSED)
-            breaker = self._breakers.setdefault(
-                signature,
-                CircuitBreaker(
-                    threshold=self.config.server_breaker_threshold,
-                    cooldown=self.config.server_breaker_cooldown,
-                ),
-            )
-            if not breaker.admit():
-                self.metrics["rejected_circuit_open"] += 1
-                return Rejected(
-                    REASON_CIRCUIT_OPEN,
-                    f"workload has failed {breaker.consecutive_failures} "
-                    "consecutive run(s)",
-                )
-            ticket = Ticket(
-                next(self._ids),
-                workload,
-                contracts,
-                deadline
-                if deadline is not None
-                else self.config.server_default_deadline,
-                cancel_token or CancellationToken(),
-                signature,
-            )
-            try:
-                self._queue.put_nowait(ticket)
-            except queue.Full:
-                # Load shedding: a half-open trial that cannot even enqueue
-                # re-opens its breaker, otherwise breaker state is untouched.
-                if breaker.state == HALF_OPEN:
-                    breaker.state = OPEN
-                    breaker._cooldown_left = breaker.cooldown
-                self.metrics["rejected_queue_full"] += 1
-                return Rejected(
-                    REASON_QUEUE_FULL,
-                    f"admission queue at capacity "
-                    f"({self.config.server_queue_limit})",
-                )
-            self.metrics["admitted"] += 1
-            return ticket
-
-    def _submit_interleaved(
-        self,
-        workload: "Workload",
-        contracts: "dict[str, Contract]",
-        deadline: "float | None",
-        cancel_token: "CancellationToken | None",
-        tenant: str,
-    ) -> "Ticket | Rejected":
-        """Interleaved-mode admission: breaker gate here, queue/bulkhead/
-        brownout gates in the scheduler.
-
-        The scheduler call runs *outside* the server lock — the driver
-        thread acquires scheduler-then-server (completion callbacks), so
-        holding server-then-scheduler here would invert the lock order.
-        """
-        signature = workload_signature(workload)
-        with self._lock:
-            self.metrics["submitted"] += 1
-            if self._closed:
-                self.metrics["rejected_server_closed"] += 1
-                return Rejected(REASON_SERVER_CLOSED)
-            breaker = self._breakers.setdefault(
-                signature,
-                CircuitBreaker(
-                    threshold=self.config.server_breaker_threshold,
-                    cooldown=self.config.server_breaker_cooldown,
-                ),
-            )
-            if not breaker.admit():
-                self.metrics["rejected_circuit_open"] += 1
-                return Rejected(
-                    REASON_CIRCUIT_OPEN,
-                    f"workload has failed {breaker.consecutive_failures} "
-                    "consecutive run(s)",
-                )
-        outcome = self._scheduler.submit(
+        outcome = self.scheduler.submit(
             workload,
             contracts,
             tenant=tenant,
             deadline=deadline,
             cancel_token=cancel_token,
         )
-        with self._lock:
-            if isinstance(outcome, Rejected):
-                # A half-open trial the scheduler shed re-opens its
-                # breaker (same discipline as the FIFO queue-full path).
-                if breaker.state == HALF_OPEN:
-                    breaker.state = OPEN
-                    breaker._cooldown_left = breaker.cooldown
-                key = f"rejected_{outcome.reason}"
-                self.metrics[key] = self.metrics.get(key, 0) + 1
-            else:
-                self.metrics["admitted"] += 1
-        if not isinstance(outcome, Rejected):
-            self._wake.set()
+        self._wake.set()
         return outcome
 
-    # -- worker side ----------------------------------------------------- #
-    def _run_config(self, ticket: Ticket) -> CAQEConfig:
-        overrides: "dict[str, Any]" = {}
-        if ticket.deadline is not None:
-            # Deadline -> virtual budget; recovery on so the run degrades
-            # to MQLA bounds at the deadline instead of failing loudly.
-            overrides["query_time_budget"] = float(ticket.deadline)
-            overrides["enable_recovery"] = True
-        if self.config.enable_journal and self.config.journal_dir:
-            # One journal directory per ticket: concurrent runs must not
-            # share an append-only journal file.
-            overrides["journal_dir"] = os.path.join(
-                self.config.journal_dir, f"ticket-{ticket.ticket_id:06d}"
-            )
-        return replace(self.config, **overrides) if overrides else self.config
+    def _drive(self) -> None:
+        while not self._stopped:
+            if not self.scheduler.step():
+                # Bounded wait (CQ013) for the next submission.
+                self._wake.wait(timeout=_WAIT_TICK)
+                self._wake.clear()
 
-    def _worker_loop(self) -> None:
-        while True:
-            try:
-                # Bounded wait (CQ013): re-check rather than block forever.
-                ticket = self._queue.get(timeout=_WAIT_TICK)
-            except queue.Empty:
-                continue
-            if ticket is _SHUTDOWN:
-                self._queue.task_done()
-                return
-            try:
-                self._serve(ticket)
-            finally:
-                self._queue.task_done()
+    @property
+    def metrics(self) -> "dict[str, int]":
+        """The scheduler's counters (the server keeps none of its own)."""
+        return self.scheduler.metrics
 
-    def _driver_loop(self) -> None:
-        """Interleaved mode: single thread stepping the region scheduler.
-
-        Exits once the server is closed *and* the scheduler has drained —
-        so ``shutdown(wait=True)`` finishes every admitted submission.
-        """
-        scheduler = self._scheduler
-        while True:
-            if scheduler.step():
-                continue
-            with self._lock:
-                if self._closed:
-                    return
-            # Bounded wait (CQ013) for the next submission.
-            self._wake.wait(timeout=_WAIT_TICK)
-            self._wake.clear()
-
-    def _on_scheduled_finish(
-        self, ticket: "Ticket", outcome: "ServedResult", breaker_failure: bool
-    ) -> None:
-        """Completion hook the scheduler calls before finishing a ticket:
-        breaker bookkeeping and server-level metrics (the scheduler keeps
-        its own)."""
-        pool_poisoned = (
-            outcome.result is not None and "pool" in outcome.result.quarantine
-        )
-        with self._lock:
-            breaker = self._breakers.get(ticket.signature)
-            if breaker is not None and outcome.status != CANCELLED:
-                if breaker_failure:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            self.metrics[outcome.status] += 1
-            if pool_poisoned:
-                self.metrics["pool_poisoned_runs"] += 1
-            if (
-                self._pool is not None
-                and not self._pool_tripped
-                and self._pool.degraded
-            ):
-                self._pool_tripped = True
-                self.metrics["pool_serial_trips"] += 1
-
-    def _serve(self, ticket: Ticket) -> None:
-        if ticket.token.is_cancelled():
-            self._finish(ticket, ServedResult(CANCELLED, error="cancelled before start"))
-            return
-        engine = CAQE(self._run_config(ticket))
-        with self._lock:
-            build_cache = self._build_caches.setdefault(ticket.signature, {})
-        try:
-            result = engine.run(
-                self.left,
-                self.right,
-                ticket.workload,
-                ticket.contracts,
-                cancel_token=ticket.token,
-                pool=self._pool,
-                build_cache=build_cache,
-                # Deadline-driven budgets stamp "deadline" on degraded
-                # reports so the reason taxonomy needs no re-derivation.
-                budget_reason=REASON_DEADLINE,
-            )
-        except QueryCancelled as exc:
-            self._finish(ticket, ServedResult(CANCELLED, error=str(exc)))
-            return
-        except ReproError as exc:
-            self._finish(
-                ticket,
-                ServedResult(FAILED, error=f"{type(exc).__name__}: {exc}"),
-                breaker_failure=True,
-            )
-            return
-        degraded = any(result.degraded.values())
-        quarantined = result.stats.regions_quarantined > 0
-        # Pool supervision outcomes (docs/ARCHITECTURE.md §14): a run
-        # whose regions poisoned the shared pool counts as a breaker
-        # failure for its signature (those regions keep killing worker
-        # processes); a pool that exhausted its restart budget has
-        # tripped to serial mode for the rest of the server's life —
-        # record the trip once.
-        pool_poisoned = "pool" in result.quarantine
-        with self._lock:
-            if pool_poisoned:
-                self.metrics["pool_poisoned_runs"] += 1
-            if (
-                self._pool is not None
-                and not self._pool_tripped
-                and self._pool.degraded
-            ):
-                self._pool_tripped = True
-                self.metrics["pool_serial_trips"] += 1
-        self._finish(
-            ticket,
-            ServedResult(
-                DEGRADED if degraded else ANSWERED,
-                result=result,
-                reasons=outcome_reasons(
-                    result,
-                    breaker_failure=quarantined or pool_poisoned,
-                ),
-            ),
-            breaker_failure=quarantined or pool_poisoned,
-        )
-
-    def _finish(
-        self,
-        ticket: Ticket,
-        outcome: ServedResult,
-        breaker_failure: bool = False,
-    ) -> None:
-        with self._lock:
-            breaker = self._breakers.get(ticket.signature)
-            if breaker is not None and outcome.status != CANCELLED:
-                # Cancellation says nothing about workload health.
-                if breaker_failure:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            self.metrics[outcome.status] += 1
-        ticket._finish(outcome)
-
-    # -- observability ---------------------------------------------------- #
     def pool_health(self) -> "dict[str, object] | None":
-        """Supervision snapshot of the shared region pool (None = serial
-        server).  Counters only — safe to poll from any thread."""
-        pool = self._pool
-        if pool is None:
-            return None
-        return pool.health().as_dict()
+        """Supervision snapshot of the scheduler's shared region pool."""
+        return self.scheduler.pool_health()
 
-    # -- lifecycle ------------------------------------------------------- #
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting, drain in-flight work, and join the workers."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._scheduler is not None:
-            # The driver thread drains the scheduler, then observes
-            # _closed and exits; close() afterwards is then a no-op drain
-            # that just releases scheduler-owned resources.
-            self._wake.set()
-            if wait:
-                for worker in self._workers:
-                    worker.join()
-                self._scheduler.close()
-        else:
-            for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
-            if wait:
-                for worker in self._workers:
-                    worker.join()
-        if wait and self._pool is not None:
-            self._pool.close()
-            self._pool = None
+    def shutdown(self) -> None:
+        """Stop admitting, finish every admitted submission, release the
+        pool and join the driver thread (idempotent)."""
+        self.scheduler.close()
+        self._stopped = True
+        self._wake.set()
+        self._driver.join()
 
     def __enter__(self) -> "CAQEServer":
         return self

@@ -17,7 +17,6 @@ Storage layout (docs/ARCHITECTURE.md §16) is a structure of arrays:
   order (BNL charges depend on entry order, so the order is load-bearing);
 * ``_key_hash`` — an int64 column of key hashes, with ``_key_list`` as the
   collision-safe side table holding the actual :class:`Hashable` keys;
-* ``_admit_round`` — the monotone mutation round that admitted each row;
 * ``_live`` — liveness tombstones: an eviction only flips a bit.
 
 Rows grow geometrically and evictions never move data; dead rows are
@@ -97,9 +96,8 @@ class SkylineWindow:
     """Skyline of all inserted points over a fixed list of dimensions."""
 
     __slots__ = (
-        "dims", "counter", "_dims_index", "_store", "_key_hash",
-        "_admit_round", "_live", "_key_list", "_keyset", "_size",
-        "_live_count", "_round",
+        "dims", "counter", "_dims_index", "_store", "_key_hash", "_live",
+        "_key_list", "_keyset", "_size", "_live_count",
     )
 
     def __init__(
@@ -115,7 +113,6 @@ class SkylineWindow:
         #: Flat columns; ``None`` until the first admission sizes the width.
         self._store: "np.ndarray | None" = None
         self._key_hash: "np.ndarray | None" = None
-        self._admit_round: "np.ndarray | None" = None
         self._live: "np.ndarray | None" = None
         #: Side table resolving key-hash collisions: the actual key object
         #: per physical row (stale at dead rows until compaction).
@@ -127,8 +124,6 @@ class SkylineWindow:
         self._size = 0
         #: Live rows only — the window size every charge is based on.
         self._live_count = 0
-        #: Monotone mutation round, stamped into ``_admit_round``.
-        self._round = 0
 
     # ------------------------------------------------------------------ #
     # Storage plumbing (never charges a comparison)
@@ -146,13 +141,12 @@ class SkylineWindow:
                 capacity *= 2
             self._store = np.empty((capacity, width))
             self._key_hash = np.empty(capacity, dtype=np.int64)
-            self._admit_round = np.empty(capacity, dtype=np.int64)
             self._live = np.zeros(capacity, dtype=bool)
         elif needed > len(self._store):
             capacity = len(self._store)
             while capacity < needed:
                 capacity *= 2
-            for name in ("_store", "_key_hash", "_admit_round", "_live"):
+            for name in ("_store", "_key_hash", "_live"):
                 old = getattr(self, name)
                 shape = (capacity, width) if old.ndim == 2 else (capacity,)
                 grown = np.zeros(shape, dtype=old.dtype)
@@ -164,7 +158,6 @@ class SkylineWindow:
         row = self._size
         self._store[row] = vec
         self._key_hash[row] = hash(key)
-        self._admit_round[row] = self._round
         self._live[row] = True
         self._key_list.append(key)
         self._keyset.add(key)
@@ -180,7 +173,6 @@ class SkylineWindow:
         sl = slice(self._size, self._size + k)
         self._store[sl] = rows
         self._key_hash[sl] = [hash(key) for key in keys]
-        self._admit_round[sl] = self._round
         self._live[sl] = True
         self._key_list.extend(keys)
         self._keyset.update(keys)
@@ -219,7 +211,6 @@ class SkylineWindow:
         k = live_idx.size
         self._store[:k] = self._store[live_idx]
         self._key_hash[:k] = self._key_hash[live_idx]
-        self._admit_round[:k] = self._admit_round[live_idx]
         self._live[: self._size] = False
         self._live[:k] = True
         # Key side-table sweep (Python objects; no column data reboxed).
@@ -245,7 +236,6 @@ class SkylineWindow:
     def insert(self, key: Hashable, point: np.ndarray) -> InsertOutcome:
         """Try to add ``point``; returns admission status and evictions."""
         vec = self._project(point)
-        self._round += 1
         if self._live_count == 0:
             self._maybe_compact()
             self._append(key, vec)
@@ -298,7 +288,6 @@ class SkylineWindow:
         :meth:`insert`, just without the early-termination discount.
         """
         vec = self._project(point)
-        self._round += 1
         if self._live_count == 0:
             self._maybe_compact()
             self._append(key, vec)
@@ -380,7 +369,6 @@ class SkylineWindow:
             mat = mat.reshape(m, -1)
         if self._dims_index is not None:
             mat = mat[:, self._dims_index]
-        self._round += 1
         if known_member is None:
             known = np.zeros(m, dtype=bool)
         else:
@@ -625,15 +613,6 @@ class SkylineWindow:
         if self._live_count == self._size:
             return self._store[: self._size].copy()
         return self._store[self._live_index()]
-
-    @property
-    def admission_rounds(self) -> np.ndarray:
-        """Mutation round that admitted each live entry, in entry order."""
-        if self._live_count == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._live_count == self._size:
-            return self._admit_round[: self._size].copy()
-        return self._admit_round[self._live_index()]
 
     @property
     def dead_fraction(self) -> float:

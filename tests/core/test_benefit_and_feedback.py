@@ -115,6 +115,24 @@ class TestBenefitModel:
         with pytest.raises(ExecutionError):
             model.estimate(r)
 
+    def test_estimate_rejects_a_region_that_was_not_attached(self, model):
+        """Attaching *some* regions does not make the others estimable —
+        in any input form."""
+        known = region(0, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4)
+        inside = region(1, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4)
+        beyond = region(7, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4)
+        model.attach_regions([known, region(2, [1.0] * 4, [2.0] * 4, (1,) * 4, (1,) * 4)])
+        for stranger in (inside, beyond):  # an id gap, an id past the arrays
+            with pytest.raises(ExecutionError, match="attached"):
+                model.estimate(stranger)
+            with pytest.raises(ExecutionError, match="attached"):
+                model.estimate_roots([known, stranger])
+            with pytest.raises(ExecutionError, match="attached"):
+                model.estimate_roots_arrays(
+                    rid_arr=np.array([0, stranger.region_id], dtype=np.intp)
+                )
+        assert len(model.estimate_roots([known])) == 1
+
     def test_estimate_zero_for_unserved_queries(self, model):
         r = region(0, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4, rql=0b1)
         model.attach_regions([r])

@@ -115,7 +115,7 @@ class TestFingerprints:
             enable_journal=True,
             journal_dir="/somewhere/else",
             checkpoint_every_regions=3,
-            server_workers=7,
+            server_queue_limit=7,
         )
         assert run_fingerprint(
             base, small_pair.left, small_pair.right, figure1_workload

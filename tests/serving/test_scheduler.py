@@ -2,8 +2,9 @@
 
 Everything here is single-threaded and driven on the scheduler's own
 virtual clock (``submit`` + ``step``/``drain``), so ordering assertions
-are exact, not races.  The interleaved ``CAQEServer`` mode gets a thin
-end-to-end slice at the bottom; the scheduler owns the semantics.
+are exact, not races.  ``CAQEServer`` — the same scheduler plus a
+driver thread — gets a thin end-to-end slice at the bottom and its own
+file (``test_server.py``); the scheduler owns the semantics.
 """
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from repro.contracts import c2
 from repro.core import CAQE, CAQEConfig
 from repro.datagen import generate_pair
+from repro.query.workload import subspace_workload
+from repro.robustness.faults import FaultConfig, FaultPlan
+from repro.robustness.recovery import RetryPolicy
 from repro.serving import (
     ANSWERED,
     CANCELLED,
@@ -55,6 +59,19 @@ def contracts(figure1_workload):
     return {q.name: c2(scale=100.0) for q in figure1_workload}
 
 
+def _toxic_config(**knobs) -> CAQEConfig:
+    """Every run quarantines all regions; one failure opens the breaker
+    and one shed submission spends its cooldown."""
+    return CAQEConfig(
+        enable_recovery=True,
+        retry_policy=RetryPolicy(max_attempts=1),
+        fault_plan=FaultPlan(FaultConfig(seed=5, persistent_failure_rate=1.0)),
+        server_breaker_threshold=1,
+        server_breaker_cooldown=1,
+        **knobs,
+    )
+
+
 def _finish_order(sched):
     """Attach a completion recorder; returns the mutable order list."""
     order = []
@@ -97,8 +114,14 @@ class TestSingleTenantEquivalence:
             ticket = sched.submit(figure1_workload, contracts)
             sched.drain()
             outcome = ticket.result(timeout=WAIT)
-        assert outcome.result.stats.region_trace == direct.stats.region_trace
-        assert outcome.result.stats.elapsed == direct.stats.elapsed
+        served = outcome.result
+        assert served.reported == direct.reported
+        assert served.stats.region_trace == direct.stats.region_trace
+        assert (
+            served.stats.skyline_comparisons
+            == direct.stats.skyline_comparisons
+        )
+        assert served.stats.elapsed == direct.stats.elapsed
 
 
 class TestAdmissionControl:
@@ -125,6 +148,78 @@ class TestAdmissionControl:
             second = sched.submit(figure1_workload, contracts, tenant="b")
             assert isinstance(second, Rejected)
             assert second.reason == REASON_QUEUE_FULL
+
+    @pytest.mark.parametrize("policy", ["benefit", "fifo"])
+    def test_four_x_overload_sheds_exactly_the_excess(
+        self, pair, figure1_workload, contracts, policy
+    ):
+        """No thread, so live occupancy is exact: the bound admits two
+        and every one of the eight beyond it is shed, none blocks."""
+        config = CAQEConfig(server_queue_limit=2)
+        with RegionScheduler(
+            pair.left, pair.right, config, policy=policy
+        ) as sched:
+            admitted = [
+                sched.submit(figure1_workload, contracts) for _ in range(2)
+            ]
+            assert all(t and not isinstance(t, Rejected) for t in admitted)
+            shed = [
+                sched.submit(figure1_workload, contracts) for _ in range(8)
+            ]
+            assert all(isinstance(r, Rejected) for r in shed)
+            assert {r.reason for r in shed} == {REASON_QUEUE_FULL}
+            sched.drain()
+            assert [t.result(timeout=WAIT).status for t in admitted] == [
+                ANSWERED,
+                ANSWERED,
+            ]
+            # The bound is on *live* submissions: drained, it admits again.
+            assert sched.submit(figure1_workload, contracts)
+        assert sched.metrics["submitted"] == 11
+        assert sched.metrics["admitted"] == 3
+        assert sched.metrics["rejected_queue_full"] == 8
+        assert sched.metrics["answered"] == 3
+
+    @pytest.mark.parametrize("policy", ["benefit", "fifo"])
+    def test_half_open_trial_shed_by_the_queue_bound_reopens_its_breaker(
+        self, pair, figure1_workload, contracts, policy
+    ):
+        config = _toxic_config(server_queue_limit=1)
+        other = subspace_workload(2)
+        with RegionScheduler(
+            pair.left, pair.right, config, policy=policy
+        ) as sched:
+            sched.submit(figure1_workload, contracts)
+            sched.drain()  # quarantines every region: breaker opens
+            blocker = sched.submit(
+                other, {q.name: c2(scale=100.0) for q in other}
+            )
+            assert blocker and not isinstance(blocker, Rejected)
+            # Cooldown spent: the breaker lets this trial through, the
+            # queue bound then sheds it — which must not strand the
+            # breaker half-open.
+            shed = sched.submit(figure1_workload, contracts)
+            assert isinstance(shed, Rejected)
+            assert shed.reason == REASON_QUEUE_FULL
+            sched.drain()
+            trial = sched.submit(figure1_workload, contracts)
+            assert trial and not isinstance(trial, Rejected)
+
+    def test_cancelled_half_open_trial_reopens_its_breaker(
+        self, pair, figure1_workload, contracts
+    ):
+        config = _toxic_config()
+        with RegionScheduler(pair.left, pair.right, config) as sched:
+            sched.submit(figure1_workload, contracts)
+            sched.drain()  # breaker opens
+            trial = sched.submit(figure1_workload, contracts)
+            trial.cancel()
+            sched.drain()
+            assert trial.result(timeout=WAIT).status == CANCELLED
+            # A cancelled trial proved nothing; it must not leave the
+            # breaker half-open (where nothing is ever admitted again).
+            retrial = sched.submit(figure1_workload, contracts)
+            assert retrial and not isinstance(retrial, Rejected)
 
     def test_closed_scheduler_sheds_with_reason(
         self, pair, figure1_workload, contracts
@@ -422,7 +517,6 @@ class TestSpecAndConfigValidation:
         [
             {"server_mode": "parallel"},
             {"server_queue_limit": 0},
-            {"server_workers": 0},
             {"server_breaker_threshold": 0},
             {"server_breaker_cooldown": 0},
             {"server_default_deadline": 0.0},
@@ -499,7 +593,7 @@ class TestInterleavedServer:
             server.submit(figure1_workload, contracts, tenant="a")
             for _ in range(2)
         ]
-        server.shutdown(wait=True)
+        server.shutdown()
         for ticket in tickets:
             assert ticket.result(timeout=WAIT).status in (
                 ANSWERED,
