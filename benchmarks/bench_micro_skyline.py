@@ -14,7 +14,21 @@ window/estimate shapes where per-call overhead is everything.  Like every
 row in this file they are diagnostics for reproducing a per-call number
 on another host — not evidence: a performance claim rests on ``perfbench``
 (see ``perfbench/README.md``).
+
+The ``window-replay`` group is the grid the batch replay kernel of
+``SkylineWindow.insert_batch`` is sized on: one call over (live window) x
+(batch) x d x distribution x {presorted, unsorted}.  Point
+``WINDOW_REPLAY_BASELINE`` at another checkout's ``skyline/window.py`` and
+every cell times both kernels, interleaved round by round in this one
+process, and checks that they agree (several ``label=path`` entries,
+``os.pathsep``-separated, time them all).
 """
+
+import importlib.util
+import os
+import statistics
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -191,4 +205,124 @@ def bench_micro_dominance_kernel(benchmark, shape, implementation):
     mask = benchmark(lambda: implementation(dominators, candidates, 2))
     np.testing.assert_array_equal(
         mask, _literal_dominance(dominators, candidates, 2)
+    )
+
+
+# --------------------------------------------------------------------- #
+# The batch replay kernel (docs/ARCHITECTURE.md §16.1)
+# --------------------------------------------------------------------- #
+REPLAY_LIVE_TARGETS = (1, 6, 20, 220, 1500)
+REPLAY_BATCHES = (1, 3, 64, 800)
+REPLAY_DIMS = (2, 3, 4)
+#: Warm-up points stop doubling here: a correlated window never reaches
+#: the larger targets, the cell then reports the live size it got.
+REPLAY_WARMUP_CAP = 16_384
+REPLAY_ROUNDS = 25
+
+
+def _replay_implementations():
+    """``{label: SkylineWindow class}`` — the tree's last, after the ones
+    ``WINDOW_REPLAY_BASELINE`` names: ``os.pathsep``-separated
+    ``label=path`` entries, each another checkout's ``window.py``."""
+    implementations = {}
+    for entry in filter(None, os.environ.get("WINDOW_REPLAY_BASELINE", "").split(os.pathsep)):
+        label, _, path = entry.rpartition("=")
+        label = label or "baseline"
+        spec = importlib.util.spec_from_file_location(f"_replay_{label}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses resolve their module
+        spec.loader.exec_module(module)
+        implementations[label] = module.SkylineWindow
+    implementations["tree"] = SkylineWindow
+    return implementations
+
+
+def _replay_window(points, target):
+    """Entries of a live window of about ``target`` rows: the skyline of
+    the shortest doubling prefix of ``points`` that reaches it."""
+    n = target
+    while True:
+        n = min(n, len(points))
+        window = SkylineWindow()
+        window.insert_batch(list(range(n)), points[:n])
+        if len(window) >= target or n >= len(points):
+            keys, rows = window.dump_entries()
+            return keys[:target], rows[:target]
+        n *= 2
+
+
+def _replay_cell(implementations, entries, keys, batch, rounds):
+    """Median microseconds of one ``insert_batch`` per implementation,
+    rounds interleaved; every implementation must replay scalar BNL."""
+    samples = {label: [] for label in implementations}
+    outcomes = {}
+    for _ in range(rounds):
+        for label, window_type in implementations.items():
+            counter = ComparisonCounter()
+            window = window_type(counter=counter)
+            window.load_entries(*entries)
+            start = time.perf_counter()
+            outcome = window.insert_batch(keys, batch)
+            samples[label].append((time.perf_counter() - start) * 1e6)
+            outcomes[label] = (
+                outcome.admitted.tolist(), counter.comparisons, window.keys
+            )
+    counter = ComparisonCounter()
+    scalar = SkylineWindow(counter=counter)
+    scalar.load_entries(*entries)
+    admitted = [scalar.insert(k, row).admitted for k, row in zip(keys, batch)]
+    for label, got in outcomes.items():
+        assert got == (admitted, counter.comparisons, scalar.keys), label
+    return (
+        {label: statistics.median(times) for label, times in samples.items()},
+        sum(admitted),
+    )
+
+
+@pytest.mark.parametrize("dims", REPLAY_DIMS)
+def bench_micro_window_replay(run_once, benchmark, dataset, dims):
+    """One ``insert_batch`` call per cell of the replay grid."""
+    name, _ = dataset
+    benchmark.group = f"window-replay-{name}-{dims}d"
+    implementations = _replay_implementations()
+    rounds = REPLAY_ROUNDS if benchmark.enabled else 1
+    warm = generate(name, REPLAY_WARMUP_CAP, dims, seed=29)
+    fresh = generate(name, max(REPLAY_BATCHES), dims, seed=31)
+    presorted = fresh[np.argsort(fresh.sum(axis=1), kind="stable")]
+
+    def grid():
+        rows = []
+        reached = set()
+        for target in REPLAY_LIVE_TARGETS:
+            entries = _replay_window(warm, target)
+            if len(entries[0]) in reached:
+                continue  # the distribution's skyline stops short of it
+            reached.add(len(entries[0]))
+            for size in REPLAY_BATCHES:
+                keys = [("b", i) for i in range(size)]
+                for order, source in (("presorted", presorted), ("unsorted", fresh)):
+                    # An evenly strided sample keeps a presorted batch
+                    # spanning the whole sum range, as a region's join does.
+                    batch = source[:: len(source) // size][:size]
+                    medians, admitted = _replay_cell(
+                        implementations, entries, keys, batch, rounds
+                    )
+                    rows.append(
+                        (
+                            len(entries[0]), size, order,
+                            f"{admitted / size:.3f}",
+                            *(f"{medians[label]:.0f}" for label in implementations),
+                        )
+                    )
+        return rows
+
+    rows = run_once(benchmark, grid)
+    print()
+    print(
+        render_table(
+            ("live", "batch", "order", "admit share",
+             *(f"{label} us/call" for label in implementations)),
+            rows,
+            title=f"insert_batch replay kernel ({name}, d={dims})",
+        )
     )

@@ -560,37 +560,46 @@ class CAQE:
             client.set_workload(workload)
 
         durability = None
-        if cfg.enable_journal:
-            # Function-level imports break the package cycle with
-            # repro.durability.recover (which needs this module) and keep
-            # the journal-off hot path import-free.
-            from repro.durability.journal import RegionJournal, run_fingerprint
-            from repro.durability.runtime import RunDurability
+        try:
+            if cfg.enable_journal:
+                # Function-level imports break the package cycle with
+                # repro.durability.recover (which needs this module) and keep
+                # the journal-off hot path import-free.
+                from repro.durability.journal import RegionJournal, run_fingerprint
+                from repro.durability.runtime import RunDurability
 
-            # Fingerprint over the *original* inputs: fault corruption and
-            # sanitisation are deterministic stages of the run itself, so
-            # run identity is defined before either applies.
-            fingerprint = run_fingerprint(cfg, left, right, workload)
-            if _resume is not None:
-                if _resume.snapshot is not None:
-                    _restore_run_state(rs, _resume.snapshot["state"])
-                durability = RunDurability(
-                    _resume.journal,
-                    cfg.journal_dir,
-                    fingerprint,
-                    cfg.checkpoint_every_regions,
-                    list(_resume.expected),
-                )
-            else:
-                journal = RegionJournal.create(cfg.journal_dir, fingerprint)
-                durability = RunDurability(
-                    journal,
-                    cfg.journal_dir,
-                    fingerprint,
-                    cfg.checkpoint_every_regions,
-                )
-        elif _resume is not None:
-            raise ExecutionError("resuming a run requires enable_journal=True")
+                # Fingerprint over the *original* inputs: fault corruption and
+                # sanitisation are deterministic stages of the run itself, so
+                # run identity is defined before either applies.
+                fingerprint = run_fingerprint(cfg, left, right, workload)
+                if _resume is not None:
+                    if _resume.snapshot is not None:
+                        _restore_run_state(rs, _resume.snapshot["state"])
+                    durability = RunDurability(
+                        _resume.journal,
+                        cfg.journal_dir,
+                        fingerprint,
+                        cfg.checkpoint_every_regions,
+                        list(_resume.expected),
+                    )
+                else:
+                    journal = RegionJournal.create(cfg.journal_dir, fingerprint)
+                    durability = RunDurability(
+                        journal,
+                        cfg.journal_dir,
+                        fingerprint,
+                        cfg.checkpoint_every_regions,
+                    )
+            elif _resume is not None:
+                raise ExecutionError("resuming a run requires enable_journal=True")
+        except BaseException:
+            # Nothing owns the pool yet (LiveRun.close will): a private
+            # pool's workers must not outlive a failed open.  An external
+            # pool stays its owner's — the client handed out above has no
+            # entry in its books before the first dispatch.
+            if pool_owned:
+                pool.close()
+            raise
 
         return LiveRun(
             self, rs, durability, cancel_token, client, pool, pool_owned

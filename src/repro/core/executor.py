@@ -10,8 +10,10 @@ Given a region chosen by the optimizer, the executor:
 2. returns which tuples entered each query's candidate skyline and which
    earlier candidates were evicted (skyline-over-join is non-monotonic), so
    the driver can maintain progressive-reporting state;
-3. exposes the produced vectors for the driver's discard step (tuple
-   results dominating whole not-yet-processed regions).
+3. exposes the produced vectors (``RegionOutcome.matrix``) for the
+   driver's discard step (tuple results dominating whole not-yet-processed
+   regions); the :class:`JoinResultStore` keeps each result's identity —
+   its ``(left_row, right_row)`` pair — and nothing else.
 
 Progressive *reporting* itself (deciding when a candidate is safe to emit)
 lives in the driver (:mod:`repro.core.caqe`) because it needs the global
@@ -48,6 +50,8 @@ from repro.relation import Relation
 #: vectorised kernel's domain (NaN, non-numeric).
 BuildSide = "tuple[np.ndarray, GroupedBuild | None]"
 
+_STORE_INITIAL_CAPACITY = 1024
+
 
 @dataclass(frozen=True, slots=True)
 class ResultIdentity:
@@ -60,14 +64,23 @@ class ResultIdentity:
         return (self.left_row, self.right_row)
 
 
-@dataclass
 class JoinResultStore:
-    """All materialised join results of one run, keyed by insertion id."""
+    """Identities of all materialised join results of one run.
 
-    vectors: "dict[int, np.ndarray]" = field(default_factory=dict)
-    identities: "dict[int, ResultIdentity]" = field(default_factory=dict)
-    region_of: "dict[int, int]" = field(default_factory=dict)
-    _next: int = 0
+    Two append-only int64 columns (``left_row``, ``right_row``) with
+    geometric growth; a result's key is its row — the consecutive
+    insertion id :meth:`add_batch` hands out.  The store holds identities
+    only: a region's output vectors travel on its
+    :class:`RegionOutcome` (``matrix`` / ``key_base``), the windows keep
+    the admitted ones, and nothing reads a vector by key afterwards.
+    """
+
+    __slots__ = ("_left", "_right", "_size")
+
+    def __init__(self) -> None:
+        self._left = np.empty(_STORE_INITIAL_CAPACITY, dtype=np.int64)
+        self._right = np.empty(_STORE_INITIAL_CAPACITY, dtype=np.int64)
+        self._size = 0
 
     def add_batch(
         self,
@@ -79,27 +92,47 @@ class JoinResultStore:
         """Store one region's (already sorted) tuples; returns their keys.
 
         Keys are consecutive insertion ids in row order, so serial and
-        parallel runs share the identical key sequence.
+        parallel runs share the identical key sequence.  ``vectors`` only
+        sizes the batch and ``region_id`` is not kept — the signature is
+        the executor's commit call.
         """
-        base = self._next
-        n = len(vectors)
-        self._next = base + n
-        keys = list(range(base, base + n))
-        self.vectors.update(zip(keys, vectors))
-        self.identities.update(
-            zip(keys, map(ResultIdentity, left_rows.tolist(), right_rows.tolist()))
-        )
-        self.region_of.update(zip(keys, [region_id] * n))
-        return keys
+        base = self._size
+        end = base + len(vectors)
+        self._write(base, end, left_rows, right_rows)
+        return list(range(base, end))
 
-    def vector(self, key: int) -> np.ndarray:
-        return self.vectors[key]
+    def _write(
+        self, base: int, end: int, left_rows: np.ndarray, right_rows: np.ndarray
+    ) -> None:
+        """Set rows ``[base, end)`` and make ``end`` the size, growing the
+        columns geometrically (rows below ``base`` are kept)."""
+        if end > len(self._left):
+            capacity = len(self._left)
+            while capacity < end:
+                capacity *= 2
+            for name in ("_left", "_right"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[:base] = getattr(self, name)[:base]
+                setattr(self, name, grown)
+        self._left[base:end] = left_rows
+        self._right[base:end] = right_rows
+        self._size = end
 
     def identity(self, key: int) -> ResultIdentity:
-        return self.identities[key]
+        if not 0 <= key < self._size:
+            raise KeyError(key)
+        return ResultIdentity(int(self._left[key]), int(self._right[key]))
+
+    def columns(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The ``(left_row, right_row)`` columns, one row per key (views)."""
+        return self._left[: self._size], self._right[: self._size]
+
+    def load_columns(self, left_rows: np.ndarray, right_rows: np.ndarray) -> None:
+        """Replace the contents with dumped columns (checkpoint restore)."""
+        self._write(0, len(left_rows), left_rows, right_rows)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self._size
 
 
 @dataclass
@@ -116,8 +149,8 @@ class RegionOutcome:
     join_count: int = 0
     #: Row-aligned vector matrix of ``inserted_keys`` (key ``key_base + i``
     #: is row ``i``; ``None`` for an empty join).  Lets the driver gather
-    #: candidate vectors as one fancy index; the rows are the very arrays
-    #: the store holds.
+    #: candidate vectors as one fancy index; it is the only place the
+    #: region's vectors live once the windows have taken their admissions.
     matrix: "np.ndarray | None" = None
     key_base: int = 0
 
@@ -309,7 +342,7 @@ class RegionExecutor:
         self.stats.clock.charge_sort(len(matrix))
         order = np.argsort(matrix.sum(axis=1), kind="stable")
         self.stats.mark_phase("sort")
-        # Columnar commit (docs/ARCHITECTURE.md §12): bulk store append,
+        # Columnar commit (docs/ARCHITECTURE.md §12): identity-column append,
         # array-native plan walk, and per-query set algebra.  Within one
         # batch a key's admission always precedes any eviction of it (only
         # later inserts evict) and each happens at most once per query, so

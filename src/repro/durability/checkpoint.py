@@ -175,32 +175,25 @@ def load_stats(stats: "ExecutionStats", data: "dict[str, Any]") -> None:
 
 
 def dump_store(store: "JoinResultStore") -> "dict[str, Any]":
-    return {
-        "next": store._next,
-        "entries": [
-            [
-                key,
-                [store.identities[key].left_row, store.identities[key].right_row],
-                store.region_of[key],
-                [float(v) for v in store.vectors[key]],
-            ]
-            for key in store.vectors
-        ],
-    }
+    left_rows, right_rows = store.columns()
+    return {"left_row": left_rows.tolist(), "right_row": right_rows.tolist()}
 
 
 def load_store(store: "JoinResultStore", data: "dict[str, Any]") -> None:
-    from repro.core.executor import ResultIdentity
-
-    store.vectors.clear()
-    store.identities.clear()
-    store.region_of.clear()
-    for key, identity, region_id, vector in data["entries"]:
-        key = int(key)
-        store.vectors[key] = np.asarray(vector, dtype=float)
-        store.identities[key] = ResultIdentity(int(identity[0]), int(identity[1]))
-        store.region_of[key] = int(region_id)
-    store._next = int(data["next"])
+    if "left_row" not in data or "right_row" not in data:
+        raise DurabilityError(
+            "snapshot holds the result store in an unknown layout "
+            f"(keys {sorted(data)}; expected the 'left_row'/'right_row' "
+            "columns) - a journal written by an older engine does not resume"
+        )
+    left_rows = np.asarray(data["left_row"], dtype=np.int64)
+    right_rows = np.asarray(data["right_row"], dtype=np.int64)
+    if left_rows.shape != right_rows.shape or left_rows.ndim != 1:
+        raise DurabilityError(
+            f"snapshot store columns disagree: left_row {left_rows.shape}, "
+            f"right_row {right_rows.shape}"
+        )
+    store.load_columns(left_rows, right_rows)
 
 
 def dump_plan_windows(plan: "WorkloadPlan") -> "list[list[Any]]":

@@ -36,7 +36,7 @@ from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
-from repro.skyline.dominance import ComparisonCounter, all_le_broadcast, dims_index
+from repro.skyline.dominance import ComparisonCounter, dims_index, dominance_mask
 
 _INITIAL_CAPACITY = 16
 
@@ -49,6 +49,66 @@ _DEAD_FRACTION = 0.5
 #: :meth:`SkylineWindow.insert_batch` assigns a fresh list at every
 #: admission, so this sentinel is never mutated.
 _NO_EVICTIONS: "list" = []
+
+#: The first-dominator scan of :meth:`SkylineWindow.insert_batch` reads the
+#: live window in row blocks: ``_FIRST_BLOCK`` rows, then blocks
+#: ``_BLOCK_GROWTH`` times longer each.  Sequential BNL stops a rejected
+#: point at its first dominator and the executor's SFS presort puts that
+#: dominator near the head of the window, so most of a batch leaves the
+#: scan after the first block and the work tracks the charged comparisons
+#: rather than ``window × batch``.
+_FIRST_BLOCK = 8
+_BLOCK_GROWTH = 4
+
+#: A ``(live rows × batch)`` plane of at most this many pairs is scanned as
+#: one block: below it the per-block NumPy call overhead costs more than
+#: the pairs an early exit would save.
+_ONE_BLOCK_PAIRS = 2048
+
+
+def _first_dominators(window: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per point, the position of the first ``window`` row dominating it
+    (``-1`` when none does) — the row sequential BNL stops at.
+
+    ``window`` rows are in window order; a point drops out of the scan at
+    the block that holds its first dominator.
+    """
+    n, m = len(window), len(points)
+    first = np.full(m, -1, dtype=np.intp)
+    if n * m <= _ONE_BLOCK_PAIRS:
+        if n and m:
+            mask = dominance_mask(window, points)
+            np.copyto(first, mask.argmax(axis=0), where=mask.any(axis=0))
+        return first
+    active = np.arange(m)
+    lo, size = 0, _FIRST_BLOCK
+    while lo < n and active.size:
+        mask = dominance_mask(window[lo : lo + size], points)
+        hit = mask.any(axis=0)
+        if hit.any():
+            first[active[hit]] = mask.argmax(axis=0)[hit] + lo
+            active = active[~hit]
+            points = points[~hit]
+        lo += size
+        size *= _BLOCK_GROWTH
+    return first
+
+
+def _dominated_and_equal(
+    point: np.ndarray, columns: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Which entries the point dominates, and which it equals.
+
+    ``columns`` is attribute-major — ``(d, n)`` and contiguous, one column
+    per entry — so each reduce runs over the short leading axis in long
+    contiguous strides; the row-major ``(n, d)`` form reduces ``n`` rows
+    of ``d`` values one at a time and costs 3–5× more from a few hundred
+    entries on.  One point against many: there is no pairwise cube here.
+    """
+    point = point[:, None]
+    le = (point <= columns).all(axis=0)
+    equal = le & (point >= columns).all(axis=0)
+    return le & ~equal, equal
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +126,9 @@ class InsertOutcome:
     admitted: bool
     evicted: "list[WindowEntry]" = field(default_factory=list)
     #: True when an identical vector was already present (ties are kept:
-    #: strict dominance cannot discard an equal point).
+    #: strict dominance cannot discard an equal point).  Only an admitted
+    #: point can tie: the window is a skyline, so it holds no equal of a
+    #: point one of its entries dominates.
     duplicate: bool = False
 
 
@@ -251,7 +313,6 @@ class SkylineWindow:
             new_le &= live
         equal = entry_le & new_le
         dominators = entry_le & ~equal
-        duplicate = bool(np.any(equal))
         if np.any(dominators):
             # Sequential BNL stops at the first dominating entry; the
             # charge is its position among *live* rows (entry order).
@@ -262,7 +323,7 @@ class SkylineWindow:
                     else int(np.count_nonzero(self._live[:row]))
                 )
                 self.counter.record(position + 1)
-            return InsertOutcome(admitted=False, duplicate=duplicate)
+            return InsertOutcome(admitted=False)
         if self.counter is not None:
             self.counter.record(self._live_count)
         dominated = new_le & ~equal
@@ -273,7 +334,9 @@ class SkylineWindow:
         )
         self._maybe_compact()
         self._append(key, vec)
-        return InsertOutcome(admitted=True, evicted=evicted, duplicate=duplicate)
+        return InsertOutcome(
+            admitted=True, evicted=evicted, duplicate=bool(np.any(equal))
+        )
 
     def insert_known_member(self, key: Hashable, point: np.ndarray) -> InsertOutcome:
         """Insert a point expected to belong to this skyline (Theorem 1).
@@ -305,7 +368,7 @@ class SkylineWindow:
         equal = entry_le & new_le
         if bool(np.any(entry_le & ~equal)):
             # DVA violated: the "guaranteed member" is actually dominated.
-            return InsertOutcome(admitted=False, duplicate=bool(np.any(equal)))
+            return InsertOutcome(admitted=False)
         dominated = new_le & ~equal
         evicted = (
             self._evict_rows(np.flatnonzero(dominated))
@@ -330,25 +393,30 @@ class SkylineWindow:
         Equivalent to calling :meth:`insert` (or, where ``known_member[i]``
         is True, :meth:`insert_known_member`) once per batch element in
         order — identical admissions, evictions, duplicate flags, final
-        window contents *and charged comparison counts* — but the
-        dominance structure is computed **once** per batch instead of once
-        per insertion:
+        window contents *and charged comparison counts* — but it does the
+        work sequential BNL is charged for, not a ``(window × batch)``
+        plane (docs/ARCHITECTURE.md §16.1):
 
-        * batch-vs-initial-window dominance/equality matrices are built in
-          a single broadcast over the physical rows (tombstoned rows are
-          zeroed out, so contiguous column slices stay valid all batch);
-        * each *admission* adds one cached dominance row (the new entry
-          against the whole batch), so the "does a window entry dominate
-          point j" predicate is maintained incrementally — an evicted
-          entry's dominance is always covered by its evictor (strict
-          dominance is transitive through the eviction chain), which makes
-          the predicate monotone and cache-safe;
-        * all points up to the next admissible one are rejected wholesale:
-          per-round work is boolean gathers over the rejected prefix, not
-          a fresh ``(window × remaining × dims)`` float pass;
-        * charges need entry *positions*, not physical rows, so a
-          live-prefix rank column maps a first-dominator row to its rank
-          among live rows (recomputed only on the rare old-row eviction).
+        * the batch runs against the *live* rows only, addressed by their
+          position in window order — the unit a charge is stated in;
+        * per point, :func:`_first_dominators` finds the position of its
+          first live dominator and stops looking there.  A point without
+          one is the only kind that can be admitted: a dominator that dies
+          mid-batch is covered by its evictor (strict dominance is
+          transitive through the eviction chain), so "has a dominator" is
+          monotone;
+        * each *admission* compares the new entry once against the live
+          window (what it evicts, whether it ties) and the batch (the
+          cached dominance row that tells later points about it, ties
+          with earlier admissions) — nothing is computed for a point that is rejected beyond
+          the position it is charged for, and its ``duplicate`` flag is
+          the constant False (a skyline holds no equal of a dominated
+          point);
+        * all points up to the next admissible one are rejected wholesale
+          with one vectorised charge;
+        * when an admission evicts initial rows, the positions recorded
+          for later points shift down past the dead rows, and the few
+          whose recorded dominator just died rescan the survivors.
 
         Commits are pure column writes: old-row evictions flip tombstones,
         surviving admissions append in admission order — no entry objects,
@@ -369,127 +437,122 @@ class SkylineWindow:
             mat = mat.reshape(m, -1)
         if self._dims_index is not None:
             mat = mat[:, self._dims_index]
-        if known_member is None:
-            known = np.zeros(m, dtype=bool)
-        else:
-            known = np.asarray(known_member, dtype=bool)
-        n_rows = self._size
-        width = mat.shape[1]
-        if n_rows:
-            window = self._store[:n_rows]
-            entry_le0 = all_le_broadcast(window[:, None, :], mat[None, :, :], axis=2)
-            new_le0 = all_le_broadcast(mat[None, :, :], window[:, None, :], axis=2)
-            eq0 = entry_le0 & new_le0
-            dom0 = entry_le0 & ~eq0
-            alive0 = self._live[:n_rows].copy()
-            if self._live_count != n_rows:
-                dead = ~alive0
-                dom0[dead] = False
-                eq0[dead] = False
-                new_le0[dead] = False
-            has_dom = dom0.any(axis=0)
-            # Rank among live rows per physical row (valid at live rows).
-            live_rank = np.cumsum(alive0) - alive0
-        else:
-            window = np.empty((0, width))
-            new_le0 = eq0 = dom0 = np.zeros((0, m), dtype=bool)
-            alive0 = np.zeros(0, dtype=bool)
-            has_dom = np.zeros(m, dtype=bool)
-            live_rank = np.zeros(0, dtype=np.int64)
+        known = (
+            None if known_member is None
+            else np.asarray(known_member, dtype=bool)
+        )
+        # Surviving initial entries in window order; ``live_rows`` maps a
+        # position to its physical row (``None``: they coincide).
         n_old = self._live_count
+        live_rows = None if n_old == self._size else self._live_index()
+        if n_old:
+            window = (
+                self._store[:n_old] if live_rows is None
+                else self._store[live_rows]
+            )
+            # Position of each point's first dominator among them (-1:
+            # none left; only admitted batch entries can reject it).
+            first_pos = _first_dominators(window, mat)
+            has_dom = first_pos >= 0
+        else:
+            window = None
+            first_pos = np.full(m, -1, dtype=np.intp)
+            has_dom = np.zeros(m, dtype=bool)
         killed_rows: "list[int]" = []
         # Admitted batch entries still in the window (admission order) and
-        # their cached dominance/equality rows over the whole batch, kept
-        # in growable row-matrix buffers so per-round prefix reads are one
+        # their cached dominance rows over the whole batch, kept in a
+        # growable row-matrix buffer so per-round prefix reads are one
         # slice, not a Python-level stack of cached rows.
         cap = 8
         adm_pos = np.empty(cap, dtype=np.intp)
         adm_dom = np.empty((cap, m), dtype=bool)
-        adm_eq = np.empty((cap, m), dtype=bool)
         n_adm = 0
-
-        def batch_rows(vec: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-            # One point against the batch: an (m, d) compare, no pairwise
-            # cube — two calls beat the per-attribute kernel at this shape.
-            le = (vec <= mat).all(axis=1)
-            ge = (vec >= mat).all(axis=1)
-            eq_row = le & ge
-            return le & ~eq_row, eq_row
+        # What an admission is compared against — the surviving initial
+        # entries, then the whole batch — attribute-major; built at the
+        # first admission and again after initial entries die.
+        columns = None
 
         total_charge = 0
         pos = 0
         while pos < m:
             n_w = n_old + n_adm
-            if n_w == 0:
-                # Empty window: the point enters for free.
-                admitted[pos] = True
-                dom_row, eq_row = batch_rows(mat[pos])
-                adm_pos[0] = pos
-                adm_dom[0] = dom_row
-                adm_eq[0] = eq_row
-                n_adm = 1
-                np.logical_or(has_dom, dom_row, out=has_dom)
-                pos += 1
-                continue
             tail = has_dom[pos:]
             first = int(np.argmin(tail))
             if tail[first]:
                 first = m - pos
-            if first:
-                if n_old:
-                    dom_old = dom0[:, pos : pos + first]
-                    dup = eq0[:, pos : pos + first].any(axis=0)
-                    any_old = dom_old.any(axis=0)
-                    first_old = live_rank[dom_old.argmax(axis=0)]
-                else:
-                    dup = np.zeros(first, dtype=bool)
-                    any_old = np.zeros(first, dtype=bool)
-                    first_old = np.zeros(first, dtype=np.intp)
-                if n_adm:
-                    dom_adm = adm_dom[:n_adm, pos : pos + first]
-                    dup = dup | adm_eq[:n_adm, pos : pos + first].any(axis=0)
-                    first_adm = dom_adm.argmax(axis=0) + n_old
-                else:
-                    first_adm = np.zeros(first, dtype=np.intp)
-                # Every rejected point has an *alive* dominator (the
-                # eviction-chain invariant), so the old-part position wins
-                # when present and the admitted part covers the rest.
-                firsts = np.where(any_old, first_old, first_adm)
-                charges = np.where(known[pos : pos + first], n_w, firsts + 1)
-                total_charge += int(charges.sum())
-                duplicate[pos : pos + first] = dup
             j = pos + first
+            if first:
+                # Every rejected point has an *alive* dominator (the
+                # eviction-chain invariant): the recorded initial entry
+                # when there is one, else the first admitted entry.
+                firsts = first_pos[pos:j]
+                if n_adm:
+                    uncovered = firsts < 0
+                    if uncovered.any():
+                        firsts = np.where(
+                            uncovered,
+                            adm_dom[:n_adm, pos:j].argmax(axis=0) + n_old,
+                            firsts,
+                        )
+                if known is None:
+                    total_charge += int(firsts.sum()) + first
+                else:
+                    total_charge += int(
+                        np.where(known[pos:j], n_w, firsts + 1).sum()
+                    )
             if j >= m:
                 break
-            dom_row, eq_row = batch_rows(mat[j])
+            if columns is None:
+                columns = np.ascontiguousarray(
+                    (np.concatenate((window, mat)) if n_old else mat).T
+                )
+            dominated, equal = _dominated_and_equal(mat[j], columns)
+            dom_row = dominated[n_old:]
             admitted[j] = True
-            dup_j = bool(eq0[:, j].any()) if n_old else False
-            if not dup_j and n_adm:
-                dup_j = bool(adm_eq[:n_adm, j].any())
-            duplicate[j] = dup_j
             total_charge += n_w
+            # A tie with a surviving initial entry or a live admitted one.
+            duplicate[j] = (
+                equal[:n_old].any() or equal[n_old:][adm_pos[:n_adm]].any()
+            )
             # Evictions in current-window order: surviving initial entries
-            # (physical row order = original order) first, then admitted
-            # ones (admission order).
+            # (window order) first, then admitted ones (admission order).
             evs: "list[WindowEntry]" = []
             if n_old:
-                kill_old = new_le0[:, j] & ~eq0[:, j]
+                kill_old = dominated[:n_old]
                 if kill_old.any():
-                    kill_idx = np.flatnonzero(kill_old)
+                    kill_at = np.flatnonzero(kill_old)
+                    rows = kill_at if live_rows is None else live_rows[kill_at]
+                    killed_rows.extend(rows.tolist())
                     # Eviction report rows carry Python key objects.
                     # caqe-check: disable=CQ009
-                    for i in kill_idx.tolist():
-                        evs.append(WindowEntry(self._key_list[i], window[i].copy()))
-                        killed_rows.append(i)
-                    # Dead rows must stop dominating, tying and killing in
-                    # later rounds — zero their cached columns and refresh
-                    # the live-rank map (rare: old evictions only).
-                    dom0[kill_idx] = False
-                    eq0[kill_idx] = False
-                    new_le0[kill_idx] = False
-                    alive0[kill_idx] = False
-                    n_old -= kill_idx.size
-                    live_rank = np.cumsum(alive0) - alive0
+                    evs = [
+                        WindowEntry(self._key_list[i], point)
+                        for i, point in zip(rows.tolist(), window[kill_at])
+                    ]
+                    # The dead rows leave the position space: later
+                    # points' recorded positions shift down past them, and
+                    # a point whose recorded dominator just died rescans
+                    # the survivors (rows ahead of the record never
+                    # dominated it, so the scan lands behind it or
+                    # nowhere; ``has_dom`` holds either way — the evictor
+                    # dominates whatever its victim dominated).
+                    keep = ~kill_old
+                    live_rows = (
+                        np.flatnonzero(keep) if live_rows is None
+                        else live_rows[keep]
+                    )
+                    window = window[keep]
+                    columns = None
+                    n_old -= kill_at.size
+                    later = first_pos[j + 1 :]
+                    covered = np.flatnonzero(later >= 0)
+                    at = later[covered]
+                    later[covered] = at - np.cumsum(kill_old)[at]
+                    orphans = covered[kill_old[at]]
+                    if orphans.size:
+                        later[orphans] = _first_dominators(
+                            window, mat[j + 1 :][orphans]
+                        )
             if n_adm:
                 kill_adm = dom_row[adm_pos[:n_adm]]
                 if kill_adm.any():
@@ -502,7 +565,6 @@ class SkylineWindow:
                     kept = int(keep.sum())
                     adm_pos[:kept] = adm_pos[:n_adm][keep]
                     adm_dom[:kept] = adm_dom[:n_adm][keep]
-                    adm_eq[:kept] = adm_eq[:n_adm][keep]
                     n_adm = kept
             evicted[j] = evs
             if n_adm == cap:
@@ -511,12 +573,9 @@ class SkylineWindow:
                 grown_pos[:n_adm] = adm_pos[:n_adm]
                 grown_dom = np.empty((cap, m), dtype=bool)
                 grown_dom[:n_adm] = adm_dom[:n_adm]
-                grown_eq = np.empty((cap, m), dtype=bool)
-                grown_eq[:n_adm] = adm_eq[:n_adm]
-                adm_pos, adm_dom, adm_eq = grown_pos, grown_dom, grown_eq
+                adm_pos, adm_dom = grown_pos, grown_dom
             adm_pos[n_adm] = j
             adm_dom[n_adm] = dom_row
-            adm_eq[n_adm] = eq_row
             n_adm += 1
             np.logical_or(has_dom, dom_row, out=has_dom)
             pos = j + 1

@@ -141,9 +141,39 @@ class TestJoinResultStore:
         )
         assert store.identity(key) == ResultIdentity(3, 7)
         assert store.identity(key).as_tuple() == (3, 7)
-        np.testing.assert_array_equal(store.vector(key), [1.0, 2.0])
-        assert store.region_of[key] == 5
         assert len(store) == 1
+        # A key is a row of the identity columns: nothing outside them.
+        for missing in (1, -1, 10**6):
+            with pytest.raises(KeyError):
+                store.identity(missing)
+
+    def test_growth_across_a_capacity_boundary_keeps_every_identity(self):
+        """Geometric growth copies the filled prefix: identities written
+        before a reallocation read back the same after it."""
+        from repro.core import executor as executor_module
+
+        capacity = executor_module._STORE_INITIAL_CAPACITY
+        store = JoinResultStore()
+        sizes = [capacity - 3, 7, 3 * capacity]  # straddle, then outgrow 2x
+        total = sum(sizes)
+        left = np.arange(total, dtype=np.int64) * 3 + 1
+        right = np.arange(total, dtype=np.int64)[::-1].copy()
+        keys, lo = [], 0
+        for region_id, size in enumerate(sizes):
+            keys += store.add_batch(
+                left[lo : lo + size],
+                right[lo : lo + size],
+                np.zeros((size, 2)),
+                region_id,
+            )
+            lo += size
+        assert keys == list(range(total))
+        assert len(store) == total
+        for key in (0, capacity - 4, capacity - 3, capacity, capacity + 4, total - 1):
+            assert store.identity(key).as_tuple() == (int(left[key]), int(right[key]))
+        got_left, got_right = store.columns()
+        np.testing.assert_array_equal(got_left, left)
+        np.testing.assert_array_equal(got_right, right)
 
     def test_keys_are_sequential(self):
         store = JoinResultStore()

@@ -8,16 +8,24 @@ snapshots written before the cut — which is what resume consumes.
 """
 
 import dataclasses
+import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.contracts import c2
-from repro.core import CAQE, CAQEConfig
+from repro.core import CAQE, CAQEConfig, JoinResultStore
 from repro.datagen import generate_pair
 from repro.durability import resume_run
-from repro.durability.checkpoint import list_snapshots
+from repro.durability.checkpoint import (
+    dump_store,
+    list_snapshots,
+    load_store,
+    read_snapshot,
+    write_snapshot,
+)
 from repro.durability.journal import JOURNAL_FILENAME, _encode
 from repro.errors import DurabilityError, QueryCancelled, ResumeMismatch
 from repro.robustness.faults import FaultConfig, FaultPlan
@@ -241,3 +249,70 @@ class TestResumeSafety:
             inputs[0].left, inputs[0].right, inputs[1], inputs[2], retuned
         )
         assert observables(resumed) == observables(baseline)
+
+
+class TestStoreCodec:
+    """The result store snapshots as its two identity columns."""
+
+    @staticmethod
+    def _filled_store(n):
+        store = JoinResultStore()
+        left = np.arange(n, dtype=np.int64) * 5 + 2
+        right = np.arange(n, dtype=np.int64)[::-1].copy()
+        half = n // 2
+        store.add_batch(left[:half], right[:half], np.zeros((half, 2)), 0)
+        store.add_batch(left[half:], right[half:], np.zeros((n - half, 2)), 1)
+        return store, left, right
+
+    def test_dump_json_load_round_trip(self):
+        # 2 500 rows: the restored store outgrows its initial capacity.
+        source, left, right = self._filled_store(2_500)
+        wire = json.loads(json.dumps(dump_store(source)))
+        assert sorted(wire) == ["left_row", "right_row"]
+        # Loading replaces whatever the target held.
+        target = JoinResultStore()
+        target.add_batch(np.array([9]), np.array([9]), np.zeros((1, 2)), 0)
+        load_store(target, wire)
+        assert len(target) == len(source) == 2_500
+        for key in (0, 1, 1_023, 1_024, 2_499):
+            assert target.identity(key) == source.identity(key)
+            assert target.identity(key).as_tuple() == (int(left[key]), int(right[key]))
+        # ... and the key sequence continues where the dumped run stopped.
+        assert target.add_batch(
+            np.array([1]), np.array([2]), np.zeros((1, 2)), 2
+        ) == [2_500]
+        assert target.identity(2_500).as_tuple() == (1, 2)
+
+    def test_empty_store_round_trips(self):
+        target = JoinResultStore()
+        load_store(target, json.loads(json.dumps(dump_store(JoinResultStore()))))
+        assert len(target) == 0
+
+    def test_pre_columnar_layout_is_refused_by_name(self):
+        old = {"next": 1, "entries": [[0, [3, 7], 5, [1.0, 2.0]]]}
+        with pytest.raises(DurabilityError, match="entries.*layout|layout.*entries"):
+            load_store(JoinResultStore(), old)
+
+    def test_resume_from_an_old_layout_snapshot_raises_durability_error(
+        self, inputs, tmp_path
+    ):
+        """A journal directory written before the columnar store must fail
+        at the codec with its reason, not as a ``KeyError`` inside resume."""
+        config = journaled_config(tmp_path, checkpoint_every_regions=2)
+        with pytest.raises(QueryCancelled):
+            run(config, inputs, cancel_token=StopAfter(5))
+        snapshots = list_snapshots(str(tmp_path))
+        assert snapshots
+        for seq, path in snapshots:
+            payload = read_snapshot(path)
+            state = payload["state"]
+            rows = len(state["store"]["left_row"])
+            state["store"] = {
+                "next": rows,
+                "entries": [[k, [0, 0], 0, [0.0]] for k in range(rows)],
+            }
+            write_snapshot(str(tmp_path), seq, payload["fingerprint"], state)
+        with pytest.raises(DurabilityError, match="layout"):
+            resume_run(
+                inputs[0].left, inputs[0].right, inputs[1], inputs[2], config
+            )

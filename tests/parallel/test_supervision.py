@@ -397,3 +397,72 @@ class TestPoolHealthSnapshot:
             assert as_dict["degraded"] is False
             # The snapshot must survive a pickle (served over APIs).
             assert pickle.loads(pickle.dumps(health)) == health
+
+
+# -- a failed open releases what it took --------------------------------- #
+def _region_workers():
+    import multiprocessing
+
+    return [
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith("caqe-region-worker")
+    ]
+
+
+class TestOpenRunFailure:
+    """``open_run`` builds the pool before the journal; a journal that
+    cannot be created must not strand the pool's worker processes."""
+
+    @staticmethod
+    def _used_journal_dir(tmp_path, scenario):
+        pair, workload, contracts, _ = scenario
+        run_engine(
+            pair, workload, contracts,
+            workers=0, enable_journal=True, journal_dir=str(tmp_path),
+        )
+        return str(tmp_path)
+
+    def test_private_pool_is_closed_when_journal_creation_fails(
+        self, scenario, tmp_path
+    ):
+        from repro.errors import DurabilityError
+
+        pair, workload, contracts, _ = scenario
+        used = self._used_journal_dir(tmp_path, scenario)
+        before = {proc.pid for proc in _region_workers()}
+        engine = CAQE(
+            CAQEConfig(workers=2, enable_journal=True, journal_dir=used)
+        )
+        with pytest.raises(DurabilityError):
+            engine.open_run(pair.left, pair.right, workload, contracts)
+        assert {proc.pid for proc in _region_workers()} == before
+
+    def test_external_pool_survives_with_empty_books(self, scenario, tmp_path):
+        from repro.errors import DurabilityError
+
+        pair, workload, contracts, serial = scenario
+        used = self._used_journal_dir(tmp_path / "used", scenario)
+        with RegionPool(pair.left, pair.right, workers=2) as pool:
+            engine = CAQE(
+                CAQEConfig(workers=2, enable_journal=True, journal_dir=used)
+            )
+            with pytest.raises(DurabilityError):
+                engine.open_run(
+                    pair.left, pair.right, workload, contracts, pool=pool
+                )
+            # The pool is its owner's: still open, workers alive, and the
+            # failed run's client left nothing behind in its books.
+            assert len(_region_workers()) >= 2
+            assert not pool._pending and not pool._ready
+            assert not pool._task_specs and not pool._forgotten
+            assert pool.health().dispatched == 0
+            # ... and it serves the next run as if nothing had happened.
+            fresh = CAQE(
+                CAQEConfig(
+                    workers=2,
+                    enable_journal=True,
+                    journal_dir=str(tmp_path / "fresh"),
+                )
+            ).run(pair.left, pair.right, workload, contracts, pool=pool)
+            assert observables(fresh) == observables(serial)

@@ -9,10 +9,15 @@ comparison count** of :meth:`SkylineWindow.insert`,
 interleaving of scalar inserts and batches.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.skyline import window as window_module
 from repro.skyline.dominance import ComparisonCounter
 from repro.skyline.window import SkylineWindow
 
@@ -171,3 +176,161 @@ def test_batch_continues_from_existing_window():
     assert window.keys == ["b"]
     # "a" rejected at first dominator (1) + "b" admitted vs 1 entry (1).
     assert counter.comparisons == 2
+
+
+# --------------------------------------------------------------------- #
+# The block scan and the rescan of ``insert_batch`` (ARCHITECTURE §16.1):
+# ``insert_cases`` draws at most 40 points, which one default-sized block
+# swallows whole, so these drive the paths a long window takes.
+# --------------------------------------------------------------------- #
+def _small_blocks(first_block):
+    """Scan one or two rows, then geometrically longer blocks, never the
+    whole window at once."""
+    return mock.patch.multiple(
+        window_module,
+        _FIRST_BLOCK=first_block,
+        _BLOCK_GROWTH=2,
+        _ONE_BLOCK_PAIRS=0,
+    )
+
+
+@pytest.mark.parametrize("first_block", [1, 2])
+@given(case=insert_cases())
+@settings(max_examples=120, deadline=None)
+def test_property_multi_block_scan_equals_sequential(first_block, case):
+    points, known, cuts, batched = case
+    with _small_blocks(first_block):
+        window, counter, outcomes = _run_window(points, known, cuts, batched)
+    _assert_replays_oracle(points, known, window, counter, outcomes)
+
+
+def _eviction_chain_case():
+    """A tombstoned 60-row anti-chain and a 40-point batch in which an
+    admission kills the recorded first dominator of later points.
+
+    Window rows are ``W_i = (i, 100 - i)``, ``i`` in 0..69, every
+    ``i % 7 == 3`` removed again (10 tombstones of 70 rows: below the
+    compaction threshold).  ``(x, y)`` is dominated by exactly the live
+    ``W_i`` with ``100 - y <= i <= x``.
+    """
+    counter = ComparisonCounter()
+    window = SkylineWindow(counter=counter)
+    for i in range(70):
+        window.insert(("w", i), np.array([float(i), 100.0 - i]))
+    for i in range(3, 70, 7):
+        assert window.remove_key(("w", i))
+    assert len(window) == 60 and 0.0 < window.dead_fraction < 0.5
+    counter.comparisons = 0
+    oracle = ListBNL()
+    oracle.entries = [
+        (("w", i), (float(i), 100.0 - i)) for i in range(70) if i % 7 != 3
+    ]
+    named = [
+        # (point, known_member)
+        ((10.0, 95.0), False),  # W_5..W_10: ahead of every death, no shift
+        ((30.0, 60.0), False),  # admitted; evicts the live W_30..W_40
+        ((45.0, 65.0), False),  # recorded W_35 dies -> rescan finds W_41
+        ((39.0, 64.0), False),  # W_36..W_39 all die -> only (30, 60) is left
+        ((60.0, 50.0), False),  # recorded W_50 lives: position shifts by 9
+        ((44.0, 63.0), True),   # known member, dominator died: pays the window
+        ((12.0, 95.0), True),   # known member, untouched dominator
+        ((30.0, 60.0), False),  # equal to the admitted entry: a duplicate tie
+        ((29.0, 60.0), False),  # admitted; evicts both (30, 60)s and W_29
+        ((41.5, 62.0), False),  # W_41 only; two rounds of shifting behind it
+    ]
+    # One dominator each, spread over the whole window: W_i for (i+.5, 100.5-i).
+    filler = [
+        ((i + 0.5, 100.5 - i), i % 5 == 0) for i in range(1, 69, 2) if i % 7 != 3
+    ]
+    cases = named[:2] + filler[:10] + named[2:8] + filler[10:] + named[8:]
+    points = [np.array(p) for p, _ in cases]
+    known = [k for _, k in cases]
+    return window, counter, oracle, points, known
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_admission_that_kills_recorded_dominators_replays_bnl(blocks):
+    window, counter, oracle, points, known = _eviction_chain_case()
+    scans = []
+    real_scan = window_module._first_dominators
+    real_mask = window_module.dominance_mask
+
+    def spy_scan(rows, pts):
+        scans.append([])
+        return real_scan(rows, pts)
+
+    def spy_mask(rows, pts):
+        scans[-1].append((len(rows), len(pts)))
+        return real_mask(rows, pts)
+
+    patches = [
+        mock.patch.object(window_module, "_first_dominators", spy_scan),
+        mock.patch.object(window_module, "dominance_mask", spy_mask),
+    ]
+    if blocks == "small":
+        patches.append(_small_blocks(2))
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        batch = window.insert_batch(
+            [("b", i) for i in range(len(points))],
+            np.vstack(points),
+            known_member=np.array(known),
+        )
+    # The case reaches what it is for: the batch-start scan takes >= 3
+    # blocks with fewer points in each, and the admission of (30, 60)
+    # sends the 8 later points whose recorded dominator it killed back
+    # over the survivors ((29, 60) kills W_29 only, which no later point
+    # had recorded: a shift without a rescan).
+    first_scan, rescan = scans
+    assert len(first_scan) >= 3
+    assert [m for _, m in first_scan] == sorted(
+        (m for _, m in first_scan), reverse=True
+    ) and first_scan[-1][1] < first_scan[0][1]
+    assert rescan[0][1] == 8
+    for i, point in enumerate(points):
+        admitted, evicted, duplicate = oracle.insert(("b", i), point, known[i])
+        got = batch.outcome(i)
+        assert got.admitted == admitted, f"admission differs at {i}"
+        assert got.duplicate == duplicate, f"duplicate flag differs at {i}"
+        assert [e.key for e in got.evicted] == evicted, f"evictions at {i}"
+    assert int(batch.admitted.sum()) == 3 and int(batch.duplicate.sum()) == 1
+    assert window.keys == [k for k, _ in oracle.entries]
+    assert [tuple(v) for v in window.vectors.tolist()] == [
+        w for _, w in oracle.entries
+    ]
+    assert counter.comparisons == oracle.comparisons
+
+
+def test_rejected_points_never_report_a_duplicate():
+    """A window is a skyline: it holds no equal of a point that one of its
+    entries dominates, so ``duplicate`` is False on every rejection —
+    scalar, known-member and batch alike."""
+    window = SkylineWindow()
+    window.insert("a", np.array([1.0, 3.0]))
+    window.insert("b", np.array([3.0, 1.0]))
+    window.insert("b2", np.array([3.0, 1.0]))  # an admitted tie
+    assert window.keys == ["a", "b", "b2"]
+    for point in ([3.0, 3.0], [1.0, 4.0], [4.0, 1.0]):
+        vec = np.array(point)
+        for outcome in (
+            window.insert("x", vec),
+            window.insert_known_member("x", vec),
+            window.insert_batch(["x"], vec[None, :]).outcome(0),
+            window.insert_batch(
+                ["x"], vec[None, :], known_member=np.array([True])
+            ).outcome(0),
+        ):
+            assert not outcome.admitted
+            assert outcome.duplicate is False
+            assert outcome.evicted == []
+    assert window.keys == ["a", "b", "b2"]
+
+
+@given(case=insert_cases())
+@settings(max_examples=60, deadline=None)
+def test_property_only_admitted_points_tie(case):
+    points, known, cuts, batched = case
+    for drive in ((cuts, batched), ([], [False]), ([], [True])):
+        _, _, outcomes = _run_window(points, known, *drive)
+        assert not any(o.duplicate and not o.admitted for o in outcomes)
