@@ -12,9 +12,9 @@ Every setting runs **twice**; the harness verifies that all deterministic
 observables — region trace, skyline/coarse comparison counts, virtual
 time, reported identity sets, contract satisfaction — are bit-identical
 across every worker count *and* across the repeated runs, before it
-reports any timing.  Phase-profiling totals and the simulated-makespan
-channel (``parallel_summary``) are recorded alongside, plus the host CPU
-count: on low-core hosts the speedup is carried by the parallel engine's
+reports any timing.  The simulated-makespan channel
+(``parallel_summary``) is recorded alongside, plus the host CPU count:
+on low-core hosts the speedup is carried by the parallel engine's
 vectorised commit kernels rather than by raw concurrency, and the JSON
 records that provenance.
 
@@ -73,9 +73,9 @@ def time_workers(pair, workload, contracts) -> dict:
     """Run the worker grid twice each; verify identity; report timings."""
     rows = {}
     reference = None
-    profiled = None
+    last = None
     for workers in WORKER_GRID:
-        config = CAQEConfig(workers=workers, profile_phases=True)
+        config = CAQEConfig(workers=workers)
         walls = []
         for _ in range(RUNS_PER_SETTING):
             start = time.perf_counter()
@@ -90,7 +90,7 @@ def time_workers(pair, workload, contracts) -> dict:
                 raise AssertionError(
                     f"workers={workers}: observables diverged from serial"
                 )
-        profiled = result
+        last = result
         rows[f"workers={workers}"] = {
             "wall_s": round(min(walls), 4),
             "wall_runs_s": [round(w, 4) for w in walls],
@@ -106,13 +106,9 @@ def time_workers(pair, workload, contracts) -> dict:
         "settings": rows,
         "speedup_workers4": rows["workers=4"]["speedup_vs_serial"],
         "equivalent": True,
-        "phase_totals_virtual": {
-            name: round(value, 4)
-            for name, value in profiled.stats.phase_totals().items()
-        },
         "parallel_summary": {
             name: round(value, 4)
-            for name, value in profiled.stats.parallel_summary().items()
+            for name, value in last.stats.parallel_summary().items()
         },
     }
 

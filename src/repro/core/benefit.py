@@ -195,8 +195,8 @@ class _SampleCounts:
         self.samples = np.empty((cap, n_samples, width))
         self.counts = np.zeros((cap, n_samples), dtype=np.int32)
         #: ``slot_arr[region_id]`` is the row index, or -1 when absent —
-        #: an array so batched lookups stay loop-free.  Sized once over
-        #: the attached id range: only attached regions ever own a row.
+        #: an array so batched lookups stay loop-free.  Indexed and sized
+        #: by the model's region rows: only attached regions own a row.
         self.slot_arr = np.full(n_ids, -1, dtype=np.int64)
         #: Row → owning region id (stale for tombstoned rows, which the
         #: ``live`` mask filters out of every batched read).
@@ -345,7 +345,7 @@ class BenefitModel:
         # box — immutable geometry the exact branch re-reads on every
         # recomputation, so one copy per region is kept for its lifetime.
         self._boxes: "dict[int, np.ndarray]" = {}
-        # Event-driven ProgEst cache, ``(region_id, qi)`` indexed.  A
+        # Event-driven ProgEst cache, ``(region row, qi)`` indexed.  A
         # candidate's ProgEst is a pure function of its *reach set* (the
         # active same-lineage regions whose lower corner enters its box),
         # so an entry stays valid until some reaching region departs —
@@ -393,7 +393,12 @@ class BenefitModel:
         self._cards_all: "np.ndarray | None" = None
         self._cost_all: "np.ndarray | None" = None
         self._ccnt_all: "np.ndarray | None" = None
-        self._regions_by_id: "dict[int, OutputRegion]" = {}
+        # Every region array, cache key and count-table slot is indexed by
+        # *row* ``region_id - _base``, ``_base`` being the smallest attached
+        # id: a continuous epoch's ids start where the previous epoch's
+        # ended, and its arrays span only its own regions.
+        self._base = 0
+        self._regions_by_row: "dict[int, OutputRegion]" = {}
 
     def set_result_estimates(self, totals: "dict[str, float]") -> None:
         for qi, query in enumerate(self.workload):
@@ -423,41 +428,44 @@ class BenefitModel:
             self._cards_all = np.empty((0, n_q))
             self._cost_all = np.empty(0)
             self._ccnt_all = np.empty(0, dtype=np.int64)
-            self._regions_by_id = {}
+            self._base = 0
+            self._regions_by_row = {}
             self._subspace_cols()
             return
-        max_id = max(r.region_id for r in regions)
-        self._lower_all = np.zeros((max_id + 1, len(self.workload.output_dims)))
-        self._upper_all = np.zeros((max_id + 1, len(self.workload.output_dims)))
-        self._cupper_all = np.zeros((max_id + 1, len(self.workload.output_dims)))
-        self._rql_all = np.zeros(max_id + 1, dtype=np.int64)
-        self._active_all = np.zeros(max_id + 1, dtype=bool)
-        self._attached_all = np.zeros(max_id + 1, dtype=bool)
-        self._prog_val = np.zeros((max_id + 1, n_q))
-        self._prog_ok = np.zeros((max_id + 1, n_q), dtype=bool)
-        self._cards_all = np.zeros((max_id + 1, n_q))
-        self._cost_all = np.zeros(max_id + 1)
-        self._ccnt_all = np.zeros(max_id + 1, dtype=np.int64)
-        self._regions_by_id = {}
+        self._base = min(r.region_id for r in regions)
+        n_rows = max(r.region_id for r in regions) - self._base + 1
+        self._lower_all = np.zeros((n_rows, len(self.workload.output_dims)))
+        self._upper_all = np.zeros((n_rows, len(self.workload.output_dims)))
+        self._cupper_all = np.zeros((n_rows, len(self.workload.output_dims)))
+        self._rql_all = np.zeros(n_rows, dtype=np.int64)
+        self._active_all = np.zeros(n_rows, dtype=bool)
+        self._attached_all = np.zeros(n_rows, dtype=bool)
+        self._prog_val = np.zeros((n_rows, n_q))
+        self._prog_ok = np.zeros((n_rows, n_q), dtype=bool)
+        self._cards_all = np.zeros((n_rows, n_q))
+        self._cost_all = np.zeros(n_rows)
+        self._ccnt_all = np.zeros(n_rows, dtype=np.int64)
+        self._regions_by_row = {}
         for r in regions:
-            self._lower_all[r.region_id] = r.lower
-            self._upper_all[r.region_id] = r.upper
-            self._rql_all[r.region_id] = r.active_rql
-            self._active_all[r.region_id] = True
-            self._attached_all[r.region_id] = True
-            self._cards_all[r.region_id] = [
+            row = r.region_id - self._base
+            self._lower_all[row] = r.lower
+            self._upper_all[row] = r.upper
+            self._rql_all[row] = r.active_rql
+            self._active_all[row] = True
+            self._attached_all[row] = True
+            self._cards_all[row] = [
                 self.cardinality(r, qi) for qi in range(n_q)
             ]
-            self._cost_all[r.region_id] = self.estimate_cost(r)
-            self._ccnt_all[r.region_id] = r.cell_count
-            self._regions_by_id[r.region_id] = r
+            self._cost_all[row] = self.estimate_cost(r)
+            self._ccnt_all[row] = r.cell_count
+            self._regions_by_row[row] = r
         # Upper corner of each region's lowest cell — the corner Definition
         # 11's threat test compares; one broadcast covers every region.
-        ids = np.asarray(sorted(self._regions_by_id), dtype=np.intp)
+        rows = np.asarray(sorted(self._regions_by_row), dtype=np.intp)
         coords = np.asarray(
-            [self._regions_by_id[int(i)].coord_lo for i in ids], dtype=np.intp
+            [self._regions_by_row[int(i)].coord_lo for i in rows], dtype=np.intp
         )
-        self._cupper_all[ids] = self.grid.cell_uppers(coords)
+        self._cupper_all[rows] = self.grid.cell_uppers(coords)
         self._subspace_cols()
 
     def _subspace_cols(self) -> None:
@@ -478,38 +486,48 @@ class BenefitModel:
 
     def note_removed(self, region_id: int) -> None:
         """A region was processed or fully discarded."""
-        if self._rql_all is not None and region_id < len(self._rql_all):
-            rql = int(self._rql_all[region_id])
-            for qi in range(len(self.workload)):
-                if (rql >> qi) & 1:
-                    self._pending.append((region_id, qi))
-        if self._active_all is not None and region_id < len(self._active_all):
-            self._active_all[region_id] = False
-            self._prog_ok[region_id, :] = False
-        self._boxes.pop(region_id, None)
+        row = self._attached_row(region_id)
+        if row is None:
+            return  # never attached: it holds no state and reaches nothing
+        rql = int(self._rql_all[row])
         for qi in range(len(self.workload)):
-            self._lattices.pop((region_id, qi), None)
+            if (rql >> qi) & 1:
+                self._pending.append((row, qi))
+        self._active_all[row] = False
+        self._prog_ok[row, :] = False
+        self._boxes.pop(row, None)
+        for qi in range(len(self.workload)):
+            self._lattices.pop((row, qi), None)
             sc = self._scounts.get(qi)
             if sc is not None:
-                sc.drop(region_id)
+                sc.drop(row)
             ec = self._ecounts.get(qi)
             if ec is not None:
-                ec.drop(region_id)
+                ec.drop(row)
 
     def note_deactivation(self, region_id: int, query_bit: int) -> None:
         """A region lost one query from its lineage."""
-        self._pending.append((region_id, query_bit))
-        if self._rql_all is not None and region_id < len(self._rql_all):
-            self._rql_all[region_id] &= ~(np.int64(1) << query_bit)
-            self._prog_ok[region_id, query_bit] = False
+        row = self._attached_row(region_id)
+        if row is None:
+            return
+        self._pending.append((row, query_bit))
+        self._rql_all[row] &= ~(np.int64(1) << query_bit)
+        self._prog_ok[row, query_bit] = False
         # The region's own count rows for this query are dead from here on
         # (rql bits never come back), so event maintenance may skip them.
         sc = self._scounts.get(query_bit)
         if sc is not None:
-            sc.drop(region_id)
+            sc.drop(row)
         ec = self._ecounts.get(query_bit)
         if ec is not None:
-            ec.drop(region_id)
+            ec.drop(row)
+
+    def _attached_row(self, region_id: int) -> "int | None":
+        """``region_id``'s array row, or ``None`` outside the attached range."""
+        row = region_id - self._base
+        if self._rql_all is None or not 0 <= row < len(self._rql_all):
+            return None
+        return row
 
     def _flush_events(self) -> None:
         """Apply queued departure events in one vectorised pass per query.
@@ -607,13 +625,15 @@ class BenefitModel:
         if self._pending:
             self._flush_events()
         cached = self._member_cache.get(qi)
-        if cached is not None:
-            return cached
-        member = self._active_all & (((self._rql_all >> qi) & 1).astype(bool))
-        ids_all = np.flatnonzero(member)
-        lowers_all = self._lower_q[qi][ids_all]
-        self._member_cache[qi] = (ids_all, lowers_all)
-        return ids_all, lowers_all
+        if cached is None:
+            member = self._active_all & (
+                ((self._rql_all >> qi) & 1).astype(bool)
+            )
+            rows = np.flatnonzero(member)
+            cached = (rows, self._lower_q[qi][rows])
+            self._member_cache[qi] = cached
+        rows, lowers_all = cached
+        return rows + self._base, lowers_all
 
     # ------------------------------------------------------------------ #
     # Cost side
@@ -641,8 +661,8 @@ class BenefitModel:
     def _reaching_dominators(
         self, region: OutputRegion, qi: int
     ) -> "tuple[np.ndarray, np.ndarray, list[int]]":
-        """Active same-lineage regions whose lower corner reaches into
-        ``region``'s box over query ``qi``'s subspace.
+        """Rows of the active same-lineage regions whose lower corner
+        reaches into ``region``'s box over query ``qi``'s subspace.
 
         Only these can lower the progressive ratio (a corner at or above the
         box's upper bound in some dimension threatens no cell), so both the
@@ -651,9 +671,9 @@ class BenefitModel:
         """
         positions = list(self.query_positions[qi])
         member = self._active_all & (((self._rql_all >> qi) & 1).astype(bool))
-        if region.region_id < len(member):
-            member = member.copy()
-            member[region.region_id] = False
+        row = self._attached_row(region.region_id)
+        if row is not None:
+            member[row] = False
         ids = np.flatnonzero(member)
         lowers = self._lower_all[ids][:, positions]
         if len(ids):
@@ -675,7 +695,7 @@ class BenefitModel:
             region.cell_count <= self.exact_cell_limit
             and len(ids) <= EXACT_DOMINATOR_LIMIT
         ):
-            dominators = [self._regions_by_id[int(rid)] for rid in ids]
+            dominators = [self._regions_by_row[int(row)] for row in ids]
             safe, total = prog_count_exact(
                 region,
                 dominators,
@@ -690,18 +710,19 @@ class BenefitModel:
 
     def _cell_lowers_for(self, region: OutputRegion) -> np.ndarray:
         """Full-dimension lower corners of the region's box cells (memoised)."""
-        lowers = self._boxes.get(region.region_id)
+        row = region.region_id - self._base
+        lowers = self._boxes.get(row)
         if lowers is None:
             lowers = self.grid.cell_lowers(
                 OutputGrid.box_coords(region.coord_lo, region.coord_hi)
             )
-            self._boxes[region.region_id] = lowers
+            self._boxes[row] = lowers
         return lowers
 
     def _lattice_for(
         self, region: OutputRegion, qi: int, positions: "list[int]"
     ) -> np.ndarray:
-        key = (region.region_id, qi)
+        key = (region.region_id - self._base, qi)
         samples = self._lattices.get(key)
         if samples is None:
             samples = _sample_lattice(
@@ -757,13 +778,17 @@ class BenefitModel:
             )
         if not rid_arr.size:
             return np.zeros(0), np.zeros((0, n_q))
-        if int(rid_arr.max()) >= len(self._attached_all) or not bool(
-            self._attached_all[rid_arr].all()
+        # From here on every ``rid`` is an array row.
+        rid_arr = rid_arr - self._base
+        if (
+            int(rid_arr.min()) < 0
+            or int(rid_arr.max()) >= len(self._attached_all)
+            or not bool(self._attached_all[rid_arr].all())
         ):
             raise ExecutionError(
                 "estimate_roots_arrays() requires attached regions"
             )
-        by_id = self._regions_by_id
+        by_row = self._regions_by_row
         prog = np.zeros((len(rid_arr), n_q))
         cards_m = self._cards_all[rid_arr]
         ccnt = self._ccnt_all[rid_arr]
@@ -883,7 +908,7 @@ class BenefitModel:
                 # which dominate nothing, so the per-row counts equal the
                 # unpadded scalar initialisation exactly.
                 latts = [
-                    self._lattice_for(by_id[int(mrids[j])], qi, positions)
+                    self._lattice_for(by_row[int(mrids[j])], qi, positions)
                     for j in sinit
                 ]
                 if sc is None:
@@ -923,7 +948,7 @@ class BenefitModel:
                     self._ecounts[qi] = ec
                 sl = scalar.tolist()
                 cls = [
-                    self._cell_lowers_for(by_id[int(mrids[j])])[:, positions]
+                    self._cell_lowers_for(by_row[int(mrids[j])])[:, positions]
                     for j in sl
                 ]
                 ncl = [len(c) for c in cls]

@@ -169,9 +169,6 @@ class CAQEConfig:
     #: ``multiprocessing.shared_memory`` (off: pickle whole relations at
     #: pool start — slower start-up, identical results).
     enable_shared_memory: bool = True
-    #: Per-region phase breakdown (join/map/sort/skyline/report) in
-    #: virtual-time units, collected into ``stats.region_phases``.
-    profile_phases: bool = False
     #: Pool supervision (docs/ARCHITECTURE.md §14).  Replacement workers
     #: the pool may spawn after crashes before it degrades to pure
     #: serial (inline-prepare) operation.
@@ -519,7 +516,6 @@ class CAQE:
             raise ExecutionError(f"missing contracts for queries: {missing}")
         if stats is None:
             stats = ExecutionStats.with_cost_model(cfg.cost_model)
-        stats.profile_phases = cfg.profile_phases
         if cfg.workers > 0:
             stats.parallel_lanes = cfg.workers
             cores = os.cpu_count() or 1
@@ -640,9 +636,12 @@ class CAQE:
         build_cache: "dict | None" = None,
     ) -> _RunState:
         """The deterministic prologue — everything before Algorithm 1's
-        loop.  A resumed run re-executes this from the original inputs and
-        then overwrites the mutable pieces from the snapshot (restoring
-        the stats/clock last erases the prologue's re-charges)."""
+        loop: the input stage (fault corruption, sanitisation, quad-tree
+        partitioning), then :meth:`_mqla` over a fresh plan, store and
+        supervisor.  A resumed run re-executes this from the original
+        inputs and then overwrites the mutable pieces from the snapshot
+        (restoring the stats/clock last erases the prologue's
+        re-charges)."""
         cfg = self.config
         conditions = workload.join_conditions
 
@@ -650,8 +649,7 @@ class CAQE:
         # Fault injection corrupts the inputs *before* sanitisation so the
         # quarantine path is exercised exactly as a bad upstream feed would.
         fault_plan = cfg.fault_plan
-        inject = fault_plan is not None and fault_plan.active
-        if inject:
+        if fault_plan is not None and fault_plan.active:
             left, right, _injected = fault_plan.corrupt_pair(left, right)
             # Injected/sanitised inputs invalidate any cross-run caches
             # keyed on the original relations.
@@ -683,24 +681,67 @@ class CAQE:
             capacity=cfg.capacity_for(right.cardinality),
             split=cfg.partition_split,
         )
-
-        # -- Step 1: shared min-max cuboid plan(s) ------------------------ #
-        # The global cuboid drives the region-level machinery (coarse
-        # skyline, benefit model, reporting); tuple-level skyline state is
-        # grouped by (join condition, selections) — see WorkloadPlan.
-        cuboid = build_minmax_cuboid(workload)
+        # Tuple-level skyline state is grouped by (join condition,
+        # selections) — see WorkloadPlan.
         plan = WorkloadPlan(
             workload,
             workload.output_dims,
             counter=stats.comparison_counter,
             assume_dva=cfg.assume_dva,
         )
+        supervisor = (
+            RegionSupervisor(cfg.retry_policy) if cfg.enable_recovery else None
+        )
+        return self._mqla(
+            workload, contracts, stats, left, right, left_part, right_part,
+            plan, JoinResultStore(), supervisor, quarantine,
+            build_cache=build_cache,
+        )
+
+    def _mqla(
+        self,
+        workload: Workload,
+        contracts: "dict[str, Contract]",
+        stats: ExecutionStats,
+        left: Relation,
+        right: Relation,
+        left_part: Partitioning,
+        right_part: Partitioning,
+        plan: WorkloadPlan,
+        store: JoinResultStore,
+        supervisor: "RegionSupervisor | None",
+        quarantine: "dict[str, QuarantineReport]",
+        *,
+        build_cache: "dict | None" = None,
+        touching: "tuple[frozenset[int], frozenset[int]] | None" = None,
+        first_region_id: int = 0,
+    ) -> _RunState:
+        """MQLA (Section 5) over given partitionings, and the loop state
+        around it, with the executor committing into the given plan,
+        store and supervisor.
+
+        The continuous engine runs this stage alone for each epoch, on
+        its persistent plan and store: ``touching`` restricts the coarse
+        join to the cell pairs touching the epoch's new cells, and
+        ``first_region_id`` keeps region ids unique across epochs.
+        """
+        cfg = self.config
+        fault_plan = cfg.fault_plan
+        inject = fault_plan is not None and fault_plan.active
+
+        # -- Step 1: shared min-max cuboid -------------------------------- #
+        # The global cuboid drives the region-level machinery (coarse
+        # skyline, benefit model, reporting).
+        cuboid = build_minmax_cuboid(workload)
 
         # -- Step 2: MQLA ------------------------------------------------- #
         cj = coarse_join(
-            workload, left_part, right_part, stats, divisions=cfg.divisions
+            workload, left_part, right_part, stats,
+            divisions=cfg.divisions, touching=touching,
         )
         regions = cj.regions
+        for region in regions:
+            region.region_id += first_region_id
         if cfg.enable_coarse_pruning:
             coarse_skyline(workload, cuboid, regions, stats)
         alive: dict[int, OutputRegion] = {
@@ -729,13 +770,6 @@ class CAQE:
         )
 
         # -- Step 4: assemble the mutable loop state ---------------------- #
-        state = _ReportingState(workload, cuboid)
-        supervisor = (
-            RegionSupervisor(cfg.retry_policy) if cfg.enable_recovery else None
-        )
-        degraded: "dict[str, list[DegradedReport]]" = {
-            q.name: [] for q in workload
-        }
         rs = _RunState(
             workload=workload,
             contracts=contracts,
@@ -751,9 +785,9 @@ class CAQE:
             estimates=estimates,
             tracker=tracker,
             weights=weights,
-            state=state,
+            state=_ReportingState(workload, cuboid),
             supervisor=supervisor,
-            degraded=degraded,
+            degraded={q.name: [] for q in workload},
             degraded_queries=set(),
             cells_left={c.cell_id: c for c in left_part.leaves},
             cells_right={c.cell_id: c for c in right_part.leaves},
@@ -781,7 +815,7 @@ class CAQE:
             left,
             right,
             plan,
-            JoinResultStore(),
+            store,
             stats,
             fault_hook=fault_hook,
             build_cache=build_cache,
@@ -1293,7 +1327,6 @@ class LiveRun:
         rs.state.release_region(
             region.region_id, region.rql, rs.tracker, stats
         )
-        stats.mark_phase("report")
         stats.record_region_duration(stats.clock.now() - started)
 
         if cfg.enable_feedback:

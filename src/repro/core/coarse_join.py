@@ -74,8 +74,16 @@ def coarse_join(
     stats: ExecutionStats,
     *,
     divisions: int = DEFAULT_DIVISIONS,
+    touching: "tuple[frozenset[int], frozenset[int]] | None" = None,
 ) -> CoarseJoinResult:
-    """Run the signature-driven coarse join and build the output regions."""
+    """Run the signature-driven coarse join and build the output regions.
+
+    ``touching`` — ``(left cell ids, right cell ids)`` — keeps only the
+    pairs with at least one cell in those sets: the delta join of an
+    append-only epoch (new-left x all-right plus old-left x new-right).
+    A restricted join may legitimately find nothing; it then returns no
+    regions, over a unit grid no region indexes, instead of raising.
+    """
     output_dims = workload.output_dims
     functions = [workload.function_for(d) for d in output_dims]
     conditions = workload.join_conditions
@@ -90,13 +98,23 @@ def coarse_join(
     }
 
     # Pass 1: signature tests, charged one by one in pair order, pick the
-    # contributing (left cell, right cell, condition) triples.
+    # contributing (left cell, right cell, condition) triples.  A restricted
+    # join visits only its pairs, in the same order: every right cell for a
+    # new left cell, only the new right cells for an old one.
     left_leaves = left_partitioning.leaves
     right_leaves = right_partitioning.leaves
+    every_right = range(len(right_leaves))
+    new_right = every_right
+    if touching is not None:
+        new_right = [
+            ri for ri in every_right if right_leaves[ri].cell_id in touching[1]
+        ]
     raw: "list[tuple[int, int, str, float]]" = []
     pruned = 0
     for li, left_cell in enumerate(left_leaves):
-        for ri, right_cell in enumerate(right_leaves):
+        new_left = touching is not None and left_cell.cell_id in touching[0]
+        for ri in every_right if new_left else new_right:
+            right_cell = right_leaves[ri]
             for condition in conditions:
                 stats.record_coarse_comparisons(1)  # one signature test
                 left_sig = left_cell.signature(condition.name)
@@ -110,9 +128,16 @@ def coarse_join(
                 )
                 raw.append((li, ri, condition.name, est))
     if not raw:
-        raise ExecutionError(
-            "coarse join produced no output regions: no cell pair satisfies "
-            "any join condition"
+        if touching is None:
+            raise ExecutionError(
+                "coarse join produced no output regions: no cell pair "
+                "satisfies any join condition"
+            )
+        unit = np.zeros((1, len(output_dims))), np.ones((1, len(output_dims)))
+        return CoarseJoinResult(
+            regions=[],
+            grid=grid_for_cells(output_dims, *unit, divisions=divisions),
+            pruned_pairs=pruned,
         )
 
     # Output bounds of every contributing pair at once: gather the cell

@@ -2,18 +2,22 @@
 
 The paper processes a finite input; its motivating applications (stock
 tickers, travel feeds) are append-only streams.  This module provides the
-natural extension: an epoch-based executor that accepts batches of new
-base tuples and maintains every query's skyline incrementally on the same
-shared structures.
+natural extension: an epoch-based engine that accepts batches of new base
+tuples and maintains every query's skyline incrementally on one
+persistent shared plan and result store.
 
 Semantics per epoch:
 
-* the *delta join* — new-left x all-right plus old-left x new-right — is
-  partitioned into regions and processed through the persistent shared
-  skyline plan (largest expected contribution first);
-* **new results**: tuples that entered a query's candidate skyline and are
-  reported at epoch end (no future-epoch knowledge exists, so epoch end is
-  the earliest sound reporting point for the epoch's survivors);
+* the *delta join* — new-left x all-right plus old-left x new-right — goes
+  through :class:`~repro.core.caqe.CAQE`'s MQLA stage, and the epoch is a
+  :class:`~repro.core.caqe.LiveRun` over its regions: Algorithm 1's CSM
+  ranking, dependency graph, coarse pruning, tuple-level discard,
+  feedback, retry / quarantine and journal, unchanged.  A skyline does
+  not depend on insertion order, so the order moves timestamps and
+  charges, never the result sets;
+* **new results**: what the epoch's run reported progressively — a
+  candidate is emitted, and timestamped, once no remaining region of the
+  epoch can dominate it;
 * **retractions**: previously reported results dominated by newer data.
   Finite-input CAQE never retracts (it only reports finalised results); a
   stream cannot offer that guarantee, so consumers receive a changelog.
@@ -25,26 +29,31 @@ the cumulative tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.contracts.base import Contract
 from repro.contracts.score import ResultLog
-from repro.core.caqe import CAQEConfig, partition_attrs
-from repro.core.coarse_join import coarse_join
-from repro.core.executor import JoinResultStore, RegionExecutor
-from repro.core.region import OutputRegion
+from repro.core.caqe import (
+    CAQE,
+    CAQEConfig,
+    LiveRun,
+    _restore_run_state,
+    partition_attrs,
+)
+from repro.core.executor import JoinResultStore
 from repro.core.stats import ExecutionStats
-from repro.errors import ExecutionError, RegionFailure
+from repro.errors import DurabilityError, ExecutionError
 from repro.partition.cells import LeafCell
 from repro.partition.quadtree import Partitioning, quadtree_partition
 from repro.plan.shared_plan import WorkloadPlan
-from repro.query.predicates import JoinCondition
 from repro.query.workload import Workload
 from repro.relation import Relation, concat
-from repro.robustness.recovery import RETRY, RegionSupervisor
+from repro.robustness.recovery import RegionSupervisor
 from repro.robustness.sanitize import QuarantineReport, sanitize_relation
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.durability.runtime import RunDurability
 
 
 def _shift_cells(
@@ -76,13 +85,42 @@ class EpochResult:
     #: Per query: previously reported identities retracted this epoch.
     retracted: "dict[str, set[tuple[int, int]]]"
     virtual_time: float
-    #: Failed region evaluations replayed this epoch (recovery layer).
+    #: Failed region evaluations retried this epoch (recovery layer).
     region_retries: int = 0
     #: Regions that exhausted their retries and were quarantined.
     regions_quarantined: int = 0
 
     def net_change(self, query_name: str) -> int:
         return len(self.new_results[query_name]) - len(self.retracted[query_name])
+
+
+class _EpochJournal:
+    """The run's one journal as an epoch's :class:`LiveRun` sees it.
+
+    Each region record is tagged with its epoch and snapshotted as engine
+    state plus run state; :meth:`close` leaves the journal open for the
+    next epoch (:meth:`ContinuousCAQE.close` owns it).
+    """
+
+    def __init__(
+        self, engine: "ContinuousCAQE", durability: "RunDurability"
+    ) -> None:
+        self._engine = engine
+        self._durability = durability
+
+    def on_region_complete(
+        self,
+        record: "dict[str, Any]",
+        dump_run: "Callable[[], dict[str, Any]]",
+    ) -> None:
+        engine = self._engine
+        self._durability.on_region_complete(
+            {**record, "epoch": engine._epoch},
+            lambda: engine._dump_state(dump_run()),
+        )
+
+    def close(self) -> None:
+        pass
 
 
 class ContinuousCAQE:
@@ -99,9 +137,16 @@ class ContinuousCAQE:
         missing = [q.name for q in workload if q.name not in contracts]
         if missing:
             raise ExecutionError(f"missing contracts for queries: {missing}")
+        self.config = config or CAQEConfig()
+        if self.config.query_time_budget is not None:
+            # The virtual clock is cumulative across epochs: a budget
+            # would lapse once and then degrade every later epoch.
+            raise ExecutionError(
+                "ContinuousCAQE does not support query_time_budget"
+            )
         self.workload = workload
         self.contracts = dict(contracts)
-        self.config = config or CAQEConfig()
+        self._engine = CAQE(self.config)
         self.stats = ExecutionStats.with_cost_model(self.config.cost_model)
         self.plan = WorkloadPlan(
             workload,
@@ -116,66 +161,49 @@ class ContinuousCAQE:
         self._right: "Relation | None" = None
         self._left_cells: list[LeafCell] = []
         self._right_cells: list[LeafCell] = []
+        #: Cell ids (left, right) the current epoch appended.
+        self._new_cells: "tuple[list[int], list[int]]" = ([], [])
         self._epoch = 0
-        # Robustness layer (docs/ARCHITECTURE.md §9): the supervisor's
-        # failure history persists across epochs (region ids are unique
-        # run-wide), so a region quarantined in one epoch stays out.
+        #: First region id of the current epoch (ids are unique run-wide).
+        self._region_seq = 0
+        #: Journal sequence number and fault-decision cursor at the last
+        #: epoch boundary; mid-epoch, the epoch's run state carries them.
+        self._seq = 0
+        self._rng_cursor = 0
+        #: ``(region_retries, regions_quarantined)`` when the epoch began.
+        self._epoch_base = (0, 0)
+        # Robustness layer (docs/ARCHITECTURE.md §9): one supervisor for
+        # the whole run, so a region quarantined in one epoch stays out.
         self._supervisor = (
             RegionSupervisor(self.config.retry_policy)
             if self.config.enable_recovery
             else None
         )
-        plan = self.config.fault_plan
-        self._inject = plan is not None and plan.active
         #: Sanitizer reports keyed "side@epochN", only for dirty deltas.
         self.quarantine: dict[str, QuarantineReport] = {}
-        # Durability layer (docs/ARCHITECTURE.md §10): one journal record
-        # per completed region, snapshots on cadence plus at every epoch
-        # boundary (the stream's natural recovery point).
-        self._seq = 0
-        self._rng_cursor = 0
-        self._durability = None
-        self._fingerprint = ""
+        # Durability layer (docs/ARCHITECTURE.md §10.5): one journal for
+        # every epoch, snapshots on cadence plus at every epoch boundary.
+        self._durability: "RunDurability | None" = None
         if self.config.enable_journal and _fresh:
-            self._init_durability()
+            from repro.durability.journal import (
+                RegionJournal,
+                continuous_fingerprint,
+            )
+            from repro.durability.runtime import RunDurability
 
-    def _init_durability(self) -> None:
-        from repro.durability.checkpoint import write_snapshot
-        from repro.durability.journal import (
-            RegionJournal,
-            continuous_fingerprint,
-        )
-        from repro.durability.runtime import RunDurability
-
-        directory = self.config.journal_dir
-        fingerprint = continuous_fingerprint(self.config, self.workload)
-        journal = RegionJournal.create(directory, fingerprint)
-        self._fingerprint = fingerprint
-        self._durability = RunDurability(
-            journal,
-            directory,
-            fingerprint,
-            self.config.checkpoint_every_regions,
-        )
-        # Seq-0 snapshot of the empty engine: resume works even when the
-        # process dies before its first epoch completes a region.
-        write_snapshot(directory, 0, fingerprint, self._dump_state(None))
+            directory = self.config.journal_dir
+            fingerprint = continuous_fingerprint(self.config, workload)
+            self._durability = RunDurability(
+                RegionJournal.create(directory, fingerprint),
+                directory,
+                fingerprint,
+                self.config.checkpoint_every_regions,
+            )
 
     def close(self) -> None:
         """Release the journal file handle (no-op when journal is off)."""
         if self._durability is not None:
             self._durability.close()
-
-    def _fault_hook(self, region: OutputRegion) -> None:
-        """Chaos-testing injection point (see :class:`RegionExecutor`)."""
-        attempt = (
-            self._supervisor.next_attempt(region.region_id)
-            if self._supervisor is not None
-            else 1
-        )
-        self._rng_cursor += 1
-        if self.config.fault_plan.region_fails(region.region_id, attempt):
-            raise RegionFailure(region.region_id, attempt, "injected fault")
 
     # ------------------------------------------------------------------ #
     @property
@@ -187,10 +215,10 @@ class ContinuousCAQE:
         return self._right
 
     def current_skyline(self, query_name: str) -> "set[tuple[int, int]]":
-        return {
-            self.store.identity(k).as_tuple()
-            for k in self.plan.current_skyline(query_name)
-        }
+        return self._identities(self.plan.current_skyline(query_name))
+
+    def _identities(self, keys: "Iterable[int]") -> "set[tuple[int, int]]":
+        return {self.store.identity(k).as_tuple() for k in keys}
 
     # ------------------------------------------------------------------ #
     def process_epoch(
@@ -198,176 +226,129 @@ class ContinuousCAQE:
         left_delta: "Relation | None" = None,
         right_delta: "Relation | None" = None,
     ) -> EpochResult:
-        """Append deltas, process their join contribution, emit a changelog."""
+        """Append deltas, run Algorithm 1 over their join, emit a changelog."""
         if left_delta is None and right_delta is None:
             raise ExecutionError("an epoch needs at least one delta")
         self._epoch += 1
-        conditions = self.workload.join_conditions
+        self._epoch_base = (
+            self.stats.region_retries,
+            self.stats.regions_quarantined,
+        )
+        self._new_cells = (
+            self._append(left_delta, "left"),
+            self._append(right_delta, "right"),
+        )
+        return self._run_epoch(self._open_epoch())
 
-        new_left_cells = self._append(left_delta, "left", conditions)
-        new_right_cells = self._append(right_delta, "right", conditions)
+    def _open_epoch(self) -> "LiveRun | None":
+        """The MQLA stage over the epoch's delta join, as a steppable run
+        (``None`` while one table is still empty: nothing joins yet)."""
+        if self._left is None or self._right is None:
+            return None
         self.workload.validate(self._left, self._right)
-
-        # Delta join: every cell pair touching at least one new cell.
-        new_left_ids = {c.cell_id for c in new_left_cells}
-        new_right_ids = {c.cell_id for c in new_right_cells}
-        old_left = [c for c in self._left_cells if c.cell_id not in new_left_ids]
-        regions = []
-        if new_left_cells and self._right_cells:
-            regions += self._regions_for(
-                new_left_cells, self._right_cells, conditions
+        left_part, right_part = (
+            Partitioning(relation.name, tuple(cells), cells[0].measure_attrs, 0)
+            for relation, cells in (
+                (self._left, self._left_cells),
+                (self._right, self._right_cells),
             )
-        if old_left and new_right_cells:
-            regions += self._regions_for(old_left, new_right_cells, conditions)
-
-        executor = RegionExecutor(
+        )
+        new_left, new_right = self._new_cells
+        rs = self._engine._mqla(
             self.workload,
+            self.contracts,
+            self.stats,
             self._left,
             self._right,
+            left_part,
+            right_part,
             self.plan,
             self.store,
-            self.stats,
-            fault_hook=self._fault_hook if self._inject else None,
+            self._supervisor,
+            self.quarantine,
+            touching=(frozenset(new_left), frozenset(new_right)),
+            first_region_id=self._region_seq,
         )
-        cells_l = {c.cell_id: c for c in self._left_cells}
-        cells_r = {c.cell_id: c for c in self._right_cells}
-        # Largest expected contribution first: a cheap greedy stand-in for
-        # the full CSM (the finite-run optimizer owns that machinery).
-        ordered = sorted(regions, key=lambda r: -r.est_join_count)
-        retried, quarantined = self._process_with_replay(
-            executor, ordered, cells_l, cells_r
+        rs.tracker._logs.update(self.logs)
+        rs.seq, rs.rng_cursor = self._seq, self._rng_cursor
+        journal = (
+            _EpochJournal(self, self._durability)
+            if self._durability is not None
+            else None
         )
+        return LiveRun(self._engine, rs, journal, None, None, None, False)
 
-        result = self._emit_changelog(retried, quarantined)
+    def _run_epoch(self, live: "LiveRun | None") -> EpochResult:
+        """Drive the epoch's run to completion and emit its changelog."""
+        emitted: "dict[str, set[int]]" = {q.name: set() for q in self.workload}
+        if live is not None:
+            try:
+                while not live.done:
+                    live.step()
+            finally:
+                live.close()
+            rs = live.rs
+            rs.state.assert_drained()
+            emitted = rs.state.reported
+            self.logs = {q.name: rs.tracker.log(q.name) for q in self.workload}
+            self._seq, self._rng_cursor = rs.seq, rs.rng_cursor
+            self._region_seq += len(rs.regions)
+        new_results: dict[str, set[tuple[int, int]]] = {}
+        retracted: dict[str, set[tuple[int, int]]] = {}
+        for query in self.workload:
+            name = query.name
+            gone = self._reported[name] - set(self.plan.current_skyline(name))
+            new_results[name] = self._identities(emitted[name])
+            retracted[name] = self._identities(gone)
+            self._reported[name] = (self._reported[name] - gone) | emitted[name]
+        retries, quarantined = self._epoch_base
+        result = EpochResult(
+            epoch=self._epoch,
+            new_results=new_results,
+            retracted=retracted,
+            virtual_time=self.stats.clock.now(),
+            region_retries=self.stats.region_retries - retries,
+            regions_quarantined=self.stats.regions_quarantined - quarantined,
+        )
         self._journal_epoch_end()
         return result
 
-    def _process_with_replay(
-        self,
-        executor: RegionExecutor,
-        ordered: "list[OutputRegion]",
-        cells_l: "dict[int, LeafCell]",
-        cells_r: "dict[int, LeafCell]",
-        epoch_state: "tuple[list[OutputRegion], list[OutputRegion], int, int] | None" = None,
-    ) -> "tuple[int, int]":
-        """Epoch-level replay of the epoch's failed remainder.
-
-        Region failures raise at executor entry (before any shared-plan
-        mutation), so the failed subset of an epoch can be replayed
-        wholesale: each replay pass re-runs every still-failing region
-        after its backoff was charged to the virtual clock.  Regions that
-        exhaust the retry policy are quarantined — the epoch still
-        completes and emits its changelog rather than wedging the stream.
-
-        ``epoch_state`` is a resumed epoch's mid-flight position
-        ``(pending, failed, retried, quarantined)``; fresh epochs start
-        from ``ordered``.  Every completed (processed or quarantined)
-        region is journalled with the exact in-flight remainder, so a
-        mid-epoch snapshot can restart this loop at the same position.
-        """
-        if epoch_state is None:
-            pending = list(ordered)
-            failed: "list[OutputRegion]" = []
-            retried = 0
-            quarantined = 0
-        else:
-            pending, failed, retried, quarantined = epoch_state
-        while pending or failed:
-            if not pending:
-                # Next replay pass: re-run this pass's failures in order.
-                pending, failed = failed, []
-            region = pending.pop(0)
-            try:
-                executor.process(
-                    region,
-                    cells_l[region.left_cell_id],
-                    cells_r[region.right_cell_id],
-                )
-            except RegionFailure:
-                if self._supervisor is None:
-                    raise
-                if self._supervisor.record_failure(region.region_id) == RETRY:
-                    self.stats.record_region_retry(
-                        self._supervisor.backoff_for(region.region_id)
-                    )
-                    retried += 1
-                    failed.append(region)
-                    continue
-                self.stats.record_region_quarantined()
-                quarantined += 1
-                self._journal_epoch_region(
-                    region, "quarantined", pending, failed, retried, quarantined
-                )
-                continue
-            self._journal_epoch_region(
-                region, "processed", pending, failed, retried, quarantined
-            )
-        return retried, quarantined
-
-    # -- durability hooks (docs/ARCHITECTURE.md §10.5) ------------------- #
-    def _journal_record(self, event: str, region_id: int, rql: int) -> "dict":
+    # -- durability (docs/ARCHITECTURE.md §10.5) -------------------------- #
+    def _journal_epoch_end(self) -> None:
+        """Journal the epoch boundary and always snapshot it: boundaries
+        are the recovery points that need no region replay."""
         self._seq += 1
-        return {
+        if self._durability is None:
+            return
+        record = {
             "seq": self._seq,
             "epoch": self._epoch,
-            "event": event,
-            "region": region_id,
-            "rql": rql,
+            "event": "epoch_end",
+            "region": -1,
+            "rql": 0,
             "comparisons": int(self.stats.skyline_comparisons),
             "clock": float(self.stats.clock.now()),
-            "reported": [
-                len(self._reported[q.name]) for q in self.workload
-            ],
+            "reported": [len(self._reported[q.name]) for q in self.workload],
             "rng": self._rng_cursor,
         }
+        self._durability.on_region_complete(record, self._dump_state)
+        self._durability.checkpoint_now(self._seq, self._dump_state)
 
-    def _journal_epoch_region(
-        self,
-        region: OutputRegion,
-        event: str,
-        pending: "list[OutputRegion]",
-        failed: "list[OutputRegion]",
-        retried: int,
-        quarantined: int,
-    ) -> None:
-        record = self._journal_record(event, region.region_id, region.rql)
-        if self._durability is None:
-            return
+    def _dump_state(self, run: "dict[str, Any] | None" = None) -> "dict":
+        """Engine state, plus the epoch run's state when mid-epoch.
+
+        Mid-epoch, ``run`` (:func:`~repro.core.caqe._dump_run_state`)
+        carries the shared stats, windows, store, logs and supervisor;
+        between epochs they belong to no run and are dumped here.
+        """
         from repro.durability import checkpoint as cp
 
-        inflight = {
-            "pending": [cp.dump_region(r) for r in pending],
-            "failed": [cp.dump_region(r) for r in failed],
-            "retried": retried,
-            "quarantined": quarantined,
-        }
-        self._durability.on_region_complete(
-            record, lambda: self._dump_state(inflight)
-        )
-
-    def _journal_epoch_end(self) -> None:
-        record = self._journal_record("epoch_end", -1, 0)
-        if self._durability is None:
-            return
-        self._durability.on_region_complete(
-            record, lambda: self._dump_state(None)
-        )
-        # Epoch boundaries always checkpoint, cadence or not — they are
-        # the recovery points that need no delta re-feeding.
-        self._durability.checkpoint_now(
-            int(record["seq"]), lambda: self._dump_state(None)
-        )
-
-    def _dump_state(self, inflight: "dict | None") -> "dict":
-        """Full engine state; ``inflight`` carries a mid-epoch position."""
-        from repro.durability import checkpoint as cp
-
-        return {
+        state: "dict[str, Any]" = {
             "epoch": self._epoch,
-            "region_seq": getattr(self, "_region_seq", 0),
+            "region_seq": self._region_seq,
             "seq": self._seq,
             "rng": self._rng_cursor,
-            "stats": cp.dump_stats(self.stats),
+            "epoch_base": list(self._epoch_base),
             "left": (
                 cp.dump_relation(self._left) if self._left is not None else None
             ),
@@ -378,21 +359,31 @@ class ContinuousCAQE:
             ),
             "left_cells": [cp.dump_cell(c) for c in self._left_cells],
             "right_cells": [cp.dump_cell(c) for c in self._right_cells],
-            "windows": cp.dump_plan_windows(self.plan),
-            "store": cp.dump_store(self.store),
-            "logs": cp.dump_logs(self.logs),
+            "new_cells": [list(ids) for ids in self._new_cells],
             "reported": {
                 name: sorted(keys) for name, keys in self._reported.items()
             },
-            "supervisor": cp.dump_supervisor(self._supervisor),
             "quarantine": cp.dump_quarantine(self.quarantine),
-            "inflight": inflight,
+            "run": run,
         }
+        if run is None:
+            state.update(
+                stats=cp.dump_stats(self.stats),
+                windows=cp.dump_plan_windows(self.plan),
+                store=cp.dump_store(self.store),
+                logs=cp.dump_logs(self.logs),
+                supervisor=cp.dump_supervisor(self._supervisor),
+            )
+        return state
 
     def _restore_state(self, state: "dict") -> None:
         from repro.durability import checkpoint as cp
 
-        cp.load_stats(self.stats, state["stats"])
+        if "run" not in state:
+            raise DurabilityError(
+                "snapshot was written by an older continuous engine - its "
+                "journal does not resume"
+            )
         self._left = (
             cp.load_relation(state["left"]) if state["left"] is not None else None
         )
@@ -403,52 +394,25 @@ class ContinuousCAQE:
         )
         self._left_cells = [cp.load_cell(c) for c in state["left_cells"]]
         self._right_cells = [cp.load_cell(c) for c in state["right_cells"]]
-        cp.load_store(self.store, state["store"])
-        cp.load_plan_windows(self.plan, state["windows"])
-        self.logs = cp.load_logs(state["logs"])
+        new_left, new_right = state["new_cells"]
+        self._new_cells = ([int(i) for i in new_left], [int(i) for i in new_right])
         self._reported = {
             name: {int(k) for k in keys}
             for name, keys in state["reported"].items()
         }
-        cp.load_supervisor(self._supervisor, state["supervisor"])
         self.quarantine = cp.load_quarantine(state["quarantine"])
         self._epoch = int(state["epoch"])
         self._region_seq = int(state["region_seq"])
         self._seq = int(state["seq"])
         self._rng_cursor = int(state["rng"])
-
-    def _finish_epoch(self, inflight: "dict") -> EpochResult:
-        """Complete the epoch a snapshot interrupted mid-flight."""
-        from repro.durability import checkpoint as cp
-
-        pending = [cp.load_region(r) for r in inflight["pending"]]
-        failed = [cp.load_region(r) for r in inflight["failed"]]
-        executor = RegionExecutor(
-            self.workload,
-            self._left,
-            self._right,
-            self.plan,
-            self.store,
-            self.stats,
-            fault_hook=self._fault_hook if self._inject else None,
-        )
-        cells_l = {c.cell_id: c for c in self._left_cells}
-        cells_r = {c.cell_id: c for c in self._right_cells}
-        retried, quarantined = self._process_with_replay(
-            executor,
-            [],
-            cells_l,
-            cells_r,
-            epoch_state=(
-                pending,
-                failed,
-                int(inflight["retried"]),
-                int(inflight["quarantined"]),
-            ),
-        )
-        result = self._emit_changelog(retried, quarantined)
-        self._journal_epoch_end()
-        return result
+        retries, quarantined = state["epoch_base"]
+        self._epoch_base = (int(retries), int(quarantined))
+        if state["run"] is None:
+            cp.load_stats(self.stats, state["stats"])
+            cp.load_plan_windows(self.plan, state["windows"])
+            cp.load_store(self.store, state["store"])
+            self.logs = cp.load_logs(state["logs"])
+            cp.load_supervisor(self._supervisor, state["supervisor"])
 
     @classmethod
     def resume(
@@ -460,65 +424,47 @@ class ContinuousCAQE:
         """Reconstruct a killed continuous run from its journal directory.
 
         Returns ``(engine, epoch_result)`` where ``epoch_result`` is the
-        changelog of the epoch the crash interrupted (finished here via
-        verified replay) or ``None`` when the crash fell on an epoch
-        boundary.  Journal records newer than the snapshot that belong to
-        epochs whose deltas were never checkpointed stay queued: re-feed
-        the same deltas and they verify record for record
+        changelog of the epoch the crash interrupted, or ``None`` when the
+        newest snapshot is an epoch boundary.  An interrupted epoch is
+        finished the way :func:`~repro.durability.resume_run` finishes a
+        batch run: its MQLA stage is re-run from the snapshot's cells, the
+        run state restored, and the journalled regions replayed with
+        verification.  Records of later epochs stay queued: re-feed the
+        same deltas and they verify record for record
         (:class:`~repro.errors.ResumeMismatch` on any divergence).
         """
-        from repro.durability import checkpoint as cp
-        from repro.durability.journal import (
-            RegionJournal,
-            continuous_fingerprint,
-        )
+        from repro.durability.journal import continuous_fingerprint
+        from repro.durability.recover import load_resume_state
         from repro.durability.runtime import RunDurability
-        from repro.errors import DurabilityError
 
-        if not config.enable_journal or not config.journal_dir:
-            raise DurabilityError(
-                "continuous resume requires enable_journal=True and a "
-                "journal_dir"
-            )
-        fingerprint = continuous_fingerprint(config, workload)
-        journal, records = RegionJournal.open_resume(
-            config.journal_dir, fingerprint
-        )
-        max_seq = int(records[-1]["seq"]) if records else None
-        snapshot = cp.latest_snapshot(
-            config.journal_dir, fingerprint, max_seq=max_seq
-        )
-        if snapshot is None:
-            journal.close()
-            raise DurabilityError(
-                "no intact snapshot to resume from (the seq-0 snapshot is "
-                "written at engine construction — is this the right "
-                "journal_dir?)"
-            )
         engine = cls(workload, contracts, config, _fresh=False)
-        engine._restore_state(snapshot["state"])
-        expected = [
-            r for r in records if int(r["seq"]) > int(snapshot["seq"])
-        ]
-        engine._fingerprint = fingerprint
+        fingerprint = continuous_fingerprint(config, workload)
+        resume = load_resume_state(config, fingerprint)
         engine._durability = RunDurability(
-            journal,
+            resume.journal,
             config.journal_dir,
             fingerprint,
             config.checkpoint_every_regions,
-            expected,
+            resume.expected,
         )
-        inflight = snapshot["state"].get("inflight")
-        result = engine._finish_epoch(inflight) if inflight is not None else None
-        return engine, result
+        if resume.snapshot is None:
+            return engine, None
+        state = resume.snapshot["state"]
+        try:
+            engine._restore_state(state)
+        except DurabilityError:
+            engine.close()
+            raise
+        if state["run"] is None:
+            return engine, None
+        live = engine._open_epoch()
+        _restore_run_state(live.rs, state["run"])
+        return engine, engine._run_epoch(live)
 
     # ------------------------------------------------------------------ #
-    def _append(
-        self,
-        delta: "Relation | None",
-        side: str,
-        conditions: "tuple[JoinCondition, ...]",
-    ) -> "list[LeafCell]":
+    def _append(self, delta: "Relation | None", side: str) -> "list[int]":
+        """Input stage: sanitise, partition and append one delta; returns
+        the ids of the cells it added."""
         if delta is None or delta.cardinality == 0:
             return []
         if self.config.enable_sanitize:
@@ -533,13 +479,10 @@ class ContinuousCAQE:
         current = self._left if side == "left" else self._right
         offset = current.cardinality if current is not None else 0
         merged = delta if current is None else concat(current.name, [current, delta])
-        attrs = partition_attrs(self.workload, side)
-        if not attrs:
-            attrs = delta.schema.measure_names
         part = quadtree_partition(
             delta,
-            attrs,
-            conditions,
+            partition_attrs(self.workload, side) or delta.schema.measure_names,
+            self.workload.join_conditions,
             side,
             capacity=self.config.capacity_for(delta.cardinality),
             split=self.config.partition_split,
@@ -552,66 +495,7 @@ class ContinuousCAQE:
             self._left = merged
         else:
             self._right = merged
-        return new_cells
-
-    def _regions_for(
-        self,
-        left_cells: "list[LeafCell]",
-        right_cells: "list[LeafCell]",
-        conditions: "tuple[JoinCondition, ...]",
-    ) -> "list[OutputRegion]":
-        left_part = Partitioning(
-            self._left.name, tuple(left_cells),
-            left_cells[0].measure_attrs, depth=0,
-        )
-        right_part = Partitioning(
-            self._right.name, tuple(right_cells),
-            right_cells[0].measure_attrs, depth=0,
-        )
-        try:
-            result = coarse_join(
-                self.workload, left_part, right_part, self.stats,
-                divisions=self.config.divisions,
-            )
-        except ExecutionError:
-            return []  # no cell pair joins in this delta block
-        # Region ids must stay unique across the run's epochs.
-        offset = getattr(self, "_region_seq", 0)
-        for region in result.regions:
-            region.region_id = offset
-            offset += 1
-        self._region_seq = offset
-        return result.regions
-
-    def _emit_changelog(
-        self, retried: int = 0, quarantined: int = 0
-    ) -> EpochResult:
-        now = self.stats.clock.now()
-        new_results: dict[str, set[tuple[int, int]]] = {}
-        retracted: dict[str, set[tuple[int, int]]] = {}
-        for query in self.workload:
-            name = query.name
-            current = set(self.plan.current_skyline(name))
-            previously = self._reported[name]
-            fresh = current - previously
-            gone = previously - current
-            new_results[name] = {
-                self.store.identity(k).as_tuple() for k in fresh
-            }
-            retracted[name] = {self.store.identity(k).as_tuple() for k in gone}
-            self.logs[name].report_batch(
-                sorted(self.store.identity(k).as_tuple() for k in fresh), now
-            )
-            self.stats.record_outputs(len(fresh))
-            self._reported[name] = current
-        return EpochResult(
-            epoch=self._epoch,
-            new_results=new_results,
-            retracted=retracted,
-            virtual_time=now,
-            region_retries=retried,
-            regions_quarantined=quarantined,
-        )
+        return [c.cell_id for c in new_cells]
 
 
 __all__ = ["ContinuousCAQE", "EpochResult"]

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.region import OutputRegion
 from repro.core.stats import ExecutionStats
 from repro.errors import ExecutionError
-from repro.parallel.joinkernel import (
+from repro.query.joinkernel import (
     GroupedBuild,
     bucket_join,
     build_grouped,
@@ -166,7 +166,7 @@ def join_cell_pair(
     """Hash-join two leaf cells; returns global (left, right) row indices.
 
     The pairs come from the order-exact vectorised kernel
-    (:func:`repro.parallel.joinkernel.cell_join`), which reproduces the
+    (:func:`repro.query.joinkernel.cell_join`), which reproduces the
     reference bucket loop's output — values *and* order — and falls back
     to that loop for key columns outside its domain.
     """
@@ -293,7 +293,6 @@ class RegionExecutor:
         if self.fault_hook is not None:
             self.fault_hook(region)
         self.stats.record_region_processed(region.region_id)
-        self.stats.begin_region_phases(region.region_id)
         condition = self._conditions[region.condition_name]
         if prepared is None:
             left_idx, right_idx = self._join_cells(
@@ -306,7 +305,6 @@ class RegionExecutor:
             self.stats.record_join_probes(left_cell.size + right_cell.size)
             left_idx, right_idx = prepared.left_idx, prepared.right_idx
             matrix = prepared.matrix
-        self.stats.mark_phase("join")
         # Selection pushdown: drop join pairs that no query's filters accept
         # before paying materialisation.  ``active_rql`` is read *here*, at
         # commit — a region prepared speculatively early still sees every
@@ -334,14 +332,12 @@ class RegionExecutor:
             matrix = apply_functions(
                 self._functions, self.left, self.right, left_idx, right_idx
             )
-        self.stats.mark_phase("map")
         # Insert a region's tuples best-first (ascending coordinate sum, the
         # SFS presort): dominating tuples enter the windows early, so most
         # later tuples are rejected after very few comparisons and eviction
         # churn within the region disappears.
         self.stats.clock.charge_sort(len(matrix))
         order = np.argsort(matrix.sum(axis=1), kind="stable")
-        self.stats.mark_phase("sort")
         # Columnar commit (docs/ARCHITECTURE.md §12): identity-column append,
         # array-native plan walk, and per-query set algebra.  Within one
         # batch a key's admission always precedes any eviction of it (only
@@ -358,7 +354,6 @@ class RegionExecutor:
         admitted_rows, evicted_keys = self.plan.insert_batch_columnar(
             keys, sorted_matrix, tuple_masks[order]
         )
-        self.stats.mark_phase("skyline")
         for query in self.workload:
             name = query.name
             rows = admitted_rows.get(name)

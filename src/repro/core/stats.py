@@ -36,13 +36,6 @@ class ExecutionStats:
     #: Region ids in processing order (when callers pass them) — the
     #: schedule trace the scheduler-equivalence tests compare.
     region_trace: "list[int]" = field(default_factory=list)
-    #: Phase-level profiling (docs/ARCHITECTURE.md §11.4).  Off by
-    #: default; when on, the executor marks virtual-clock deltas per
-    #: phase (join / map / sort / skyline / report) so the breakdown is
-    #: deterministic and free of wall-clock reads.
-    profile_phases: bool = False
-    #: Per region (in commit order): ``{"region": id, phase: seconds}``.
-    region_phases: "list[dict]" = field(default_factory=list)
     #: Per-region virtual durations in commit order — the input to the
     #: :meth:`wall_parallel` lane simulation.  Durations are identical
     #: across worker counts (charges are bit-identical), so recording
@@ -67,7 +60,6 @@ class ExecutionStats:
         self.comparison_counter = ComparisonCounter(
             on_increment=self.clock.charge_skyline_comparisons
         )
-        self._phase_mark = 0.0
 
     @classmethod
     def with_cost_model(cls, cost_model: CostModel) -> "ExecutionStats":
@@ -138,31 +130,6 @@ class ExecutionStats:
         self.runtime_warnings.append({"kind": kind, **detail})
 
     # -- parallel layer (docs/ARCHITECTURE.md §11) ----------------------- #
-    def begin_region_phases(self, region_id: int) -> None:
-        """Open a per-region phase record (no-op unless profiling)."""
-        if not self.profile_phases:
-            return
-        self.region_phases.append({"region": region_id})
-        self._phase_mark = self.clock.now()
-
-    def mark_phase(self, name: str) -> None:
-        """Charge the virtual time since the last mark to ``name``."""
-        if not self.profile_phases or not self.region_phases:
-            return
-        now = self.clock.now()
-        current = self.region_phases[-1]
-        current[name] = current.get(name, 0.0) + (now - self._phase_mark)
-        self._phase_mark = now
-
-    def phase_totals(self) -> "dict[str, float]":
-        """Aggregate per-phase virtual time across all profiled regions."""
-        totals: "dict[str, float]" = {}
-        for record in self.region_phases:
-            for name, value in record.items():
-                if name != "region":
-                    totals[name] = totals.get(name, 0.0) + value
-        return totals
-
     def record_region_duration(self, duration: float) -> None:
         """One committed region's virtual duration (commit order)."""
         self.region_durations.append(float(duration))

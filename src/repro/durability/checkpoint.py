@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.contracts.score import ResultLog
 from repro.core.depgraph import DependencyGraph
-from repro.core.region import OutputRegion
 from repro.errors import DurabilityError
 from repro.partition.bounds import HyperRect
 from repro.partition.cells import LeafCell
@@ -408,42 +407,6 @@ def load_cell(data: "dict[str, Any]") -> LeafCell:
     )
 
 
-def dump_region(region: OutputRegion) -> "dict[str, Any]":
-    return {
-        "region_id": region.region_id,
-        "left_cell_id": region.left_cell_id,
-        "right_cell_id": region.right_cell_id,
-        "condition_name": region.condition_name,
-        "lower": [float(v) for v in region.lower],
-        "upper": [float(v) for v in region.upper],
-        "rql": region.rql,
-        "coord_lo": list(region.coord_lo),
-        "coord_hi": list(region.coord_hi),
-        "est_join_count": float(region.est_join_count),
-        "left_size": region.left_size,
-        "right_size": region.right_size,
-        "active_rql": region.active_rql,
-    }
-
-
-def load_region(data: "dict[str, Any]") -> OutputRegion:
-    return OutputRegion(
-        region_id=int(data["region_id"]),
-        left_cell_id=int(data["left_cell_id"]),
-        right_cell_id=int(data["right_cell_id"]),
-        condition_name=data["condition_name"],
-        lower=np.asarray(data["lower"], dtype=float),
-        upper=np.asarray(data["upper"], dtype=float),
-        rql=int(data["rql"]),
-        coord_lo=tuple(int(v) for v in data["coord_lo"]),
-        coord_hi=tuple(int(v) for v in data["coord_hi"]),
-        est_join_count=float(data["est_join_count"]),
-        left_size=int(data["left_size"]),
-        right_size=int(data["right_size"]),
-        active_rql=int(data["active_rql"]),
-    )
-
-
 __all__ = [
     "dump_cell",
     "dump_degraded",
@@ -451,7 +414,6 @@ __all__ = [
     "dump_logs",
     "dump_plan_windows",
     "dump_quarantine",
-    "dump_region",
     "dump_relation",
     "dump_stats",
     "dump_store",
@@ -464,7 +426,6 @@ __all__ = [
     "load_logs",
     "load_plan_windows",
     "load_quarantine",
-    "load_region",
     "load_relation",
     "load_stats",
     "load_store",

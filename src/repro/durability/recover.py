@@ -105,8 +105,10 @@ def resume_continuous(
 ):
     """Resume a killed :class:`~repro.core.continuous.ContinuousCAQE`.
 
-    Returns the reconstructed engine, positioned after the last epoch
-    whose snapshot survived; feed it the remaining deltas to continue.
+    Returns ``(engine, epoch_result)``: the epoch the crash interrupted is
+    finished here (``epoch_result`` is its changelog, ``None`` when the
+    crash fell between epochs); feed the engine the remaining deltas to
+    continue.
     """
     from repro.core.continuous import ContinuousCAQE
 

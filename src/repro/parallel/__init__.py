@@ -15,7 +15,7 @@ All process construction in ``src/repro`` lives in this package
 :class:`RegionPool`.
 """
 
-from repro.parallel.joinkernel import cell_join, vectorized_equi_join
+from repro.query.joinkernel import cell_join, vectorized_equi_join
 from repro.parallel.pool import PoolClient, PoolHealth, RegionPool
 from repro.parallel.shm import SharedRelationStore, attach_relation
 from repro.parallel.worker import (

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.parallel.joinkernel import cell_join
+from repro.query.joinkernel import cell_join
 from repro.parallel.shm import RelationHandle, attach_relation
 from repro.query.evaluate import apply_functions
 from repro.query.mapping import MappingFunction

@@ -151,7 +151,12 @@ class _LiveSub:
 
 
 def _failed(exc: ReproError) -> ServedResult:
-    return ServedResult(FAILED, error=f"{type(exc).__name__}: {exc}")
+    """A raised run: every ``FAILED`` outcome is a breaker failure."""
+    return ServedResult(
+        FAILED,
+        error=f"{type(exc).__name__}: {exc}",
+        reasons=outcome_reasons(None, breaker_failure=True),
+    )
 
 
 class RegionScheduler:
@@ -321,9 +326,7 @@ class RegionScheduler:
                 )
             run_cfg = replace(cfg, **overrides) if overrides else cfg
             token = cancel_token or CancellationToken()
-            ticket = Ticket(
-                sid, workload, contracts, deadline, token, signature
-            )
+            ticket = Ticket(sid, token, signature)
             self.metrics["admitted"] += 1
             try:
                 live = CAQE(run_cfg).open_run(

@@ -148,16 +148,10 @@ class Ticket:
     def __init__(
         self,
         ticket_id: int,
-        workload: "Workload",
-        contracts: "dict[str, Contract]",
-        deadline: "float | None",
         token: CancellationToken,
         signature: str,
     ) -> None:
         self.ticket_id = ticket_id
-        self.workload = workload
-        self.contracts = contracts
-        self.deadline = deadline
         self.token = token
         self.signature = signature
         self._done = threading.Event()

@@ -186,6 +186,56 @@ class TestBenefitModel:
         after = model.estimate(victim).prog_est[0]
         assert after > before
 
+    def test_ids_past_zero_estimate_like_ids_from_zero(
+        self, model, eleven_query_workload, grid
+    ):
+        """A continuous epoch's region ids start past the earlier epochs';
+        the arrays span only the attached range, and every estimate and
+        event reads as it would with ids from 0."""
+        shifted = BenefitModel(
+            eleven_query_workload,
+            build_minmax_cuboid(eleven_query_workload),
+            grid,
+            {q.name: c2() for q in eleven_query_workload},
+            CostModel(),
+        )
+        offset = 1000
+
+        def regions(base):
+            return [
+                region(base + i, [float(i)] * 4, [float(i) + 3] * 4,
+                       (i,) * 4, (min(i + 2, 7),) * 4, rql=0b111, est=20.0 + i)
+                for i in range(6)
+            ]
+
+        model.attach_regions(regions(0))
+        shifted.attach_regions(regions(offset))
+        assert len(shifted._rql_all) == 6
+
+        def same_estimates():
+            ids = np.arange(1, 6, dtype=np.intp)
+            t_c, prog = model.estimate_roots_arrays(rid_arr=ids)
+            t_s, prog_s = shifted.estimate_roots_arrays(rid_arr=ids + offset)
+            assert np.array_equal(t_c, t_s) and np.array_equal(prog, prog_s)
+            for qi in range(3):
+                ids_a, lowers_a = model.active_serving(qi)
+                ids_b, lowers_b = shifted.active_serving(qi)
+                assert np.array_equal(ids_a + offset, ids_b)
+                assert np.array_equal(lowers_a, lowers_b)
+
+        same_estimates()
+        for m, base in ((model, 0), (shifted, offset)):
+            m.note_removed(base)
+            m.note_deactivation(base + 2, 1)
+        same_estimates()
+        # Below the attached range: not estimable, and events are no-ops.
+        stranger = region(offset - 1, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4)
+        with pytest.raises(ExecutionError, match="attached"):
+            shifted.estimate(stranger)
+        shifted.note_removed(offset - 1)
+        shifted.note_deactivation(offset - 1, 0)
+        same_estimates()
+
     def test_result_estimates(self, model, eleven_query_workload):
         model.set_result_estimates({"Q1": 50.0})
         assert model.result_estimates[0] == 50.0

@@ -2,7 +2,7 @@
 
 The columnar data plane (docs/ARCHITECTURE.md §12) replaces the
 dict-of-lists bucket loop with a sort-based kernel
-(:func:`repro.parallel.joinkernel.vectorized_equi_join`).  Everything
+(:func:`repro.query.joinkernel.vectorized_equi_join`).  Everything
 downstream — SFS presort tie-breaks, insertion ids, skyline replay — is
 sensitive to the *order* of the emitted pairs, so equivalence here means
 identical index arrays, not identical sets.  Hypothesis drives the key
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stats import ExecutionStats
-from repro.parallel.joinkernel import (
+from repro.query.joinkernel import (
     build_grouped,
     bucket_join,
     cell_join,

@@ -1,12 +1,13 @@
-"""Continuous-engine durability: epoch replay + mid-epoch checkpoints.
+"""Continuous-engine durability: one journal, mid-epoch checkpoints.
 
 The crash is simulated exactly as a ``SIGKILL`` leaves the directory:
 the journal is truncated to its first ``K`` records and every snapshot
 with a later seq is deleted (fsync ordering guarantees a record hits
 disk before the snapshot that covers it).  Resume must then finish the
-interrupted epoch — replaying its journalled prefix, re-executing the
-in-flight remainder, honouring epoch-level retry replay — and continue
-through the remaining deltas bit-identically.
+interrupted epoch — re-running its MQLA stage from the snapshot's cells,
+restoring the run state, replaying its journalled regions with
+verification, retries included — and continue through the remaining
+deltas bit-identically.
 """
 
 import json
@@ -176,8 +177,8 @@ class TestContinuousResume:
     def test_mid_epoch_crash_with_epoch_replay(
         self, figure1_workload, contracts, pair, tmp_path, fraction
     ):
-        # Transient region failures force intra-epoch replay; the crash
-        # lands *inside* epoch 2, between two of its region records.
+        # Transient region failures force retries within the epoch; the
+        # crash lands *inside* epoch 2, between two of its region records.
         knobs = dict(
             enable_recovery=True,
             retry_policy=RetryPolicy(max_attempts=12),
@@ -221,6 +222,58 @@ class TestContinuousResume:
         assert engine_observables(
             engine, figure1_workload
         ) == engine_observables(reference, figure1_workload)
+
+    def test_mid_epoch_crash_in_the_third_epoch(
+        self, figure1_workload, contracts, pair, tmp_path
+    ):
+        """Region ids run on across epochs, so the third epoch's MQLA
+        stage must be re-run with its own first region id."""
+        reference, ref_epochs = self._reference(
+            figure1_workload, contracts, pair
+        )
+        victim = ContinuousCAQE(figure1_workload, contracts, journaled(tmp_path))
+        feed(victim, pair)
+        victim.close()
+
+        _, records = journal_records(tmp_path)
+        regions = {
+            epoch: [
+                p["region"]
+                for _, p in records
+                if p["epoch"] == epoch and p["event"] != "epoch_end"
+            ]
+            for epoch in (2, 3)
+        }
+        assert len(regions[3]) > 2, "epoch 3 must span several regions"
+        assert min(regions[3]) > max(regions[2]) > 0
+        third = [int(p["seq"]) for _, p in records if p["epoch"] == 3]
+        simulate_crash(tmp_path, third[len(third) // 2])
+
+        engine, mid = resume_continuous(
+            figure1_workload, contracts, journaled(tmp_path)
+        )
+        engine.close()
+        assert mid is not None
+        assert epoch_digest(mid) == epoch_digest(ref_epochs[2])
+        assert engine_observables(
+            engine, figure1_workload
+        ) == engine_observables(reference, figure1_workload)
+        assert engine.stats.region_trace == reference.stats.region_trace
+
+    def test_journal_with_a_seq_gap_is_refused(
+        self, figure1_workload, contracts, pair, tmp_path
+    ):
+        victim = ContinuousCAQE(figure1_workload, contracts, journaled(tmp_path))
+        feed(victim, pair, chunks=CHUNKS[:2])
+        victim.close()
+        header, records = journal_records(tmp_path)
+        path = os.path.join(str(tmp_path), JOURNAL_FILENAME)
+        kept = [line for i, (line, _) in enumerate(records) if i != 1]
+        with open(path, "wb") as handle:
+            # Drop record 2: every snapshot and the tail survive intact.
+            handle.write(header + b"".join(kept))
+        with pytest.raises(DurabilityError, match="not contiguous"):
+            resume_continuous(figure1_workload, contracts, journaled(tmp_path))
 
     def test_resume_requires_journaling(self, figure1_workload, contracts):
         with pytest.raises(DurabilityError, match="enable_journal"):

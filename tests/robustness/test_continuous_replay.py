@@ -1,4 +1,9 @@
-"""Epoch-level replay and sanitisation in the continuous engine."""
+"""Retry / quarantine and sanitisation in the continuous engine.
+
+An epoch is a ``LiveRun``: a failed region stays alive under the run's
+supervisor and is retried when the ranking picks it again, exactly as in
+a finite run.
+"""
 
 import numpy as np
 import pytest

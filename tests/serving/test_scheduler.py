@@ -20,6 +20,8 @@ from repro.serving import (
     CANCELLED,
     CAQEServer,
     DEGRADED,
+    FAILED,
+    OUTCOME_BREAKER,
     OUTCOME_BROWNOUT,
     OUTCOME_DEADLINE,
     POLICY_FIFO,
@@ -402,6 +404,31 @@ class TestDeadlinesAndCancellation:
             ticket.cancel()
             sched.drain()
             assert ticket.result(timeout=WAIT).status == CANCELLED
+
+
+class TestFailedOutcomes:
+    def test_every_failed_path_carries_the_breaker_reason(
+        self, pair, figure1_workload, contracts
+    ):
+        """A raised prologue and a raised step both count against the
+        breaker, so both outcomes say so in ``reasons``."""
+        raising = CAQEConfig(
+            fault_plan=FaultPlan(
+                FaultConfig(seed=5, persistent_failure_rate=1.0)
+            ),
+            server_breaker_threshold=8,
+        )
+        with RegionScheduler(pair.left, pair.right, raising) as sched:
+            order = _finish_order(sched)
+            prologue = sched.submit(figure1_workload, {})
+            mid_loop = sched.submit(figure1_workload, contracts)
+            sched.drain()
+        assert [(tid, status) for tid, status, _ in order] == [
+            (prologue.ticket_id, FAILED),
+            (mid_loop.ticket_id, FAILED),
+        ]
+        for ticket in (prologue, mid_loop):
+            assert ticket.result(timeout=WAIT).reasons == (OUTCOME_BREAKER,)
 
 
 class TestFairness:

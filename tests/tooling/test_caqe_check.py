@@ -704,7 +704,7 @@ class TestCQ009:
     def test_fires_on_zip_wrapped_tolist_in_comprehension(self, tmp_path):
         found = lint(
             tmp_path,
-            "repro/parallel/joinkernel.py",
+            "repro/query/joinkernel.py",
             """\
             def pairs(left, right):
                 return [

@@ -9,7 +9,7 @@ cell into a Python object and silently reverts the region cost model to
 interpreter speed.
 
 Scope: the hot-path modules ``core/executor.py``,
-``parallel/joinkernel.py`` and ``skyline/window.py`` (whose SoA columns
+``query/joinkernel.py`` and ``skyline/window.py`` (whose SoA columns
 — docs/ARCHITECTURE.md §16 — make per-row Python loops just as costly as
 relation-column walks).  Flagged: ``for`` loops and comprehensions
 whose iterable is
@@ -36,7 +36,7 @@ CODE = "CQ009"
 
 _SCOPE_SUFFIXES = (
     "core/executor.py",
-    "parallel/joinkernel.py",
+    "query/joinkernel.py",
     "skyline/window.py",
 )
 
