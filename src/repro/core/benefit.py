@@ -51,7 +51,6 @@ def prog_count_exact(
     dominators: "list[OutputRegion]",
     positions: "tuple[int, ...]",
     grid: OutputGrid,
-    cell_lowers: "np.ndarray | None" = None,
 ) -> "tuple[int, int]":
     """Definition 11: (non-dominatable cells, total cells) of ``region``.
 
@@ -60,11 +59,6 @@ def prog_count_exact(
     lower corner (Definition 8 case 2 at cell granularity); the most
     dominating cell any region can populate is the one at its coordinate
     lower corner.
-
-    ``cell_lowers`` optionally carries the precomputed full-dimension
-    lower corners of the region's box (``grid.cell_lowers`` over
-    ``OutputGrid.box_coords``) — pure immutable geometry, so a memoised
-    copy is bit-identical to recomputing it.
     """
     pos = list(positions)
     threats = [d for d in dominators if d.region_id != region.region_id]
@@ -74,10 +68,9 @@ def prog_count_exact(
     threat_uppers = grid.cell_uppers(
         np.asarray([d.coord_lo for d in threats], dtype=np.intp)
     )[:, pos]
-    if cell_lowers is None:
-        cell_lowers = grid.cell_lowers(
-            OutputGrid.box_coords(region.coord_lo, region.coord_hi)
-        )
+    cell_lowers = grid.cell_lowers(
+        OutputGrid.box_coords(region.coord_lo, region.coord_hi)
+    )
     at_risk = dominance_mask(threat_uppers, cell_lowers[:, pos]).any(axis=0)
     return int(total - int(at_risk.sum())), total
 
@@ -122,6 +115,23 @@ _SAMPLES_PER_DIM = 3
 #: Cartesian index grids for :func:`_sample_lattice`, keyed by ``(k, d)``.
 _LATTICE_IDX: "dict[tuple[int, int], np.ndarray]" = {}
 
+#: Largest broadcast temporary (in elements) one estimator pass builds;
+#: wider passes run in chunks of pairs.
+_BROADCAST_CAP = 1 << 17
+
+
+def _lattice_index(d: int) -> "tuple[int, np.ndarray]":
+    """``k`` and the ``(k**d, d)`` cartesian axis indices of the sample
+    lattice over ``d`` dimensions, in ``meshgrid``'s row-major order."""
+    k = _SAMPLES_PER_DIM if d <= 4 else 2
+    idx = _LATTICE_IDX.get((k, d))
+    if idx is None:
+        ranges = [np.arange(k, dtype=np.intp)] * d
+        mesh = np.meshgrid(*ranges, indexing="ij")
+        idx = np.column_stack([m.ravel() for m in mesh])
+        _LATTICE_IDX[(k, d)] = idx
+    return k, idx
+
 
 def _sample_lattice(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A deterministic lattice of cell-center points inside ``[lo, hi]``.
@@ -133,16 +143,28 @@ def _sample_lattice(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     ``meshgrid``'s row-major order.
     """
     d = len(lo)
-    k = _SAMPLES_PER_DIM if d <= 4 else 2
+    k, idx = _lattice_index(d)
     pad = (hi - lo) / (2 * k)
     axes = np.linspace(lo + pad, hi - pad, k, axis=0)  # (k, d)
-    idx = _LATTICE_IDX.get((k, d))
-    if idx is None:
-        ranges = [np.arange(k, dtype=np.intp)] * d
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        idx = np.column_stack([m.ravel() for m in mesh])
-        _LATTICE_IDX[(k, d)] = idx
     return axes[idx, np.arange(d, dtype=np.intp)[None, :]]
+
+
+def _sample_lattices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_sample_lattice` of ``P`` boxes in one call: ``(P, d)``
+    corners in, ``(P, k**d, d)`` points out.
+
+    Bit-identical to the per-box form.  ``linspace`` chooses its
+    arithmetic (``i * step`` or ``i / div * delta``) once per call, from
+    whether *any* step is zero, so one degenerate box switches the whole
+    batch; with ``k`` in {2, 3} the two forms agree anyway — the end
+    points are ``start`` and ``stop`` exactly, and the middle point of
+    ``k == 3`` is ``delta / 2`` either way.
+    """
+    d = lo.shape[1]
+    k, idx = _lattice_index(d)
+    pad = (hi - lo) / (2 * k)
+    axes = np.linspace(lo + pad, hi - pad, k, axis=1)  # (P, k, d)
+    return axes[:, idx, np.arange(d, dtype=np.intp)]
 
 
 def prog_ratio_sampled(
@@ -168,6 +190,42 @@ def _sampled_ratio(samples: np.ndarray, dominator_lowers: np.ndarray) -> float:
     return float(1.0 - dominated.mean())
 
 
+def _chunks(n: int, per_item: int) -> "list[slice]":
+    """Slices of ``range(n)`` whose ``per_item``-wide broadcasts stay
+    within :data:`_BROADCAST_CAP` elements (at least one item each)."""
+    step = max(1, _BROADCAST_CAP // max(per_item, 1))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _padded_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Scatter ``values`` — consecutive runs of ``counts[i] >= 1`` rows —
+    into a ``(len(counts), max(counts), width)`` block padded with +inf
+    corners, which dominate nothing."""
+    if len(values) == len(counts):  # every run is one row
+        return values[:, None, :]
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(len(values)) - np.repeat(starts, counts)
+    out = np.full((len(counts), int(counts.max()), values.shape[1]), np.inf)
+    out[np.repeat(np.arange(len(counts)), counts), pos] = values
+    return out
+
+
+def _dominated_counts(threats: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``counts[i, s]``: how many rows of ``threats[i]`` dominate
+    ``points[i, s]``, broadcast in chunks of rows."""
+    out = np.empty(points.shape[:2], dtype=np.int32)
+    for sl in _chunks(len(points), threats.shape[1] * points.shape[1]):
+        out[sl] = dominance_broadcast(
+            threats[sl, :, None, :], points[sl, None, :, :], axis=3
+        ).sum(axis=1, dtype=np.int32)
+    return out
+
+
+def _expect(condition: bool, message: str) -> None:
+    if not condition:
+        raise AssertionError(f"BenefitModel invariant: {message}")
+
+
 @dataclass
 class RegionEstimate:
     """Cached per-region estimates feeding the CSM."""
@@ -177,132 +235,78 @@ class RegionEstimate:
     prog_est: np.ndarray
 
 
-class _SampleCounts:
-    """Per-query incremental dominator counts over region sample lattices.
+class _CountTable:
+    """Resident count rows of one estimator branch over one subspace width.
 
-    Row ``slot[rid]`` holds, for each lattice sample of region ``rid``, how
-    many *currently reaching* same-lineage regions dominate that sample.
-    The sampled progressive ratio is then ``1 - mean(counts > 0)`` — read in
-    O(S) — and stays exact under Algorithm 1's only membership events
-    (region removal and lineage loss) via one vectorised subtraction of the
-    departing region's domination mask per event.
-    """
-
-    __slots__ = ("samples", "counts", "slot_arr", "rids", "live", "size")
-
-    def __init__(self, n_samples: int, width: int, n_ids: int) -> None:
-        cap = 64
-        self.samples = np.empty((cap, n_samples, width))
-        self.counts = np.zeros((cap, n_samples), dtype=np.int32)
-        #: ``slot_arr[region_id]`` is the row index, or -1 when absent —
-        #: an array so batched lookups stay loop-free.  Indexed and sized
-        #: by the model's region rows: only attached regions own a row.
-        self.slot_arr = np.full(n_ids, -1, dtype=np.int64)
-        #: Row → owning region id (stale for tombstoned rows, which the
-        #: ``live`` mask filters out of every batched read).
-        self.rids = np.zeros(cap, dtype=np.intp)
-        #: Rows whose region still owns them.  Dropped rows are tombstoned
-        #: (never reused, never read), so event maintenance skips them.
-        self.live = np.zeros(cap, dtype=bool)
-        self.size = 0
-
-    def drop(self, region_id: int) -> None:
-        if region_id < len(self.slot_arr):
-            row = self.slot_arr[region_id]
-            if row >= 0:
-                self.live[row] = False
-            self.slot_arr[region_id] = -1
-
-    def add(
-        self, region_id: int, samples: np.ndarray, counts: np.ndarray
-    ) -> int:
-        if self.size == len(self.samples):
-            def grown(arr: np.ndarray) -> np.ndarray:
-                out = np.empty((2 * len(arr), *arr.shape[1:]), dtype=arr.dtype)
-                out[: self.size] = arr[: self.size]
-                return out
-
-            self.samples = grown(self.samples)
-            self.counts = grown(self.counts)
-            grown_rids = np.zeros(2 * len(self.rids), dtype=np.intp)
-            grown_rids[: self.size] = self.rids[: self.size]
-            self.rids = grown_rids
-            grown_live = np.zeros(2 * len(self.live), dtype=bool)
-            grown_live[: self.size] = self.live[: self.size]
-            self.live = grown_live
-        row = self.size
-        self.samples[row] = samples
-        self.counts[row] = counts
-        self.slot_arr[region_id] = row
-        self.rids[row] = region_id
-        self.live[row] = True
-        self.size += 1
-        return row
-
-
-class _CellCounts:
-    """Per-query incremental threat counts over regions' exact cell boxes.
-
-    The exact-branch analogue of :class:`_SampleCounts`: row ``slot[rid]``
-    holds, for each grid cell of region ``rid``'s box (first ``ncells``
-    entries; the rest is padding), how many currently reaching same-lineage
-    regions could dominate that cell.  Definition 11's progressive count is
-    then ``total - count_nonzero(counts > 0)`` — read in O(cells) — and the
-    same removal/deactivation events that keep the sample counts current
-    subtract the departing region's per-cell domination mask here.
+    Row ``t`` belongs to the pair ``(region[t], query[t])`` — a region row
+    and a query of this width — and holds the pair's points over the
+    query's subspace, the region's upper corner on that subspace, and per
+    point how many currently reaching same-lineage regions dominate it.
+    A sampled-branch row's points are the box's sample lattice.  An
+    exact-branch row's points are the lower corners of the box's grid
+    cells *projected onto the subspace*: every projected cell stands for
+    the same number ``mult[t]`` of full-dimension cells, all with the
+    same count, so the row is that many times shorter than the box.
+    Points past a row's own number are NaN, which dominates and is
+    dominated by nothing, so their counts stay 0 and every read is a
+    plain row reduction.  Rows are appended in batches and tombstoned
+    (``live`` False), never reused.
     """
 
     __slots__ = (
-        "cells", "counts", "ncells", "slot_arr", "rids", "live", "size",
-        "limit", "arange",
+        "points", "counts", "upper", "mult", "region", "query", "live", "size",
     )
 
-    def __init__(self, limit: int, width: int, n_ids: int) -> None:
-        cap = 64
-        self.limit = limit
-        self.arange = np.arange(limit)
-        self.cells = np.zeros((cap, limit, width))
-        self.counts = np.zeros((cap, limit), dtype=np.int32)
-        self.ncells = np.zeros(cap, dtype=np.intp)
-        self.slot_arr = np.full(n_ids, -1, dtype=np.int64)
-        self.rids = np.zeros(cap, dtype=np.intp)
-        #: Same tombstone discipline as :class:`_SampleCounts`.
-        self.live = np.zeros(cap, dtype=bool)
+    def __init__(self, width: int, n_points: int) -> None:
+        self.points = np.full((0, n_points, width), np.nan)
+        self.counts = np.zeros((0, n_points), dtype=np.int32)
+        self.upper = np.zeros((0, width))
+        self.mult = np.zeros(0, dtype=np.int64)
+        self.region = np.zeros(0, dtype=np.intp)
+        self.query = np.zeros(0, dtype=np.intp)
+        self.live = np.zeros(0, dtype=bool)
         self.size = 0
 
-    def drop(self, region_id: int) -> None:
-        if region_id < len(self.slot_arr):
-            row = self.slot_arr[region_id]
-            if row >= 0:
-                self.live[row] = False
-            self.slot_arr[region_id] = -1
-
     def add(
-        self, region_id: int, cells: np.ndarray, counts: np.ndarray
-    ) -> int:
-        if self.size == len(self.cells):
-            def grown(arr: np.ndarray) -> np.ndarray:
-                out = np.zeros((2 * len(arr), *arr.shape[1:]), dtype=arr.dtype)
-                out[: self.size] = arr[: self.size]
-                return out
+        self,
+        region: np.ndarray,
+        query: np.ndarray,
+        upper: np.ndarray,
+        points: np.ndarray,
+        counts: np.ndarray,
+        mult: np.ndarray,
+    ) -> np.ndarray:
+        """Append one row per pair; returns the new rows' indices."""
+        n_points = points.shape[1]
+        start, end = self.size, self.size + len(region)
+        cap = len(self.live)
+        if end > cap or n_points > self.points.shape[1]:
+            self._grow(
+                max(end, 2 * cap, 64) if end > cap else cap,
+                max(n_points, self.points.shape[1]),
+            )
+        self.points[start:end, :n_points] = points
+        self.counts[start:end, :n_points] = counts
+        self.upper[start:end] = upper
+        self.mult[start:end] = mult
+        self.region[start:end] = region
+        self.query[start:end] = query
+        self.live[start:end] = True
+        self.size = end
+        return np.arange(start, end)
 
-            self.cells = grown(self.cells)
-            self.counts = grown(self.counts)
-            self.ncells = grown(self.ncells)
-            self.rids = grown(self.rids)
-            self.live = grown(self.live)
-        row = self.size
-        n = len(cells)
-        self.cells[row, :n] = cells
-        self.cells[row, n:] = 0.0
-        self.counts[row, :n] = counts
-        self.counts[row, n:] = 0
-        self.ncells[row] = n
-        self.slot_arr[region_id] = row
-        self.rids[row] = region_id
-        self.live[row] = True
-        self.size += 1
-        return row
+    def _grow(self, cap: int, n_points: int) -> None:
+        size, width = self.size, self.points.shape[2]
+        points = np.full((cap, n_points, width), np.nan)
+        points[:size, : self.points.shape[1]] = self.points[:size]
+        counts = np.zeros((cap, n_points), dtype=np.int32)
+        counts[:size, : self.counts.shape[1]] = self.counts[:size]
+        self.points, self.counts = points, counts
+        for name in ("upper", "mult", "region", "query", "live"):
+            old = getattr(self, name)
+            grown = np.zeros((cap, *old.shape[1:]), dtype=old.dtype)
+            grown[:size] = old[:size]
+            setattr(self, name, grown)
 
 
 class BenefitModel:
@@ -337,50 +341,72 @@ class BenefitModel:
             for q in workload
         ]
         self.query_dims = [len(p) for p in self.query_positions]
-        # Memoised time-invariant input: the sample lattice depends only on
-        # a region's immutable geometry, so it survives every change to the
-        # progressive term.
-        self._lattices: "dict[tuple[int, int], np.ndarray]" = {}
-        # Full-dimension cell lower corners of each region's coordinate
-        # box — immutable geometry the exact branch re-reads on every
-        # recomputation, so one copy per region is kept for its lifetime.
-        self._boxes: "dict[int, np.ndarray]" = {}
+        n_q = len(workload)
+        # ``_axis_lowers[d, c]``: lower bound of grid coordinate ``c`` on
+        # output dimension ``d``, by ``grid.cell_lowers``' own arithmetic.
+        n_d = len(output_dims)
+        self._axis_lowers = grid.cell_lowers(
+            np.repeat(np.arange(grid.divisions)[:, None], n_d, axis=1)
+        ).T
+        self._qbits = np.arange(n_q, dtype=np.int64)
+        # Queries are grouped by subspace width: one count table per
+        # (width, branch), and every event flush and cached read makes one
+        # pass per group instead of one per query.  ``_qlocal[qi]`` is the
+        # query's index inside its group, ``_pos_w[w]`` the group's
+        # ``(queries, w)`` subspace columns.
+        self._qwidth = np.asarray(self.query_dims, dtype=np.intp)
+        self._width_qis = {
+            w: np.flatnonzero(self._qwidth == w) for w in sorted(set(self.query_dims))
+        }
+        self._qlocal = np.zeros(n_q, dtype=np.intp)
+        self._pos_w: "dict[int, np.ndarray]" = {}
+        for w, qis in self._width_qis.items():
+            self._qlocal[qis] = np.arange(len(qis))
+            self._pos_w[w] = np.asarray(
+                [self.query_positions[qi] for qi in qis.tolist()], dtype=np.intp
+            ).reshape(len(qis), w)
         # Event-driven ProgEst cache, ``(region row, qi)`` indexed.  A
         # candidate's ProgEst is a pure function of its *reach set* (the
         # active same-lineage regions whose lower corner enters its box),
         # so an entry stays valid until some reaching region departs —
-        # :meth:`note_removed`/:meth:`note_deactivation` evict exactly the
-        # entries whose reach set the event changed, in one masked store.
+        # :meth:`_flush_events` evicts exactly the entries whose reach set
+        # an event changed.
         self._prog_val: "np.ndarray | None" = None
         self._prog_ok: "np.ndarray | None" = None
-        # Sampled-branch incremental state, one structure per query; rows
-        # are created lazily at a region's first sampled estimate and kept
-        # current by :meth:`note_removed`/:meth:`note_deactivation`.
-        self._scounts: "dict[int, _SampleCounts]" = {}
-        # Exact-branch incremental state, same lifecycle.
-        self._ecounts: "dict[int, _CellCounts]" = {}
-        # Departure events queued by note_removed/note_deactivation and
-        # applied in one vectorised pass per query at the next read
-        # (:meth:`_flush_events`) — count subtraction commutes, so the
-        # batch equals replaying the events one at a time.
-        self._pending: "list[tuple[int, int]]" = []
-        # Per-query active-membership snapshot ``(ids, lowers)`` reused
-        # between events: membership changes always queue an event for the
-        # affected query, so the flush is a complete invalidation point.
-        self._member_cache: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+        # Resident per-(region row, qi) state, set at a pair's first touch
+        # (its first estimate) and kept current by the event flush:
+        # ``_reach`` is the size of the reach set (-1 before the first
+        # touch); a pair with a non-empty reach set owns one live count
+        # row, ``_slot`` in the table of its query's width and branch
+        # (``_exact``).
+        self._reach: "np.ndarray | None" = None
+        self._slot: "np.ndarray | None" = None
+        self._exact: "np.ndarray | None" = None
+        self._tables: "dict[tuple[int, bool], _CountTable]" = {}
+        # Departure events ``(region row, qi)`` queued by note_removed /
+        # note_deactivation and applied together at the next read
+        # (:meth:`_flush_events`).
+        self._pend_rows: "list[int]" = []
+        self._pend_qis: "list[int]" = []
+        # Per-width active-membership snapshot (see :meth:`_members_of`),
+        # dropped by every membership change.
+        self._members: "dict[int, tuple[np.ndarray, ...]]" = {}
         #: Estimated final result count per query (needed by cardinality
         #: contracts); populated via :meth:`set_result_estimates`.
-        self.result_estimates = np.ones(len(workload))
+        self.result_estimates = np.ones(n_q)
         # Global region arrays for vectorised ProgCount estimation; filled by
         # :meth:`attach_regions` and kept in sync via note_* callbacks.
         self._lower_all: "np.ndarray | None" = None
         self._upper_all: "np.ndarray | None" = None
         self._cupper_all: "np.ndarray | None" = None
-        # Contiguous per-query-subspace views of the three corner
-        # matrices, rebuilt by :meth:`attach_regions`.
-        self._lower_q: "list[np.ndarray]" = []
-        self._upper_q: "list[np.ndarray]" = []
-        self._cupper_q: "list[np.ndarray]" = []
+        self._coord_lo_all: "np.ndarray | None" = None
+        self._coord_hi_all: "np.ndarray | None" = None
+        # Per-width ``(queries, regions, w)`` stacks of the three corner
+        # matrices over each query's subspace, rebuilt by
+        # :meth:`attach_regions`.
+        self._lower_w: "dict[int, np.ndarray]" = {}
+        self._upper_w: "dict[int, np.ndarray]" = {}
+        self._cupper_w: "dict[int, np.ndarray]" = {}
         self._rql_all: "np.ndarray | None" = None
         self._active_all: "np.ndarray | None" = None
         # Regions registered by attach_regions — only their events are
@@ -409,39 +435,28 @@ class BenefitModel:
     # ------------------------------------------------------------------ #
     def attach_regions(self, regions: "list[OutputRegion]") -> None:
         """Register the run's alive regions for vectorised estimation."""
-        self._lattices.clear()
-        self._boxes.clear()
-        self._scounts.clear()
-        self._ecounts.clear()
-        self._pending.clear()
-        self._member_cache.clear()
+        self._tables = {}
+        self._members = {}
+        self._pend_rows, self._pend_qis = [], []
         n_q = len(self.workload)
-        if not regions:
-            self._lower_all = np.empty((0, len(self.workload.output_dims)))
-            self._upper_all = np.empty((0, len(self.workload.output_dims)))
-            self._cupper_all = np.empty((0, len(self.workload.output_dims)))
-            self._rql_all = np.empty(0, dtype=np.int64)
-            self._active_all = np.empty(0, dtype=bool)
-            self._attached_all = np.empty(0, dtype=bool)
-            self._prog_val = np.empty((0, n_q))
-            self._prog_ok = np.empty((0, n_q), dtype=bool)
-            self._cards_all = np.empty((0, n_q))
-            self._cost_all = np.empty(0)
-            self._ccnt_all = np.empty(0, dtype=np.int64)
-            self._base = 0
-            self._regions_by_row = {}
-            self._subspace_cols()
-            return
-        self._base = min(r.region_id for r in regions)
-        n_rows = max(r.region_id for r in regions) - self._base + 1
-        self._lower_all = np.zeros((n_rows, len(self.workload.output_dims)))
-        self._upper_all = np.zeros((n_rows, len(self.workload.output_dims)))
-        self._cupper_all = np.zeros((n_rows, len(self.workload.output_dims)))
+        n_d = len(self.workload.output_dims)
+        self._base = min((r.region_id for r in regions), default=0)
+        n_rows = (
+            max(r.region_id for r in regions) - self._base + 1 if regions else 0
+        )
+        self._lower_all = np.zeros((n_rows, n_d))
+        self._upper_all = np.zeros((n_rows, n_d))
+        self._cupper_all = np.zeros((n_rows, n_d))
+        self._coord_lo_all = np.zeros((n_rows, n_d), dtype=np.intp)
+        self._coord_hi_all = np.zeros((n_rows, n_d), dtype=np.intp)
         self._rql_all = np.zeros(n_rows, dtype=np.int64)
         self._active_all = np.zeros(n_rows, dtype=bool)
         self._attached_all = np.zeros(n_rows, dtype=bool)
         self._prog_val = np.zeros((n_rows, n_q))
         self._prog_ok = np.zeros((n_rows, n_q), dtype=bool)
+        self._reach = np.full((n_rows, n_q), -1, dtype=np.int64)
+        self._slot = np.full((n_rows, n_q), -1, dtype=np.intp)
+        self._exact = np.zeros((n_rows, n_q), dtype=bool)
         self._cards_all = np.zeros((n_rows, n_q))
         self._cost_all = np.zeros(n_rows)
         self._ccnt_all = np.zeros(n_rows, dtype=np.int64)
@@ -450,6 +465,8 @@ class BenefitModel:
             row = r.region_id - self._base
             self._lower_all[row] = r.lower
             self._upper_all[row] = r.upper
+            self._coord_lo_all[row] = r.coord_lo
+            self._coord_hi_all[row] = r.coord_hi
             self._rql_all[row] = r.active_rql
             self._active_all[row] = True
             self._attached_all[row] = True
@@ -459,68 +476,47 @@ class BenefitModel:
             self._cost_all[row] = self.estimate_cost(r)
             self._ccnt_all[row] = r.cell_count
             self._regions_by_row[row] = r
-        # Upper corner of each region's lowest cell — the corner Definition
-        # 11's threat test compares; one broadcast covers every region.
-        rows = np.asarray(sorted(self._regions_by_row), dtype=np.intp)
-        coords = np.asarray(
-            [self._regions_by_row[int(i)].coord_lo for i in rows], dtype=np.intp
-        )
-        self._cupper_all[rows] = self.grid.cell_uppers(coords)
-        self._subspace_cols()
-
-    def _subspace_cols(self) -> None:
-        """Per-query contiguous corner matrices over each query subspace.
-
-        Geometry is immutable after :meth:`attach_regions`, so slicing the
-        query-subspace columns once replaces a fancy gather per estimator
-        call and per event flush.
-        """
-        self._lower_q = []
-        self._upper_q = []
-        self._cupper_q = []
-        for qi in range(len(self.workload)):
-            p = list(self.query_positions[qi])
-            self._lower_q.append(np.ascontiguousarray(self._lower_all[:, p]))
-            self._upper_q.append(np.ascontiguousarray(self._upper_all[:, p]))
-            self._cupper_q.append(np.ascontiguousarray(self._cupper_all[:, p]))
+        if regions:
+            # Upper corner of each region's lowest cell — the corner
+            # Definition 11's threat test compares; one broadcast covers
+            # every region.
+            rows = np.asarray(sorted(self._regions_by_row), dtype=np.intp)
+            self._cupper_all[rows] = self.grid.cell_uppers(self._coord_lo_all[rows])
+        # Geometry is immutable from here on, so each width group's
+        # subspace columns are stacked once.
+        self._lower_w, self._upper_w, self._cupper_w = {}, {}, {}
+        for w, pos in self._pos_w.items():
+            for full, stacked in (
+                (self._lower_all, self._lower_w),
+                (self._upper_all, self._upper_w),
+                (self._cupper_all, self._cupper_w),
+            ):
+                stacked[w] = np.ascontiguousarray(full[:, pos].transpose(1, 0, 2))
 
     def note_removed(self, region_id: int) -> None:
         """A region was processed or fully discarded."""
         row = self._attached_row(region_id)
-        if row is None:
-            return  # never attached: it holds no state and reaches nothing
-        rql = int(self._rql_all[row])
-        for qi in range(len(self.workload)):
-            if (rql >> qi) & 1:
-                self._pending.append((row, qi))
+        if row is None or not self._active_all[row]:
+            return  # never attached, or already gone: nothing departs
+        qis = np.flatnonzero((self._rql_all[row] >> self._qbits) & 1)
+        self._pend_rows.extend([row] * len(qis))
+        self._pend_qis.extend(qis.tolist())
+        self._members.clear()
         self._active_all[row] = False
         self._prog_ok[row, :] = False
-        self._boxes.pop(row, None)
-        for qi in range(len(self.workload)):
-            self._lattices.pop((row, qi), None)
-            sc = self._scounts.get(qi)
-            if sc is not None:
-                sc.drop(row)
-            ec = self._ecounts.get(qi)
-            if ec is not None:
-                ec.drop(row)
 
     def note_deactivation(self, region_id: int, query_bit: int) -> None:
         """A region lost one query from its lineage."""
         row = self._attached_row(region_id)
         if row is None:
             return
-        self._pending.append((row, query_bit))
-        self._rql_all[row] &= ~(np.int64(1) << query_bit)
+        bit = np.int64(1) << query_bit
+        if self._active_all[row] and self._rql_all[row] & bit:
+            self._pend_rows.append(row)
+            self._pend_qis.append(query_bit)
+            self._members.clear()
+        self._rql_all[row] &= ~bit
         self._prog_ok[row, query_bit] = False
-        # The region's own count rows for this query are dead from here on
-        # (rql bits never come back), so event maintenance may skip them.
-        sc = self._scounts.get(query_bit)
-        if sc is not None:
-            sc.drop(row)
-        ec = self._ecounts.get(query_bit)
-        if ec is not None:
-            ec.drop(row)
 
     def _attached_row(self, region_id: int) -> "int | None":
         """``region_id``'s array row, or ``None`` outside the attached range."""
@@ -530,86 +526,99 @@ class BenefitModel:
         return row
 
     def _flush_events(self) -> None:
-        """Apply queued departure events in one vectorised pass per query.
+        """Apply the queued departure events, one pass per count table.
 
-        Each event subtracts the departing region's domination contribution
-        from every initialised count row it reaches and evicts the ProgEst
-        cache entries whose reach set it changed.  Geometry is immutable
-        and events fire exactly once per ``(region, query)``, so integer
-        subtraction commutes: applying a batch together equals replaying
-        the events one at a time.  Rows belonging to departed regions are
-        tombstoned (never read again), so their drift is unobservable.
+        An event ``(region, query)`` says the region left the query's
+        active lineage.  For every live pair of that query whose box the
+        region's lower corner enters (strictly below the pair's upper
+        corner on the subspace) it lowers the resident reach count by one,
+        evicts the cached ProgEst and subtracts the region's domination
+        from the count row.  Geometry is immutable, membership only
+        shrinks and an event fires once per ``(region, query)``, so every
+        resident value is a sum of independent per-event terms: applying
+        a batch together equals flushing after every event.  Rows of
+        departed pairs are tombstoned first, and a row whose reach count
+        reaches 0 goes too — its pair reads its cardinality from then on.
         """
-        if not self._pending or self._lower_all is None:
-            self._pending.clear()
+        if not self._pend_rows:
             return
-        events = self._pending
-        self._pending = []
-        by_qi: "dict[int, list[int]]" = {}
-        for rid, qi in events:
-            by_qi.setdefault(qi, []).append(rid)
-        for qi, rids in by_qi.items():
-            self._member_cache.pop(qi, None)
-            rid_arr = np.asarray(rids, dtype=np.intp)
-            lowers = self._lower_q[qi][rid_arr]  # (E, p)
-            # One (events, regions) reach broadcast serves everything in
-            # this flush: a candidate's ProgEst entry dies iff some
-            # departing region's lower corner enters its box over the
-            # subspace, and the count-table targets gather the same mask
-            # through their row -> region-id maps (a count row's upper
-            # corner *is* its region's upper corner).
-            reach_all = all_lt_broadcast(
-                lowers[:, None, :], self._upper_q[qi][None, :, :], axis=2
-            )
-            if self._prog_ok is not None:
-                self._prog_ok[reach_all.any(axis=0), qi] = False
-            sc = self._scounts.get(qi)
-            if sc is not None and sc.size:
-                n = sc.size
-                reach = reach_all[:, sc.rids[:n]]
-                reach &= sc.live[None, :n]
-                own = sc.slot_arr[rid_arr]
-                valid = np.flatnonzero(own >= 0)
-                if valid.size:
-                    reach[valid, own[valid]] = False
-                rows = np.flatnonzero(reach.any(axis=0))
-                if rows.size:
-                    dom = dominance_broadcast(
-                        lowers[:, None, None, :],
-                        sc.samples[rows][None, :, :, :],
-                        axis=3,
-                    )
-                    sc.counts[rows] -= (dom & reach[:, rows, None]).sum(
-                        axis=0, dtype=np.int32
-                    )
-            ec = self._ecounts.get(qi)
-            if ec is not None and ec.size:
-                n = ec.size
-                reach = reach_all[:, ec.rids[:n]]
-                reach &= ec.live[None, :n]
-                own = ec.slot_arr[rid_arr]
-                valid = np.flatnonzero(own >= 0)
-                if valid.size:
-                    reach[valid, own[valid]] = False
-                rows = np.flatnonzero(reach.any(axis=0))
-                if rows.size:
-                    corners = self._cupper_q[qi][rid_arr]
-                    cells = ec.cells[rows]
-                    # Chunk the (events, rows, cells) broadcast to bound the
-                    # temporary at ~8 * rows * limit * width floats.
-                    for a in range(0, len(rids), 8):
-                        b = min(a + 8, len(rids))
-                        sub = reach[a:b][:, rows]
-                        if not sub.any():
-                            continue
-                        dom = dominance_broadcast(
-                            corners[a:b, None, None, :],
-                            cells[None, :, :, :],
-                            axis=3,
-                        )
-                        ec.counts[rows] -= (dom & sub[:, :, None]).sum(
-                            axis=0, dtype=np.int32
-                        )
+        rows = np.asarray(self._pend_rows, dtype=np.intp)
+        qis = np.asarray(self._pend_qis, dtype=np.intp)
+        self._pend_rows, self._pend_qis = [], []
+        widths = self._qwidth[qis]
+        for (w, exact), table in self._tables.items():
+            sel = widths == w
+            if table.size and sel.any():
+                self._flush_table(table, exact, rows[sel], qis[sel])
+
+    def _flush_table(
+        self,
+        table: _CountTable,
+        exact: bool,
+        ev_rows: np.ndarray,
+        ev_qis: np.ndarray,
+    ) -> None:
+        """:meth:`_flush_events` for one table and its width's events."""
+        # Every departed pair queued its own event: its row goes first.
+        own = self._slot[ev_rows, ev_qis]
+        gone = (own >= 0) & (self._exact[ev_rows, ev_qis] == exact)
+        if gone.any():
+            table.live[own[gone]] = False
+            self._slot[ev_rows[gone], ev_qis[gone]] = -1
+        t = np.flatnonzero(table.live[: table.size])
+        if not t.size:
+            return
+        reg, q = table.region[t], table.query[t]
+        w = table.upper.shape[1]
+        j = self._qlocal[ev_qis]
+        ev_lower = self._lower_w[w][j, ev_rows]
+        upper = table.upper[t]
+        # hit[i, e]: event e's region enters row i's box on row i's query.
+        hit_rows, hit_events = [], []
+        for sl in _chunks(len(t), len(ev_rows)):
+            hit = all_lt_broadcast(ev_lower[None, :, :], upper[sl, None, :])
+            hit &= ev_qis[None, :] == q[sl, None]
+            i, e = np.nonzero(hit)
+            hit_rows.append(i + sl.start)
+            hit_events.append(e)
+        i = np.concatenate(hit_rows)
+        if not i.size:
+            return
+        n_hit = np.bincount(i, minlength=len(t))
+        got = np.flatnonzero(n_hit)
+        n_hit = n_hit[got]
+        rt, rr, rq = t[got], reg[got], q[got]
+        self._reach[rr, rq] -= n_hit
+        self._prog_ok[rr, rq] = False
+        threat = self._cupper_w[w][j, ev_rows] if exact else ev_lower
+        table.counts[rt] -= _dominated_counts(
+            _padded_rows(threat[np.concatenate(hit_events)], n_hit),
+            table.points[rt],
+        )
+        emptied = self._reach[rr, rq] == 0
+        if emptied.any():
+            table.live[rt[emptied]] = False
+            self._slot[rr[emptied], rq[emptied]] = -1
+
+    def _members_of(self, w: int) -> "tuple[np.ndarray, ...]":
+        """Active lineage members of every query of width ``w``:
+        ``(query, row, lower, start, count)`` — per member its query's
+        index in the group, its region row and its lower corner on that
+        query's subspace, grouped by query with rows ascending; the
+        group's members of query ``j`` are ``start[j]`` onward,
+        ``count[j]`` of them.  Read from the eagerly kept membership
+        arrays, so it needs no flush; cached until the next membership
+        change."""
+        cached = self._members.get(w)
+        if cached is None:
+            qis = self._width_qis[w]
+            member = ((self._rql_all[None, :] >> qis[:, None]) & 1).astype(bool)
+            member &= self._active_all[None, :]
+            mq, mr = np.nonzero(member)
+            count = np.bincount(mq, minlength=len(qis))
+            cached = (mq, mr, self._lower_w[w][mq, mr], np.cumsum(count) - count, count)
+            self._members[w] = cached
+        return cached
 
     def active_serving(self, qi: int) -> "tuple[np.ndarray, np.ndarray]":
         """Ids and projected lower corners of alive regions serving ``qi``.
@@ -617,23 +626,15 @@ class BenefitModel:
         Array-native replacement for scanning the executor's alive dict:
         ``note_removed``/``note_deactivation`` keep ``_active_all`` and the
         rql bits current eagerly, so the membership mask is exact at any
-        point in the step.  Queued departure events are flushed first so
-        the per-query member cache (shared with the estimator) is fresh.
+        point in the step; queued events stay queued for the next
+        estimate.
         """
         if self._active_all is None:
             raise ExecutionError("attach_regions() must run before queries")
-        if self._pending:
-            self._flush_events()
-        cached = self._member_cache.get(qi)
-        if cached is None:
-            member = self._active_all & (
-                ((self._rql_all >> qi) & 1).astype(bool)
-            )
-            rows = np.flatnonzero(member)
-            cached = (rows, self._lower_q[qi][rows])
-            self._member_cache[qi] = cached
-        rows, lowers_all = cached
-        return rows + self._base, lowers_all
+        _, rows, lowers, start, count = self._members_of(int(self._qwidth[qi]))
+        j = self._qlocal[qi]
+        end = start[j] + count[j]
+        return rows[start[j] : end] + self._base, lowers[start[j] : end]
 
     # ------------------------------------------------------------------ #
     # Cost side
@@ -670,24 +671,22 @@ class BenefitModel:
         makes the set the *complete* input fingerprint of a cached ratio.
         """
         positions = list(self.query_positions[qi])
-        member = self._active_all & (((self._rql_all >> qi) & 1).astype(bool))
+        member = ((self._rql_all >> qi) & 1).astype(bool)
+        member &= self._active_all
         row = self._attached_row(region.region_id)
         if row is not None:
             member[row] = False
         ids = np.flatnonzero(member)
-        lowers = self._lower_all[ids][:, positions]
-        if len(ids):
-            reach = np.all(lowers < region.upper[positions], axis=1)
-            ids = ids[reach]
-            lowers = lowers[reach]
-        return ids, lowers, positions
+        lowers = self._lower_all[np.ix_(ids, positions)]
+        reach = (lowers < region.upper[positions]).all(axis=1)
+        return ids[reach], lowers[reach], positions
 
     def prog_ratio(self, region: OutputRegion, qi: int) -> float:
-        """``ProgCount / CellCount`` against the currently active regions."""
+        """``ProgCount / CellCount`` against the currently active regions,
+        computed from scratch (the estimator's reference; it reads only
+        the eagerly kept membership, never the resident state)."""
         if self._active_all is None:
             raise ExecutionError("attach_regions() must run before estimation")
-        if self._pending:
-            self._flush_events()
         ids, dominator_lowers, positions = self._reaching_dominators(region, qi)
         if len(ids) == 0:
             return 1.0
@@ -697,39 +696,12 @@ class BenefitModel:
         ):
             dominators = [self._regions_by_row[int(row)] for row in ids]
             safe, total = prog_count_exact(
-                region,
-                dominators,
-                tuple(positions),
-                self.grid,
-                cell_lowers=self._cell_lowers_for(region),
+                region, dominators, tuple(positions), self.grid
             )
             return safe / total if total else 0.0
         lo = region.lower[positions]
         hi = region.upper[positions]
         return prog_ratio_sampled(lo, hi, dominator_lowers)
-
-    def _cell_lowers_for(self, region: OutputRegion) -> np.ndarray:
-        """Full-dimension lower corners of the region's box cells (memoised)."""
-        row = region.region_id - self._base
-        lowers = self._boxes.get(row)
-        if lowers is None:
-            lowers = self.grid.cell_lowers(
-                OutputGrid.box_coords(region.coord_lo, region.coord_hi)
-            )
-            self._boxes[row] = lowers
-        return lowers
-
-    def _lattice_for(
-        self, region: OutputRegion, qi: int, positions: "list[int]"
-    ) -> np.ndarray:
-        key = (region.region_id - self._base, qi)
-        samples = self._lattices.get(key)
-        if samples is None:
-            samples = _sample_lattice(
-                region.lower[positions], region.upper[positions]
-            )
-            self._lattices[key] = samples
-        return samples
 
     def estimate(self, region: OutputRegion) -> RegionEstimate:
         """``t_c`` and per-query ProgEst for one region."""
@@ -754,12 +726,13 @@ class BenefitModel:
         """Estimates for one optimizer iteration's candidate set.
 
         Returns ``(t_c, prog)`` — the cost vector and the ``(regions,
-        queries)`` ProgEst matrix.  The reach test — which active
-        same-lineage regions can lower each candidate's progressive ratio —
-        runs as one broadcast per query over the whole candidate set; per
-        candidate only a changed reach set triggers an estimator call.
-        Results are bit-identical to ``prog_ratio × cardinality`` computed
-        from scratch per candidate.
+        queries)`` ProgEst matrix — in four stages: cached values are
+        gathered (:meth:`_gather_hits`); a missed pair that already holds
+        resident state is read from it without a reach test
+        (:meth:`_read_resident`); the rest get a reach test, a resident
+        reach count and a count row (:meth:`_first_touch`); the values are
+        written back to the cache.  Results are bit-identical to
+        ``prog_ratio × cardinality`` computed from scratch per candidate.
 
         Candidates are named by id — the hot caller (the scheduler loop)
         passes ``rid_arr``, a sorted ``intp`` array, and no object list —
@@ -769,15 +742,13 @@ class BenefitModel:
         """
         if self._active_all is None:
             raise ExecutionError("attach_regions() must run before estimation")
-        if self._pending:
-            self._flush_events()
-        n_q = len(self.workload)
+        self._flush_events()
         if rid_arr is None:
             rid_arr = np.asarray(
                 [r.region_id for r in regions or ()], dtype=np.intp
             )
         if not rid_arr.size:
-            return np.zeros(0), np.zeros((0, n_q))
+            return np.zeros(0), np.zeros((0, len(self.workload)))
         # From here on every ``rid`` is an array row.
         rid_arr = rid_arr - self._base
         if (
@@ -788,192 +759,315 @@ class BenefitModel:
             raise ExecutionError(
                 "estimate_roots_arrays() requires attached regions"
             )
-        by_row = self._regions_by_row
-        prog = np.zeros((len(rid_arr), n_q))
-        cards_m = self._cards_all[rid_arr]
-        ccnt = self._ccnt_all[rid_arr]
-        arql = self._rql_all[rid_arr]
-        # One (candidates, queries) membership matrix; cached ProgEst values
-        # are copied out in a single gather, so the per-query loop only
-        # touches queries with at least one cache miss.
-        bits = ((arql[:, None] >> np.arange(n_q, dtype=np.int64)[None, :]) & 1).astype(bool)
-        hit_m = bits & self._prog_ok[rid_arr]
-        np.copyto(prog, self._prog_val[rid_arr], where=hit_m)
-        miss_m = bits & ~hit_m
-        for qi in np.flatnonzero(miss_m.any(axis=0)).tolist():
-            miss = np.flatnonzero(miss_m[:, qi])
-            mrids = rid_arr[miss]
-            sc = self._scounts.get(qi)
-            ec = self._ecounts.get(qi)
-            small = ccnt[miss] <= self.exact_cell_limit
-            # Rows that already hold a count row skip the reach broadcast
-            # entirely: the exact/sampled branch choice is monotone (an
-            # exact row stays exact because ``n_dom`` only shrinks and the
-            # cell count is fixed; an over-limit box can never turn exact),
-            # and a row whose reach set emptied reads ratio 1.0 — exactly
-            # the empty-reach shortcut value.
-            if ec is not None:
-                eslots = ec.slot_arr[mrids]
-            else:
-                eslots = np.full(len(miss), -1, dtype=np.int64)
-            if sc is not None:
-                sslots = sc.slot_arr[mrids]
-            else:
-                sslots = np.full(len(miss), -1, dtype=np.int64)
-            e_read = (eslots >= 0) & small
-            s_read = (sslots >= 0) & ~small
-            if e_read.any():
-                er = np.flatnonzero(e_read)
-                es = eslots[er]
-                counts = ec.counts[es] > 0
-                counts &= ec.arange[None, :] < ec.ncells[es][:, None]
-                at_risk = counts.sum(axis=1)
-                totals = ccnt[miss[er]]
-                vals = ((totals - at_risk) / totals) * cards_m[miss[er], qi]
-                prog[miss[er], qi] = vals
-                self._prog_val[mrids[er], qi] = vals
-                self._prog_ok[mrids[er], qi] = True
-            if s_read.any():
-                sr = np.flatnonzero(s_read)
-                ss = sslots[sr]
-                ratios = 1.0 - (sc.counts[ss] > 0).mean(axis=1)
-                vals = ratios * cards_m[miss[sr], qi]
-                prog[miss[sr], qi] = vals
-                self._prog_val[mrids[sr], qi] = vals
-                self._prog_ok[mrids[sr], qi] = True
-            rest = np.flatnonzero(~(e_read | s_read))
-            if not rest.size:
-                continue
-            positions = list(self.query_positions[qi])
-            rrids = mrids[rest]
-            cached_member = self._member_cache.get(qi)
-            if cached_member is None:
-                member = self._active_all & (
-                    ((self._rql_all >> qi) & 1).astype(bool)
-                )
-                ids_all = np.flatnonzero(member)
-                lowers_all = self._lower_q[qi][ids_all]
-                self._member_cache[qi] = (ids_all, lowers_all)
-            else:
-                ids_all, lowers_all = cached_member
-            if len(ids_all) == 0:
-                rrows = miss[rest]
-                prog[rrows, qi] = cards_m[rrows, qi]
-                self._prog_val[rrids, qi] = prog[rrows, qi]
-                self._prog_ok[rrids, qi] = True
-                continue
-            # Attached geometry is immutable, so these rows hold the same
-            # float64 values as each region's own ``upper``.
-            uppers = self._upper_q[qi][rrids]
-            # reach[r, i]: active member i can lower rest-row r's ratio.
-            reach_r = all_lt_broadcast(lowers_all[None, :, :], uppers[:, None, :])
-            reach_r &= ids_all[None, :] != rrids[:, None]
-            n_dom_r = reach_r.sum(axis=1)
-            # Scatter the rest-local data back to miss-local indexing so
-            # the branch code below reads one coordinate system.
-            reach = np.zeros((len(miss), len(ids_all)), dtype=bool)
-            reach[rest] = reach_r
-            n_dom = np.zeros(len(miss), dtype=n_dom_r.dtype)
-            n_dom[rest] = n_dom_r
-            zero_r = n_dom_r == 0
-            if zero_r.any():
-                zrows = miss[rest[zero_r]]
-                prog[zrows, qi] = cards_m[zrows, qi]
-                self._prog_val[rrids[zero_r], qi] = prog[zrows, qi]
-                self._prog_ok[rrids[zero_r], qi] = True
-            exact = np.zeros(len(miss), dtype=bool)
-            exact[rest] = small[rest] & (n_dom_r <= EXACT_DOMINATOR_LIMIT) & ~zero_r
-            scalar = rest[~zero_r]
-            sinit = [j for j in scalar.tolist() if not exact[j]]
-            scalar = scalar[exact[scalar]]
-            if sinit and sc is not None:
-                # Small-box rows that stayed sampled (n_dom still over the
-                # exact limit) already hold a live count row — batched
-                # read, not a re-init.
-                sj = np.asarray(sinit, dtype=np.intp)
-                slots2 = sc.slot_arr[mrids[sj]]
-                have = slots2 >= 0
-                if have.any():
-                    sr2 = sj[have]
-                    ss2 = slots2[have]
-                    ratios = 1.0 - (sc.counts[ss2] > 0).mean(axis=1)
-                    vals = ratios * cards_m[miss[sr2], qi]
-                    prog[miss[sr2], qi] = vals
-                    self._prog_val[mrids[sr2], qi] = vals
-                    self._prog_ok[mrids[sr2], qi] = True
-                    sinit = sj[~have].tolist()
-            if sinit:
-                # Sampled-branch first touches, initialised in one padded
-                # broadcast: threat rows are padded with +inf corners,
-                # which dominate nothing, so the per-row counts equal the
-                # unpadded scalar initialisation exactly.
-                latts = [
-                    self._lattice_for(by_row[int(mrids[j])], qi, positions)
-                    for j in sinit
-                ]
-                if sc is None:
-                    sc = _SampleCounts(
-                        len(latts[0]), len(positions), len(self._rql_all)
-                    )
-                    self._scounts[qi] = sc
-                tmax = max(int(n_dom[j]) for j in sinit)
-                thr = np.full((len(sinit), tmax, len(positions)), np.inf)
-                for b, j in enumerate(sinit):
-                    lw = lowers_all[reach[j]]
-                    thr[b, : len(lw)] = lw
-                samp = np.stack(latts)
-                counts = dominance_broadcast(
-                    thr[:, :, None, :], samp[:, None, :, :], axis=3
-                ).sum(axis=1, dtype=np.int32)
-                ratios = 1.0 - (counts > 0).mean(axis=1)
-                for b, j in enumerate(sinit):
-                    k = int(miss[j])
-                    rid = int(mrids[j])
-                    sc.add(rid, latts[b], counts[b])
-                    prog[k, qi] = ratios[b] * cards_m[k, qi]
-                    self._prog_val[rid, qi] = prog[k, qi]
-                    self._prog_ok[rid, qi] = True
-            if scalar.size:
-                # Exact-branch first touches (every cached exact row was
-                # already read above, so these are all row-less).  Cell
-                # lattices pad to the widest box — padded columns are
-                # sliced off before the count rows are stored — and threat
-                # rows pad with +inf corners, which dominate nothing.
-                if ec is None:
-                    ec = _CellCounts(
-                        self.exact_cell_limit,
-                        len(positions),
-                        len(self._rql_all),
-                    )
-                    self._ecounts[qi] = ec
-                sl = scalar.tolist()
-                cls = [
-                    self._cell_lowers_for(by_row[int(mrids[j])])[:, positions]
-                    for j in sl
-                ]
-                ncl = [len(c) for c in cls]
-                cmax = max(ncl)
-                cellp = np.full((len(sl), cmax, len(positions)), np.inf)
-                tmax = max(int(n_dom[j]) for j in sl)
-                thr = np.full((len(sl), tmax, len(positions)), np.inf)
-                for b, j in enumerate(sl):
-                    cellp[b, : ncl[b]] = cls[b]
-                    tu = self._cupper_q[qi][ids_all[reach[j]]]
-                    thr[b, : len(tu)] = tu
-                counts = dominance_broadcast(
-                    thr[:, :, None, :], cellp[:, None, :, :], axis=3
-                ).sum(axis=1, dtype=np.int32)
-                for b, j in enumerate(sl):
-                    k = int(miss[j])
-                    rid = int(mrids[j])
-                    row = ec.add(rid, cls[b], counts[b, : ncl[b]])
-                    total = int(ccnt[k])
-                    safe = total - int((ec.counts[row, : ncl[b]] > 0).sum())
-                    ratio = safe / total if total else 0.0
-                    prog[k, qi] = ratio * cards_m[k, qi]
-                    self._prog_val[rid, qi] = prog[k, qi]
-                    self._prog_ok[rid, qi] = True
+        prog, miss_k, miss_q = self._gather_hits(rid_arr)
+        if miss_k.size:
+            rows = rid_arr[miss_k]
+            vals, touch = self._read_resident(rows, miss_q)
+            if touch.any():
+                vals[touch] = self._first_touch(rows[touch], miss_q[touch])
+            prog[miss_k, miss_q] = vals
+            self._prog_val[rows, miss_q] = vals
+            self._prog_ok[rows, miss_q] = True
         return self._cost_all[rid_arr], prog
+
+    def _gather_hits(
+        self, rows: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The ``(candidates, queries)`` ProgEst matrix with every cached
+        value filled in (0 where a candidate does not serve the query),
+        and the ``(candidate, query)`` lineage pairs that missed."""
+        bits = ((self._rql_all[rows][:, None] >> self._qbits) & 1).astype(bool)
+        ok = self._prog_ok[rows]
+        prog = np.where(bits & ok, self._prog_val[rows], 0.0)
+        miss_k, miss_q = np.nonzero(bits & ~ok)
+        return prog, miss_k, miss_q
+
+    def _read_resident(
+        self, rows: np.ndarray, qis: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """ProgEst of missed pairs read from their resident state, and the
+        mask of pairs that need :meth:`_first_touch` instead.
+
+        The branch choice is monotone — the reach count only falls and a
+        box's cell count is fixed — so a resident row stays valid for its
+        branch; the one transition is a small box whose sampled row's
+        reach count fell to :data:`EXACT_DOMINATOR_LIMIT`, which moves to
+        the exact branch.  A reach count of 0 reads the cardinality, the
+        value both branches give an empty reach set.
+        """
+        reach = self._reach[rows, qis]
+        exact = self._exact[rows, qis]
+        small = self._ccnt_all[rows] <= self.exact_cell_limit
+        switch = (reach > 0) & ~exact & small & (reach <= EXACT_DOMINATOR_LIMIT)
+        vals = np.zeros(len(rows))
+        zero = reach == 0
+        vals[zero] = self._cards_all[rows[zero], qis[zero]]
+        read = np.flatnonzero((reach > 0) & ~switch)
+        if read.size:
+            rr, rq = rows[read], qis[read]
+            slots = self._slot[rr, rq]
+            keys = 2 * self._qwidth[rq] + exact[read]
+            for (w, branch), table in self._tables.items():
+                sel = np.flatnonzero(keys == 2 * w + branch)
+                if not sel.size:
+                    continue
+                at_risk = table.counts[slots[sel]] > 0
+                if branch:
+                    total = self._ccnt_all[rr[sel]]
+                    at_risk = table.mult[slots[sel]] * at_risk.sum(axis=1)
+                    ratio = (total - at_risk) / total
+                else:
+                    ratio = 1.0 - at_risk.mean(axis=1)
+                vals[read[sel]] = ratio * self._cards_all[rr[sel], rq[sel]]
+        return vals, (reach < 0) | switch
+
+    def _first_touch(self, rows: np.ndarray, qis: np.ndarray) -> np.ndarray:
+        """ProgEst of pairs without usable resident state, one pass per
+        subspace width: reach test against the active members, resident
+        reach count, and a count row for every non-empty reach set."""
+        vals = np.empty(len(rows))
+        widths = self._qwidth[qis]
+        for w in np.unique(widths).tolist():
+            sel = np.flatnonzero(widths == w)
+            vals[sel] = self._first_touch_width(w, rows[sel], qis[sel])
+        return vals
+
+    def _first_touch_width(
+        self, w: int, rows: np.ndarray, qis: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_first_touch` for the pairs of one width: one reach
+        broadcast against every member of the width group (masked to each
+        pair's own query), then the exact and the sampled rows."""
+        j = self._qlocal[qis]
+        upper = self._upper_w[w][j, rows]
+        mq, mr, mlo = self._members_of(w)[:3]
+        n_dom = np.zeros(len(rows), dtype=np.int64)
+        hit_pairs, hit_ids = [], []
+        if mr.size:
+            for sl in _chunks(len(rows), len(mr)):
+                # hit[p, m]: member m serves pair p's query and its lower
+                # corner enters p's box over that subspace.
+                hit = all_lt_broadcast(mlo[None, :, :], upper[sl, None, :])
+                hit &= mq[None, :] == j[sl, None]
+                hit &= mr[None, :] != rows[sl, None]
+                n_dom[sl] = hit.sum(axis=1)
+                p, m = np.nonzero(hit)
+                hit_pairs.append(p + sl.start)
+                hit_ids.append(mr[m])
+        self._reach[rows, qis] = n_dom
+        vals = self._cards_all[rows, qis]  # an empty reach set: ratio 1
+        if not n_dom.any():
+            return vals
+        pair, ids = np.concatenate(hit_pairs), np.concatenate(hit_ids)
+        small = self._ccnt_all[rows] <= self.exact_cell_limit
+        exact = small & (n_dom <= EXACT_DOMINATOR_LIMIT)
+        # A switching pair's sampled row is superseded by its exact row.
+        stale = self._slot[rows, qis][exact & (n_dom > 0)]
+        if (stale >= 0).any():
+            self._tables[(w, False)].live[stale[stale >= 0]] = False
+        for branch in (True, False):
+            sel = (n_dom > 0) & (exact == branch)
+            if sel.any():
+                keep = sel[pair]
+                vals[sel] = self._add_rows(
+                    w, branch, rows[sel], qis[sel], upper[sel], n_dom[sel],
+                    ids[keep],
+                )
+        return vals
+
+    def _add_rows(
+        self,
+        w: int,
+        exact: bool,
+        rows: np.ndarray,
+        qis: np.ndarray,
+        upper: np.ndarray,
+        n_dom: np.ndarray,
+        ids: np.ndarray,
+    ) -> np.ndarray:
+        """Build, store and read the count rows of first-touched pairs of
+        one width and branch; ``ids`` lists each pair's reaching members,
+        pair after pair.  Returns the pairs' ProgEst."""
+        j = self._qlocal[qis]
+        corners = (self._cupper_w if exact else self._lower_w)[w][
+            np.repeat(j, n_dom), ids
+        ]
+        offsets = np.concatenate(([0], np.cumsum(n_dom)))
+        if exact:
+            pos = self._pos_w[w][j]
+            size = self._coord_hi_all[rows] - self._coord_lo_all[rows] + 1
+            n_points = int(np.take_along_axis(size, pos, axis=1).prod(axis=1).max())
+        else:
+            n_points = len(_lattice_index(w)[1])
+        table = self._tables.get((w, exact))
+        if table is None:
+            table = self._tables[(w, exact)] = _CountTable(w, n_points)
+        ratio = np.empty(len(rows))
+        per_pair = n_points * (int(n_dom.max()) + len(self.workload.output_dims))
+        for sl in _chunks(len(rows), per_pair):
+            r, q = rows[sl], qis[sl]
+            if exact:
+                points, mult = self._box_cells(r, pos[sl])
+            else:
+                points = _sample_lattices(self._lower_w[w][j[sl], r], upper[sl])
+                mult = np.ones(len(r), dtype=np.int64)
+            threats = _padded_rows(
+                corners[offsets[sl.start] : offsets[sl.stop]], n_dom[sl]
+            )
+            counts = _dominated_counts(threats, points)
+            self._slot[r, q] = table.add(r, q, upper[sl], points, counts, mult)
+            self._exact[r, q] = exact
+            at_risk = counts > 0
+            if exact:
+                total = self._ccnt_all[r]
+                ratio[sl] = (total - mult * at_risk.sum(axis=1)) / total
+            else:
+                ratio[sl] = 1.0 - at_risk.mean(axis=1)
+        return ratio * self._cards_all[rows, qis]
+
+    def _box_cells(
+        self, rows: np.ndarray, pos: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Each region's box cells projected onto a subspace: the lower
+        corners on the ``pos`` columns of the box's distinct projected
+        cells (row-major over ``pos``, NaN-padded to the largest), and how
+        many full-dimension cells each one stands for.  The corners are
+        read from :attr:`_axis_lowers`, so each equals its column of
+        ``grid.cell_lowers(OutputGrid.box_coords(lo, hi))``."""
+        lo = np.take_along_axis(self._coord_lo_all[rows], pos, axis=1)
+        size = np.take_along_axis(self._coord_hi_all[rows], pos, axis=1) - lo + 1
+        n_sub = size.prod(axis=1)
+        # Row-major strides over the subspace: its last column is fastest.
+        stride = np.ones_like(size)
+        stride[:, :-1] = np.cumprod(size[:, :0:-1], axis=1)[:, ::-1]
+        flat = np.arange(int(n_sub.max()))
+        coords = lo[:, None, :] + (
+            flat[None, :, None] // stride[:, None, :]
+        ) % size[:, None, :]
+        cells = self._axis_lowers[pos[:, None, :], coords]
+        cells[flat[None, :] >= n_sub[:, None]] = np.nan
+        return cells, self._ccnt_all[rows] // n_sub
+
+    def check_invariants(self) -> None:
+        """Check the resident estimator state against a from-scratch
+        recompute; raises ``AssertionError`` on the first disagreement.
+
+        After a flush: every live count row belongs to an active lineage
+        pair and is that pair's one slot; every resident reach count
+        equals the size of the pair's reach set recomputed from the
+        current membership, and the pair holds a live row iff that set is
+        non-empty; every row's points equal its box's lattice (or
+        projected cells) rebuilt from the geometry, and its counts the
+        per-point dominator counts rebuilt from the reach set; every
+        cached ProgEst is on a touched lineage pair and equals the value
+        of ``prog_ratio``'s branch over the rebuilt counts.  A test-side
+        check, one broadcast per query.
+        """
+        if self._active_all is None:
+            return
+        self._flush_events()
+        member = ((self._rql_all[:, None] >> self._qbits) & 1).astype(bool)
+        member &= self._active_all[:, None]
+        owned = np.zeros_like(member)
+        for (w, exact), table in self._tables.items():
+            t = np.flatnonzero(table.live[: table.size])
+            reg, q = table.region[t], table.query[t]
+            _expect(bool(member[reg, q].all()), "a live row of a departed pair")
+            _expect(
+                bool((self._slot[reg, q] == t).all())
+                and bool((self._exact[reg, q] == exact).all())
+                and bool((self._qwidth[q] == w).all()),
+                "a live row that is not its pair's slot",
+            )
+            owned[reg, q] = True
+        touched = member & (self._reach >= 0)
+        _expect(not (owned & ~touched).any(), "a row without a reach count")
+        _expect(not (self._prog_ok & ~touched).any(), "a cached ProgEst off a touched pair")
+        for qi in range(len(self.workload)):
+            rows = np.flatnonzero(touched[:, qi])
+            if rows.size:
+                self._check_query(qi, rows, np.flatnonzero(member[:, qi]), owned[rows, qi])
+
+    def _check_query(
+        self, qi: int, rows: np.ndarray, ids: np.ndarray, owned: np.ndarray
+    ) -> None:
+        """:meth:`check_invariants` for the touched pairs of one query."""
+        w = self.query_dims[qi]
+        pos = list(self.query_positions[qi])
+        lowers = self._lower_all[ids][:, pos]
+        upper = self._upper_all[rows][:, pos]
+        hit = all_lt_broadcast(lowers[None, :, :], upper[:, None, :])
+        hit &= ids[None, :] != rows[:, None]
+        n_dom = hit.sum(axis=1)
+        where = f"query {qi}"
+        _expect(np.array_equal(self._reach[rows, qi], n_dom), f"reach counts of {where}")
+        _expect(np.array_equal(owned, n_dom > 0), f"live rows of {where}")
+        small = self._ccnt_all[rows] <= self.exact_cell_limit
+        exact = self._exact[rows, qi]
+        vals = self._cards_all[rows, qi].copy()  # an empty reach set: ratio 1
+        for branch in (True, False):
+            sel = np.flatnonzero(owned & (exact == branch))
+            if not sel.size:
+                continue
+            r = rows[sel]
+            table, slots = self._tables[(w, branch)], self._slot[r, qi]
+            if branch:
+                _expect(
+                    bool((small[sel] & (n_dom[sel] <= EXACT_DOMINATOR_LIMIT)).all()),
+                    f"an exact row over the limits in {where}",
+                )
+                points, mult = self._box_cells(r, np.tile(pos, (len(r), 1)))
+                corners = self._cupper_all[ids][:, pos]
+            else:
+                points = _sample_lattices(self._lower_all[r][:, pos], upper[sel])
+                mult = np.ones(len(r), dtype=np.int64)
+                corners = lowers
+            n = points.shape[1]
+            stored = table.points[slots]
+            _expect(
+                np.array_equal(stored[:, :n], points, equal_nan=True)
+                and bool(np.isnan(stored[:, n:]).all())
+                and np.array_equal(table.mult[slots], mult)
+                and np.array_equal(table.upper[slots], upper[sel]),
+                f"row geometry in {where}",
+            )
+            counts = np.zeros(points.shape[:2], dtype=np.int64)
+            # Pairs of similar reach-set size together; each pair's
+            # reaching corners first (a stable argsort of its hit row),
+            # +inf past them.
+            by_size = np.argsort(n_dom[sel], kind="stable")
+            for part in np.array_split(by_size, max(1, len(sel) // 16)):
+                part_hit = hit[sel[part]]
+                first = np.argsort(~part_hit, axis=1, kind="stable")
+                first = first[:, : n_dom[sel[part]].max()]
+                threats = np.where(
+                    np.take_along_axis(part_hit, first, axis=1)[:, :, None],
+                    corners[first],
+                    np.inf,
+                )
+                counts[part] = dominance_broadcast(
+                    threats[:, :, None, :], points[part][:, None, :, :], axis=3
+                ).sum(axis=1)
+            _expect(
+                np.array_equal(table.counts[slots, :n], counts)
+                and not table.counts[slots, n:].any(),
+                f"row counts in {where}",
+            )
+            at_risk = counts > 0
+            if branch:
+                total = self._ccnt_all[r]
+                ratio = (total - mult * at_risk.sum(axis=1)) / total
+            else:
+                ratio = 1.0 - at_risk.mean(axis=1)
+            vals[sel] = ratio * self._cards_all[r, qi]
+        ok = self._prog_ok[rows, qi]
+        # A cached value is read from the branch prog_ratio would take.
+        stale = owned & (exact != (small & (n_dom <= EXACT_DOMINATOR_LIMIT)))
+        _expect(not (ok & stale).any(), f"a cached ProgEst of a stale branch in {where}")
+        _expect(
+            np.array_equal(self._prog_val[rows[ok], qi], vals[ok]),
+            f"cached ProgEst in {where}",
+        )
 
     # ------------------------------------------------------------------ #
     # Equation 8

@@ -7,8 +7,11 @@ scheduler-owned control flow are pure plumbing: every observable of a run
 the virtual clock, and the *sequence of regions processed* — must be
 identical with them on or off.  The optimizer's incrementally maintained
 ProgEst matrix must equal ``prog_ratio × cardinality`` recomputed from
-scratch at every iteration.  These tests pin that down on the paper's
-Figure 1 workload and on a randomized 8-query workload; the tuple-level
+scratch at every iteration, and its resident state must pass
+``BenefitModel.check_invariants`` after every region.  These tests pin
+that down on the paper's Figure 1 workload, on a randomized 8-query
+workload, on a ``sched_bound``-shaped run and on a correlated run whose
+discard step empties hundreds of lineage pairs at once; the tuple-level
 kernels have their own oracles (``tests/skyline/test_batch_insert.py``,
 ``tests/plan/conftest.py``).
 """
@@ -20,6 +23,7 @@ import pytest
 
 from repro.contracts import c2
 from repro.core import CAQE, CAQEConfig
+from repro.core.benefit import EXACT_DOMINATOR_LIMIT
 from repro.datagen import generate_pair
 from repro.query import (
     JoinCondition,
@@ -28,7 +32,7 @@ from repro.query import (
     add,
     reference_evaluate,
 )
-from repro.query.workload import Workload
+from repro.query.workload import Workload, subspace_workload
 from repro.rng import ensure_rng
 
 #: The corners of the execution engine that must not move an observable.
@@ -96,6 +100,47 @@ def random_workload(n_queries: int, dims: int, seed: int) -> Workload:
     return Workload(queries)
 
 
+#: Estimator oracle cases: ``name -> () -> (pair, workload, C2 scale,
+#: config)``.  Every case reaches both resident transitions of the
+#: estimator (asserted by the oracle test from the test side).
+ORACLE_CASES = {
+    "fig1": lambda: (
+        generate_pair("independent", 150, 4, selectivity=0.05, seed=23),
+        figure1_workload(),
+        100.0,
+        CAQEConfig(workers=0),
+    ),
+    # Subspace widths 2-4.
+    "random8": lambda: (
+        generate_pair("anticorrelated", 100, 4, selectivity=0.06, seed=91),
+        random_workload(8, 4, seed=2014),
+        80.0,
+        CAQEConfig(workers=0),
+    ),
+    # Shaped like perfbench's sched_bound: many live regions with tiny
+    # joins, the 11-query workload in three width groups.
+    "sched_bound": lambda: (
+        generate_pair("anticorrelated", 150, 4, selectivity=0.003, seed=5),
+        subspace_workload(4),
+        50.0,
+        CAQEConfig(workers=0, target_cells=16),
+    ),
+    # Correlated: the first regions' discard step deactivates hundreds of
+    # lineage pairs at once, one burst of events into one flush.
+    "correlated_burst": lambda: (
+        generate_pair("correlated", 600, 4, selectivity=0.01, seed=7),
+        subspace_workload(4),
+        50.0,
+        CAQEConfig(workers=0, target_cells=32),
+    ),
+}
+
+
+def _lineage_pairs(alive):
+    """How many (alive region, query) lineage pairs remain."""
+    return sum(bin(region.active_rql).count("1") for region in alive.values())
+
+
 def _run_all_modes(pair, workload, contracts):
     results = {}
     for mode, overrides in MODES.items():
@@ -109,20 +154,20 @@ def _run_all_modes(pair, workload, contracts):
     return results
 
 
+def _case_runs(case):
+    pair, workload, scale, _ = ORACLE_CASES[case]()
+    contracts = {q.name: c2(scale=scale) for q in workload}
+    return pair, workload, _run_all_modes(pair, workload, contracts)
+
+
 @pytest.fixture(scope="module")
 def fig1_runs():
-    pair = generate_pair("independent", 150, 4, selectivity=0.05, seed=23)
-    workload = figure1_workload()
-    contracts = {q.name: c2(scale=100.0) for q in workload}
-    return pair, workload, _run_all_modes(pair, workload, contracts)
+    return _case_runs("fig1")
 
 
 @pytest.fixture(scope="module")
 def random8_runs():
-    pair = generate_pair("anticorrelated", 100, 4, selectivity=0.06, seed=91)
-    workload = random_workload(8, 4, seed=2014)
-    contracts = {q.name: c2(scale=80.0) for q in workload}
-    return pair, workload, _run_all_modes(pair, workload, contracts)
+    return _case_runs("random8")
 
 
 class TestFigure1Workload:
@@ -133,18 +178,31 @@ class TestFigure1Workload:
             for mode, result in results.items():
                 assert result.reported[query.name] == ref.skyline_pairs, mode
 
-    def test_cached_scheduler_picks_the_naive_region_sequence(self, fig1_runs):
+    # The estimator oracle runs on every ORACLE_CASES entry; Figure 1
+    # was its first case.
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_cached_scheduler_picks_the_naive_region_sequence(self, case, request):
         """Before every region of the run: the cached ProgEst matrix equals
         ``prog_ratio × cardinality`` recomputed from scratch, bit for bit,
         and ranking the roots on the from-scratch matrix picks the region
-        the engine then processes."""
-        pair, workload, results = fig1_runs
-        contracts = {q.name: c2(scale=100.0) for q in workload}
-        live = CAQE(CAQEConfig(workers=0)).open_run(
-            pair.left, pair.right, workload, contracts
-        )
+        the engine then processes; after every region the estimator's
+        resident state passes ``check_invariants``.
+
+        The run must reach both resident transitions, counted here from
+        the reach sets: a small box whose reach set shrinks from over
+        ``EXACT_DOMINATOR_LIMIT`` into the exact branch, and a reach set
+        that empties."""
+        pair, workload, scale, config = ORACLE_CASES[case]()
+        contracts = {q.name: c2(scale=scale) for q in workload}
+        if case in ("fig1", "random8"):  # run by the module's fixtures already
+            reference = request.getfixturevalue(f"{case}_runs")[2]["default"]
+        else:
+            reference = CAQE(config).run(pair.left, pair.right, workload, contracts)
+        live = CAQE(config).open_run(pair.left, pair.right, workload, contracts)
         rs = live.rs
         benefit, trace = rs.benefit, rs.stats.region_trace
+        last_reach = {}
+        switched = emptied = burst = 0
         try:
             while not live.done:
                 roots = rs.graph.roots() & rs.alive.keys()
@@ -152,30 +210,39 @@ class TestFigure1Workload:
                     roots = rs.graph.force_roots() & rs.alive.keys()
                 root_arr = np.array(sorted(roots), dtype=np.intp)
                 t_c, prog = benefit.estimate_roots_arrays(rid_arr=root_arr)
-                scratch = np.array(
-                    [
-                        [
-                            benefit.prog_ratio(rs.alive[rid], qi)
-                            * benefit.cardinality(rs.alive[rid], qi)
-                            if rs.alive[rid].serves(qi)
-                            else 0.0
-                            for qi in range(len(workload))
-                        ]
-                        for rid in root_arr.tolist()
-                    ]
-                )
+                scratch = np.zeros((len(root_arr), len(workload)))
+                for k, rid in enumerate(root_arr.tolist()):
+                    region = rs.alive[rid]
+                    for qi in range(len(workload)):
+                        if not region.serves(qi):
+                            continue
+                        ids = benefit._reaching_dominators(region, qi)[0]
+                        before = last_reach.get((rid, qi), 0)
+                        small = region.cell_count <= benefit.exact_cell_limit
+                        switched += small and before > EXACT_DOMINATOR_LIMIT >= len(ids) > 0
+                        emptied += before > 0 == len(ids)
+                        last_reach[(rid, qi)] = len(ids)
+                        scratch[k, qi] = benefit.prog_ratio(
+                            region, qi
+                        ) * benefit.cardinality(region, qi)
                 assert prog.tolist() == scratch.tolist()
                 scores = benefit.csm_batch_arrays(
                     t_c, scratch, rs.weights, rs.stats.clock.now()
                 )
                 naive_pick = int(root_arr[np.argmax(scores)])
                 step = len(trace)
+                lineage = _lineage_pairs(rs.alive)
                 live.step()
+                burst = max(burst, lineage - _lineage_pairs(rs.alive))
+                benefit.check_invariants()
                 assert trace[step] == naive_pick
         finally:
             live.close()
-        assert trace == results["default"].stats.region_trace
+        assert trace == reference.stats.region_trace
         assert len(trace) > 0
+        assert switched > 0 and emptied > 0
+        if case == "correlated_burst":
+            assert burst >= 200
 
     def test_comparisons_and_clock_are_bit_identical(self, fig1_runs):
         _, _, results = fig1_runs
