@@ -97,7 +97,7 @@ def bench_micro_comparison_counts(run_once, benchmark, dataset):
 
 
 # --------------------------------------------------------------------- #
-# Window storage (the SoA flat-array layout, docs/ARCHITECTURE.md §16)
+# Window storage (the SoA flat-array layout, docs/ARCHITECTURE.md §14)
 # --------------------------------------------------------------------- #
 BATCH = 64
 
@@ -209,7 +209,7 @@ def bench_micro_dominance_kernel(benchmark, shape, implementation):
 
 
 # --------------------------------------------------------------------- #
-# The batch replay kernel (docs/ARCHITECTURE.md §16.1)
+# The batch replay kernel (docs/ARCHITECTURE.md §14.1)
 # --------------------------------------------------------------------- #
 REPLAY_LIVE_TARGETS = (1, 6, 20, 220, 1500)
 REPLAY_BATCHES = (1, 3, 64, 800)

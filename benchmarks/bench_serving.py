@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Multi-tenant serving load generator (docs/ARCHITECTURE.md §15.6).
+"""Multi-tenant serving load generator (docs/ARCHITECTURE.md §13.6).
 
 Closed-loop synthetic tenants drive one :class:`RegionScheduler` through
 a bursty, heavy-tailed overload scenario, once per serving policy:

@@ -18,14 +18,8 @@ to end:
    ``Rejected(reason="circuit_open")`` until a cooldown admits a
    half-open trial.
 
-Run:  python examples/server_demo.py [--workers N]
-
-``--workers N`` runs every submission over one shared deterministic
-region pool of N worker processes (docs/ARCHITECTURE.md §11); results
-are bit-identical to the serial engine.
+Run:  python examples/server_demo.py
 """
-
-import argparse
 
 from repro import CAQEConfig, c2, generate_pair
 from repro.query import JoinCondition, Preference, SkylineJoinQuery, add
@@ -34,16 +28,6 @@ from repro.robustness import FaultConfig, FaultPlan, RetryPolicy
 from repro.serving import CAQEServer, CancellationToken, Rejected
 
 SEED = 23
-
-parser = argparse.ArgumentParser(description="CAQEServer walkthrough")
-parser.add_argument(
-    "--workers",
-    type=int,
-    default=0,
-    help="region-pool worker processes shared across submissions "
-    "(0 = serial engine)",
-)
-WORKERS = parser.parse_args().workers
 
 # The Figure-1 workload: Q1..Q4 over output dimensions d1..d4.
 jc = JoinCondition.on("jc1", name="JC1")
@@ -75,7 +59,7 @@ def show(label, outcome):
 
 
 print("=== deadlines and cancellation ===")
-with CAQEServer(pair.left, pair.right, CAQEConfig(workers=WORKERS)) as server:
+with CAQEServer(pair.left, pair.right, CAQEConfig()) as server:
     normal = server.submit(workload, contracts)
     tight = server.submit(workload, contracts, deadline=5_000.0)
     token = CancellationToken()
@@ -86,7 +70,7 @@ with CAQEServer(pair.left, pair.right, CAQEConfig(workers=WORKERS)) as server:
     show("cancelled", doomed.result())
 
 print("\n=== overload: explicit shedding, no deadlock ===")
-config = CAQEConfig(server_queue_limit=2, workers=WORKERS)
+config = CAQEConfig(server_queue_limit=2)
 with CAQEServer(pair.left, pair.right, config) as server:
     # The bound is on live submissions; how many of the burst fit depends
     # on how many regions the driver thread got through between submits.
@@ -105,7 +89,6 @@ toxic = CAQEConfig(
     fault_plan=FaultPlan(FaultConfig(seed=SEED, persistent_failure_rate=1.0)),
     server_breaker_threshold=2,
     server_breaker_cooldown=2,
-    workers=WORKERS,
 )
 with CAQEServer(pair.left, pair.right, toxic) as server:
     for attempt in range(1, 3):

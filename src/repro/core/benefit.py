@@ -1145,7 +1145,7 @@ class BenefitModel:
 
 
 # --------------------------------------------------------------------- #
-# Cross-tenant ranking (docs/ARCHITECTURE.md §15.2)
+# Cross-tenant ranking (docs/ARCHITECTURE.md §13.2)
 # --------------------------------------------------------------------- #
 # Equation 8 already prices a region's marginal benefit in a currency
 # that is comparable *across queries* (contract utility per unit virtual

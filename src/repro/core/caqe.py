@@ -19,7 +19,6 @@ Every optimisation the paper describes can be toggled off through
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -48,7 +47,7 @@ from repro.plan.minmax_cuboid import build_minmax_cuboid
 from repro.plan.shared_plan import WorkloadPlan
 from repro.query.workload import Workload
 from repro.relation import Relation
-from repro.robustness.faults import FaultPlan, WorkerKillPlan
+from repro.robustness.faults import FaultPlan
 from repro.robustness.recovery import (
     REASON_BUDGET,
     REASON_QUARANTINE,
@@ -58,28 +57,11 @@ from repro.robustness.recovery import (
     RetryPolicy,
 )
 from repro.robustness.sanitize import (
-    QuarantinedTuple,
     QuarantineReport,
     sanitize_relation,
 )
 from repro.skyline.dominance import dominance_mask
 from repro.skyline.estimate import buchta_skyline_size
-
-
-def _default_workers() -> int:
-    """Pool size default, honouring the test matrix's env override.
-
-    ``CAQE_TEST_WORKERS`` lets CI run the whole tier-1 suite under a
-    worker pool without touching any test; unset or invalid values mean
-    the serial engine.
-    """
-    import os
-
-    raw = os.environ.get("CAQE_TEST_WORKERS", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -155,32 +137,11 @@ class CAQEConfig:
     #: Default per-query virtual-time deadline applied by the server
     #: when a submission carries none.  ``None`` = no deadline.
     server_default_deadline: "float | None" = None
-    #: Parallel prepare layer (docs/ARCHITECTURE.md §11).  Worker
-    #: processes joining/projecting regions ahead of the driver's
-    #: deterministic commit.  ``0`` (the default) is the serial engine,
-    #: bit-identical to a build without the layer; any positive count
-    #: changes wall-clock time only — every observable (region trace,
-    #: comparisons, virtual time, reported identities) is unchanged.
-    workers: int = field(default_factory=_default_workers)
-    #: Speculative dispatch depth: how many benefit-ranked unblocked
-    #: roots are shipped to the pool per scheduling wave.
-    parallel_chunk_regions: int = 8
-    #: Share relation columns with workers through
-    #: ``multiprocessing.shared_memory`` (off: pickle whole relations at
-    #: pool start — slower start-up, identical results).
-    enable_shared_memory: bool = True
-    #: Pool supervision (docs/ARCHITECTURE.md §14).  Replacement workers
-    #: the pool may spawn after crashes before it degrades to pure
-    #: serial (inline-prepare) operation.
-    pool_restart_budget: int = 3
-    #: Worker deaths one region may cause before it is poisoned —
-    #: permanently routed to inline prepare and quarantine-reported.
-    pool_poison_threshold: int = 2
-    #: Deterministic worker-kill schedule (chaos testing only;
-    #: ``None`` = no process-level faults — the default behaviour).
-    pool_kill_plan: "WorkerKillPlan | None" = None
+    #: The one residue of the removed worker pool: always ``0`` (the
+    #: serial engine); any other value is rejected.
+    workers: int = 0
     #: Scheduling policy of :class:`~repro.serving.CAQEServer`'s region
-    #: scheduler (docs/ARCHITECTURE.md §10.6, §15).  ``"fifo"`` serves
+    #: scheduler (docs/ARCHITECTURE.md §10.6, §13).  ``"fifo"`` serves
     #: whole runs in arrival order; ``"interleaved"`` multiplexes live
     #: submissions region by region under the cross-tenant benefit ranking.
     server_mode: str = "fifo"
@@ -289,24 +250,10 @@ class CAQEConfig:
                 f"{self.tenant_brownout_degrade_live} / "
                 f"{self.tenant_brownout_shed_live}"
             )
-        if self.workers < 0:
+        if self.workers != 0:
             raise ExecutionError(
-                f"workers must be >= 0, got {self.workers}"
-            )
-        if self.parallel_chunk_regions < 1:
-            raise ExecutionError(
-                f"parallel_chunk_regions must be >= 1, got "
-                f"{self.parallel_chunk_regions}"
-            )
-        if self.pool_restart_budget < 0:
-            raise ExecutionError(
-                f"pool_restart_budget must be >= 0, got "
-                f"{self.pool_restart_budget}"
-            )
-        if self.pool_poison_threshold < 1:
-            raise ExecutionError(
-                f"pool_poison_threshold must be >= 1, got "
-                f"{self.pool_poison_threshold}"
+                f"workers must be 0 (the worker pool was removed), "
+                f"got {self.workers}"
             )
 
     def capacity_for(self, cardinality: int) -> int:
@@ -448,7 +395,6 @@ class CAQE:
         *,
         cancel_token: "object | None" = None,
         _resume: "object | None" = None,
-        pool: "object | None" = None,
         build_cache: "dict | None" = None,
         budget_reason: str = REASON_BUDGET,
     ) -> RunResult:
@@ -461,11 +407,8 @@ class CAQE:
         cooperative cancellation).  ``_resume`` is internal — use
         :func:`repro.durability.resume_run`.
 
-        ``pool`` is an external :class:`~repro.parallel.RegionPool` to
-        borrow (the serving layer shares one across submissions); when
-        ``config.workers > 0`` and none is given, the run owns a private
-        pool.  ``build_cache`` optionally shares the executor's hash-join
-        build tables across runs of identical shape.
+        ``build_cache`` optionally shares the executor's hash-join build
+        tables across runs of identical shape.
         """
         live = self.open_run(
             left,
@@ -475,7 +418,6 @@ class CAQE:
             stats,
             cancel_token=cancel_token,
             _resume=_resume,
-            pool=pool,
             build_cache=build_cache,
             budget_reason=budget_reason,
         )
@@ -496,7 +438,6 @@ class CAQE:
         *,
         cancel_token: "object | None" = None,
         _resume: "object | None" = None,
-        pool: "object | None" = None,
         build_cache: "dict | None" = None,
         budget_reason: str = REASON_BUDGET,
     ) -> "LiveRun":
@@ -516,114 +457,46 @@ class CAQE:
             raise ExecutionError(f"missing contracts for queries: {missing}")
         if stats is None:
             stats = ExecutionStats.with_cost_model(cfg.cost_model)
-        if cfg.workers > 0:
-            stats.parallel_lanes = cfg.workers
-            cores = os.cpu_count() or 1
-            if cores <= 1:
-                # A prepare pool on a single-core host only adds IPC and
-                # context-switch overhead over the inline path; observables
-                # are unaffected, so this is a wall-channel note, not an
-                # error.
-                stats.record_runtime_warning(
-                    "single_core_pool", workers=cfg.workers, cpu_count=cores
-                )
 
         rs = self._prepare(
             left, right, workload, contracts, stats, build_cache=build_cache
         )
         rs.budget_reason = budget_reason
 
-        pool_owned = False
-        client = None
-        if cfg.workers > 0:
-            from repro.parallel import RegionPool
-
-            # An external pool is only valid over the exact relations the
-            # executor reads; fault injection / sanitisation replace them,
-            # so such runs build a private pool over the replaced inputs.
-            if pool is None or rs.left is not left or rs.right is not right:
-                pool = RegionPool(
-                    rs.left,
-                    rs.right,
-                    workers=cfg.workers,
-                    use_shared_memory=cfg.enable_shared_memory,
-                    restart_budget=cfg.pool_restart_budget,
-                    poison_threshold=cfg.pool_poison_threshold,
-                    kill_plan=cfg.pool_kill_plan,
-                )
-                pool_owned = True
-            client = pool.client()
-            client.set_workload(workload)
-
         durability = None
-        try:
-            if cfg.enable_journal:
-                # Function-level imports break the package cycle with
-                # repro.durability.recover (which needs this module) and keep
-                # the journal-off hot path import-free.
-                from repro.durability.journal import RegionJournal, run_fingerprint
-                from repro.durability.runtime import RunDurability
+        if cfg.enable_journal:
+            # Function-level imports break the package cycle with
+            # repro.durability.recover (which needs this module) and keep
+            # the journal-off hot path import-free.
+            from repro.durability.journal import RegionJournal, run_fingerprint
+            from repro.durability.runtime import RunDurability
 
-                # Fingerprint over the *original* inputs: fault corruption and
-                # sanitisation are deterministic stages of the run itself, so
-                # run identity is defined before either applies.
-                fingerprint = run_fingerprint(cfg, left, right, workload)
-                if _resume is not None:
-                    if _resume.snapshot is not None:
-                        _restore_run_state(rs, _resume.snapshot["state"])
-                    durability = RunDurability(
-                        _resume.journal,
-                        cfg.journal_dir,
-                        fingerprint,
-                        cfg.checkpoint_every_regions,
-                        list(_resume.expected),
-                    )
-                else:
-                    journal = RegionJournal.create(cfg.journal_dir, fingerprint)
-                    durability = RunDurability(
-                        journal,
-                        cfg.journal_dir,
-                        fingerprint,
-                        cfg.checkpoint_every_regions,
-                    )
-            elif _resume is not None:
-                raise ExecutionError("resuming a run requires enable_journal=True")
-        except BaseException:
-            # Nothing owns the pool yet (LiveRun.close will): a private
-            # pool's workers must not outlive a failed open.  An external
-            # pool stays its owner's — the client handed out above has no
-            # entry in its books before the first dispatch.
-            if pool_owned:
-                pool.close()
-            raise
+            # Fingerprint over the *original* inputs: fault corruption and
+            # sanitisation are deterministic stages of the run itself, so
+            # run identity is defined before either applies.
+            fingerprint = run_fingerprint(cfg, left, right, workload)
+            if _resume is not None:
+                if _resume.snapshot is not None:
+                    _restore_run_state(rs, _resume.snapshot["state"])
+                durability = RunDurability(
+                    _resume.journal,
+                    cfg.journal_dir,
+                    fingerprint,
+                    cfg.checkpoint_every_regions,
+                    list(_resume.expected),
+                )
+            else:
+                journal = RegionJournal.create(cfg.journal_dir, fingerprint)
+                durability = RunDurability(
+                    journal,
+                    cfg.journal_dir,
+                    fingerprint,
+                    cfg.checkpoint_every_regions,
+                )
+        elif _resume is not None:
+            raise ExecutionError("resuming a run requires enable_journal=True")
 
-        return LiveRun(
-            self, rs, durability, cancel_token, client, pool, pool_owned
-        )
-
-    @staticmethod
-    def _harvest_pool(rs: "_RunState", pool: "object", client: "object") -> None:
-        """Fold the pool's supervision snapshot into the run's outputs.
-
-        Both surfaces are diagnostic wall-channels: ``stats.pool_health``
-        stays out of :meth:`ExecutionStats.summary` and the ``"pool"``
-        quarantine report only records which regions fell back to inline
-        prepare — neither can move an observable (§14 contract).
-        """
-        health = pool.health()
-        rs.stats.pool_health = health.as_dict()
-        poisoned = client.poisoned()
-        if poisoned:
-            rs.quarantine["pool"] = QuarantineReport(
-                relation="region-pool",
-                quarantined=[
-                    QuarantinedTuple(
-                        row=region_id, attribute="region", reason="poison"
-                    )
-                    for region_id in poisoned
-                ],
-                rows_scanned=int(health.dispatched),
-            )
+        return LiveRun(self, rs, durability, cancel_token)
 
     # ------------------------------------------------------------------ #
     def _prepare(
@@ -1080,20 +953,12 @@ class LiveRun:
 
     :meth:`CAQE.open_run` hands one back; :meth:`step` performs exactly
     one iteration of Algorithm 1's loop — cancellation poll, budget
-    degradation, pick, wave dispatch, tuple-level processing, discard,
+    degradation, pick, tuple-level processing, discard,
     progressive reporting, feedback — so an external driver can suspend
     the run between regions and interleave many runs over one engine
     host.  ``CAQE.run`` is literally ``while not done: step()``, which
     pins driver-owned and scheduler-owned control flow to bit-identical
     observables.
-
-    With a pool client, each step ranks the unblocked roots and
-    speculatively ships the top ``parallel_chunk_regions`` to worker
-    processes; the *commit* still happens one region at a time, in the
-    exact serial benefit order.  A payload not ready at commit is
-    prepared inline (work stealing), and payloads of regions that die
-    before their turn are dropped — speculation is pure, so neither case
-    perturbs anything.
     """
 
     def __init__(
@@ -1102,22 +967,11 @@ class LiveRun:
         rs: _RunState,
         durability: "object | None",
         cancel_token: "object | None",
-        client: "object | None",
-        pool: "object | None",
-        pool_owned: bool,
     ) -> None:
         self._engine = engine
         self.rs = rs
         self._durability = durability
         self.cancel_token = cancel_token
-        self._client = client
-        self._pool = pool
-        self._pool_owned = pool_owned
-        self._conditions = {
-            c.name: c for c in rs.workload.join_conditions
-        }
-        #: Payloads fetched but not yet committed (kept across retries).
-        self._prepared_cache: "dict[int, object]" = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -1179,7 +1033,6 @@ class LiveRun:
         engine = self._engine
         cfg = engine.config
         rs = self.rs
-        client = self._client
         if not rs.alive:
             return
         workload, stats, executor = rs.workload, rs.stats, rs.executor
@@ -1198,20 +1051,8 @@ class LiveRun:
             raise ExecutionError("no schedulable region (empty root set)")
         # Best first; the stable descending sort breaks ties toward the
         # lower region id, matching ``argmax``.
-        ranked = root_arr[np.argsort(-scores, kind="stable")]
-        region = rs.alive[int(ranked[0])]
-        if client is not None:
-            # Wave dispatch: the next few commits almost always come
-            # from the current top of the ranking, so ship those now.
-            for rid in ranked[: cfg.parallel_chunk_regions].tolist():
-                if rid not in self._prepared_cache:
-                    spec = rs.alive[rid]
-                    client.dispatch(
-                        rid,
-                        self._conditions[spec.condition_name],
-                        rs.cells_left[spec.left_cell_id],
-                        rs.cells_right[spec.right_cell_id],
-                    )
+        best = np.argsort(-scores, kind="stable")[0]
+        region = rs.alive[int(root_arr[best])]
         captured_successors = rs.graph.successors(region.region_id)
         if rs.inject:
             rs.rng_cursor += 1
@@ -1221,42 +1062,13 @@ class LiveRun:
         else:
             straggler_factor = 1.0
         started = stats.clock.now()
-        prepared = None
-        if client is not None:
-            prepared = self._prepared_cache.pop(region.region_id, None)
-            if prepared is None:
-                prepared = client.fetch(region.region_id)
-            if prepared is None:
-                # Steal the work: prepare inline with the same kernel.
-                from repro.parallel import PrepareTask, prepare_payload
-
-                lc = rs.cells_left[region.left_cell_id]
-                rc = rs.cells_right[region.right_cell_id]
-                prepared = prepare_payload(
-                    PrepareTask(
-                        client=0,
-                        region_id=region.region_id,
-                        condition=self._conditions[region.condition_name],
-                        left_cell_id=lc.cell_id,
-                        right_cell_id=rc.cell_id,
-                        left_indices=lc.indices,
-                        right_indices=rc.indices,
-                        functions=None,
-                    ),
-                    rs.left,
-                    rs.right,
-                )
         try:
             outcome = executor.process(
                 region,
                 rs.cells_left[region.left_cell_id],
                 rs.cells_right[region.right_cell_id],
-                prepared=prepared,
             )
         except RegionFailure:
-            if prepared is not None:
-                # The payload is pure — keep it for the retry.
-                self._prepared_cache[region.region_id] = prepared
             if rs.supervisor is None:
                 raise
             if rs.supervisor.record_failure(region.region_id) == RETRY:
@@ -1264,9 +1076,6 @@ class LiveRun:
                     rs.supervisor.backoff_for(region.region_id)
                 )
             else:
-                self._prepared_cache.pop(region.region_id, None)
-                if client is not None:
-                    client.forget(region.region_id)
                 engine._quarantine_region(
                     workload,
                     region,
@@ -1295,10 +1104,6 @@ class LiveRun:
         del rs.alive[region.region_id]
         rs.graph.remove_node(region.region_id)
         rs.benefit.note_removed(region.region_id)
-        if client is not None:
-            # Clear any straggling in-flight state (e.g. the driver
-            # stole the work while a worker was still computing it).
-            client.forget(region.region_id)
 
         rs.state.apply_evictions(outcome, rs.tracker)
         rs.state.admit_candidates(
@@ -1317,17 +1122,9 @@ class LiveRun:
                 rs.tracker,
                 stats,
             )
-            if client is not None:
-                # Speculative payloads of regions the discard step
-                # just killed will never commit — drop them.
-                for target_id in captured_successors:
-                    if target_id not in rs.alive:
-                        self._prepared_cache.pop(target_id, None)
-                        client.forget(target_id)
         rs.state.release_region(
             region.region_id, region.rql, rs.tracker, stats
         )
-        stats.record_region_duration(stats.clock.now() - started)
 
         if cfg.enable_feedback:
             sats = np.array(
@@ -1339,16 +1136,12 @@ class LiveRun:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release durability/pool resources (idempotent)."""
+        """Release durability resources (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self._durability is not None:
             self._durability.close()
-        if self._client is not None:
-            self._engine._harvest_pool(self.rs, self._pool, self._client)
-        if self._pool_owned:
-            self._pool.close()
 
     def finalize(self) -> RunResult:
         """Package the drained loop state into a :class:`RunResult`."""

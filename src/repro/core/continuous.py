@@ -276,7 +276,7 @@ class ContinuousCAQE:
             if self._durability is not None
             else None
         )
-        return LiveRun(self._engine, rs, journal, None, None, None, False)
+        return LiveRun(self._engine, rs, journal, None)
 
     def _run_epoch(self, live: "LiveRun | None") -> EpochResult:
         """Drive the epoch's run to completion and emit its changelog."""

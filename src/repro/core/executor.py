@@ -45,7 +45,7 @@ from repro.query.selection import selection_bitmasks
 from repro.query.workload import Workload
 from repro.relation import Relation
 
-#: A memoised hash-join build side (docs/ARCHITECTURE.md §12): the cell's
+#: A memoised hash-join build side (docs/ARCHITECTURE.md §11): the cell's
 #: key column and its grouped form — ``None`` when the keys are outside the
 #: vectorised kernel's domain (NaN, non-numeric).
 BuildSide = "tuple[np.ndarray, GroupedBuild | None]"
@@ -91,8 +91,7 @@ class JoinResultStore:
     ) -> "list[int]":
         """Store one region's (already sorted) tuples; returns their keys.
 
-        Keys are consecutive insertion ids in row order, so serial and
-        parallel runs share the identical key sequence.  ``vectors`` only
+        Keys are consecutive insertion ids in row order.  ``vectors`` only
         sizes the batch and ``region_id`` is not kept — the signature is
         the executor's commit call.
         """
@@ -276,39 +275,17 @@ class RegionExecutor:
         region: OutputRegion,
         left_cell: LeafCell,
         right_cell: LeafCell,
-        prepared: "object | None" = None,
     ) -> RegionOutcome:
-        """Join, project, and insert one region's tuples into the shared plan.
-
-        ``prepared`` is an optional
-        :class:`~repro.parallel.worker.PreparedRegion` computed ahead of
-        time by a worker process (or the driver's inline steal).  Its
-        join pairs are bit-identical to :meth:`_join_cells`' output by
-        the order-exact kernel contract, and *every* modelled cost is
-        still charged here at commit — so the prepared path changes
-        wall-clock time only, never an observable.
-        """
+        """Join, project, and insert one region's tuples into the shared plan."""
         if region.is_discarded:
             raise ExecutionError(f"region #{region.region_id} was discarded")
         if self.fault_hook is not None:
             self.fault_hook(region)
         self.stats.record_region_processed(region.region_id)
         condition = self._conditions[region.condition_name]
-        if prepared is None:
-            left_idx, right_idx = self._join_cells(
-                left_cell, right_cell, condition
-            )
-            matrix = None
-        else:
-            # The worker did the join; the clock pays for both scans all
-            # the same (modelled cost, not Python cost).
-            self.stats.record_join_probes(left_cell.size + right_cell.size)
-            left_idx, right_idx = prepared.left_idx, prepared.right_idx
-            matrix = prepared.matrix
+        left_idx, right_idx = self._join_cells(left_cell, right_cell, condition)
         # Selection pushdown: drop join pairs that no query's filters accept
-        # before paying materialisation.  ``active_rql`` is read *here*, at
-        # commit — a region prepared speculatively early still sees every
-        # discard that landed before its turn.
+        # before paying materialisation.
         if self._sel_left is not None and len(left_idx):
             tuple_masks = (
                 region.active_rql
@@ -318,8 +295,6 @@ class RegionExecutor:
             keep = tuple_masks != 0
             left_idx, right_idx = left_idx[keep], right_idx[keep]
             tuple_masks = tuple_masks[keep]
-            if matrix is not None:
-                matrix = matrix[keep]
         else:
             tuple_masks = np.full(len(left_idx), region.active_rql, dtype=np.int64)
         outcome = RegionOutcome(region_id=region.region_id, join_count=len(left_idx))
@@ -328,17 +303,16 @@ class RegionExecutor:
         self.stats.record_join_results(
             len(left_idx), mapping_functions=len(self._functions)
         )
-        if matrix is None:
-            matrix = apply_functions(
-                self._functions, self.left, self.right, left_idx, right_idx
-            )
+        matrix = apply_functions(
+            self._functions, self.left, self.right, left_idx, right_idx
+        )
         # Insert a region's tuples best-first (ascending coordinate sum, the
         # SFS presort): dominating tuples enter the windows early, so most
         # later tuples are rejected after very few comparisons and eviction
         # churn within the region disappears.
         self.stats.clock.charge_sort(len(matrix))
         order = np.argsort(matrix.sum(axis=1), kind="stable")
-        # Columnar commit (docs/ARCHITECTURE.md §12): identity-column append,
+        # Columnar commit (docs/ARCHITECTURE.md §11): identity-column append,
         # array-native plan walk, and per-query set algebra.  Within one
         # batch a key's admission always precedes any eviction of it (only
         # later inserts evict) and each happens at most once per query, so

@@ -36,25 +36,6 @@ class ExecutionStats:
     #: Region ids in processing order (when callers pass them) — the
     #: schedule trace the scheduler-equivalence tests compare.
     region_trace: "list[int]" = field(default_factory=list)
-    #: Per-region virtual durations in commit order — the input to the
-    #: :meth:`wall_parallel` lane simulation.  Durations are identical
-    #: across worker counts (charges are bit-identical), so recording
-    #: them never perturbs an observable.
-    region_durations: "list[float]" = field(default_factory=list)
-    #: Lanes used by :meth:`wall_parallel` when the engine ran a worker
-    #: pool (0 = serial run, no parallel channel).
-    parallel_lanes: int = 0
-    #: Supervision snapshot of the run's region pool (docs/ARCHITECTURE.md
-    #: §14), populated at the end of parallel runs.  A wall-channel like
-    #: ``region_durations``: deliberately excluded from :meth:`summary`
-    #: (and from checkpoint snapshots) so crashed, respawned or poisoned
-    #: workers can never move a run fingerprint.
-    pool_health: "dict[str, object] | None" = None
-    #: Structured one-line environment warnings (e.g. a worker pool on a
-    #: single-core host).  A wall-channel like ``pool_health``: excluded
-    #: from :meth:`summary` and from snapshots, surfaced to operators by
-    #: harnesses that choose to print it — never written to stdout here.
-    runtime_warnings: "list[dict]" = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.comparison_counter = ComparisonCounter(
@@ -124,43 +105,6 @@ class ExecutionStats:
     def record_straggler_penalty(self, units: float) -> None:
         self.straggler_penalty += units
         self.clock.charge_straggler_penalty(units)
-
-    def record_runtime_warning(self, kind: str, **detail: "object") -> None:
-        """Queue one structured environment warning on the stats channel."""
-        self.runtime_warnings.append({"kind": kind, **detail})
-
-    # -- parallel layer (docs/ARCHITECTURE.md §11) ----------------------- #
-    def record_region_duration(self, duration: float) -> None:
-        """One committed region's virtual duration (commit order)."""
-        self.region_durations.append(float(duration))
-
-    def wall_parallel(self, lanes: "int | None" = None) -> float:
-        """Simulated makespan of the region durations under ``lanes``.
-
-        Greedy earliest-free-lane list scheduling in commit order — an
-        optimistic model (it ignores dependency stalls), deterministic
-        because it reads only virtual durations.  ``lanes`` defaults to
-        the run's ``parallel_lanes``; with fewer than two lanes the
-        makespan is simply the serial sum.
-        """
-        lanes = self.parallel_lanes if lanes is None else lanes
-        if lanes <= 1:
-            return float(sum(self.region_durations))
-        free = [0.0] * lanes
-        for duration in self.region_durations:
-            slot = min(range(lanes), key=lambda i: free[i])
-            free[slot] += duration
-        return float(max(free)) if free else 0.0
-
-    def parallel_summary(self) -> "dict[str, float]":
-        """The ``wall_parallel`` channel — reported separately from
-        :meth:`summary` so serial observables stay bit-identical."""
-        return {
-            "lanes": float(self.parallel_lanes),
-            "wall_serial": float(sum(self.region_durations)),
-            "wall_parallel": self.wall_parallel(),
-            "regions_timed": float(len(self.region_durations)),
-        }
 
     def summary(self) -> "dict[str, float]":
         return {

@@ -61,7 +61,7 @@ class SharedCuboidPlan:
             dims = tuple(positions[d] for d in table.names(mask))
             self._windows[mask] = SkylineWindow(dims=dims, counter=counter)
         self._query_mask = dict(cuboid.query_nodes)
-        # Array-native walk plan (docs/ARCHITECTURE.md §16): each cuboid
+        # Array-native walk plan (docs/ARCHITECTURE.md §14): each cuboid
         # node gets a position bit in a per-batch int64 "admitted bits"
         # column, and its Theorem-1 seeding test collapses to one AND
         # against the OR of its children's bits.
@@ -295,7 +295,7 @@ class WorkloadPlan:
         own lineage and evict their candidates there; admissions only
         count for queries the tuple actually serves.  Each query belongs
         to exactly one group, so the per-group results never need merging
-        (docs/ARCHITECTURE.md §12).
+        (docs/ARCHITECTURE.md §11).
         """
         vecs = np.asarray(vectors, dtype=float)
         n = len(keys)

@@ -21,7 +21,6 @@ from repro.robustness.faults import (
     FaultPlan,
     InjectedFault,
     TenantBurstPlan,
-    WorkerKillPlan,
 )
 from repro.robustness.recovery import (
     DegradedReport,
@@ -47,6 +46,5 @@ __all__ = [
     "RegionSupervisor",
     "RetryPolicy",
     "TenantBurstPlan",
-    "WorkerKillPlan",
     "sanitize_relation",
 ]

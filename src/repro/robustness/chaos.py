@@ -45,7 +45,7 @@ from repro.query import (
 )
 from repro.query.workload import Workload
 from repro.datagen import generate_pair
-from repro.robustness.faults import FaultConfig, FaultPlan, WorkerKillPlan
+from repro.robustness.faults import FaultConfig, FaultPlan
 from repro.robustness.recovery import RetryPolicy
 from repro.robustness.sanitize import sanitize_relation
 
@@ -93,18 +93,9 @@ def run_matrix(
     cardinality: int,
     checker: _Checker,
     journal: bool = False,
-    workers: int = 0,
 ) -> None:
-    """Run every fault corner for one seed and record its invariants.
-
-    ``workers`` routes every *fault corner* through the deterministic
-    region pool (docs/ARCHITECTURE.md §11) while the baseline stays
-    serial, so each invariant doubles as a parallel==serial check.
-    """
-    print(
-        f"seed {seed}{' (journaled)' if journal else ''}"
-        f"{f' (workers={workers})' if workers else ''}:"
-    )
+    """Run every fault corner for one seed and record its invariants."""
+    print(f"seed {seed}{' (journaled)' if journal else ''}:")
     pair = generate_pair(
         "independent", cardinality, 4, selectivity=0.05, seed=seed
     )
@@ -112,8 +103,6 @@ def run_matrix(
     contracts = {q.name: c2(scale=100.0) for q in workload}
 
     def execute(config: CAQEConfig) -> RunResult:
-        if workers:
-            config = dataclasses.replace(config, workers=workers)
         if not journal:
             return CAQE(config).run(
                 pair.left, pair.right, workload, contracts
@@ -240,106 +229,6 @@ def run_matrix(
     )
 
 
-def run_kill_matrix(
-    seed: int,
-    cardinality: int,
-    checker: _Checker,
-    workers: int,
-) -> None:
-    """Process-level chaos: seeded worker kills under the region pool.
-
-    The supervision contract (docs/ARCHITECTURE.md §14) is that crashed
-    workers, requeues, respawns, poisoned regions and the degraded-mode
-    fallback cost wall-clock time only — so every scenario here must
-    match the ``workers=0`` serial reference bit for bit, while the
-    health snapshot proves the supervisor actually did the work.
-    """
-    print(f"seed {seed} (kill-workers, workers={workers}):")
-    pair = generate_pair(
-        "independent", cardinality, 4, selectivity=0.05, seed=seed
-    )
-    workload = figure1_workload()
-    contracts = {q.name: c2(scale=100.0) for q in workload}
-
-    def execute(config: CAQEConfig) -> RunResult:
-        return CAQE(config).run(pair.left, pair.right, workload, contracts)
-
-    reference = execute(CAQEConfig(workers=0))
-    obs = _observables(reference)
-
-    # no-fault: pool on, no kill plan -> healthy counters, identical run.
-    healthy = execute(CAQEConfig(workers=workers))
-    health = healthy.stats.pool_health or {}
-    checker.check(
-        _observables(healthy) == obs,
-        "healthy pool is bit-identical to the serial engine",
-    )
-    checker.check(
-        health.get("restarts") == 0
-        and health.get("requeues") == 0
-        and health.get("poison_regions") == 0,
-        "healthy pool reports zero supervision activity",
-    )
-
-    # seeded kills: worker 0 always dies on its first claim, others by
-    # coin flip -> requeue + respawn fire, observables still identical.
-    killed = execute(
-        CAQEConfig(
-            workers=workers,
-            pool_kill_plan=WorkerKillPlan.seeded(seed, workers),
-        )
-    )
-    health = killed.stats.pool_health or {}
-    checker.check(
-        _observables(killed) == obs,
-        "seeded worker kills leave every observable bit-identical",
-    )
-    checker.check(
-        bool(health.get("restarts")) and bool(health.get("requeues")),
-        "seeded kills exercise requeue and respawn",
-    )
-
-    # total loss: every worker (respawns included) dies on its first
-    # claim; the budget runs out and the pool degrades to pure serial.
-    dead = execute(
-        CAQEConfig(
-            workers=workers,
-            pool_restart_budget=workers,
-            pool_kill_plan=WorkerKillPlan(kill_all_after=1),
-        )
-    )
-    health = dead.stats.pool_health or {}
-    checker.check(
-        _observables(dead) == obs,
-        "all-workers-dead run completes bit-identically (degraded mode)",
-    )
-    checker.check(
-        health.get("degraded") is True and health.get("workers_alive") == 0,
-        "restart-budget exhaustion trips the pool to serial mode",
-    )
-
-    # poison region: the serial trace's first region kills every host
-    # that claims it until the threshold quarantines it to inline prepare.
-    target = reference.stats.region_trace[0]
-    poisoned = execute(
-        CAQEConfig(
-            workers=workers,
-            pool_restart_budget=2 * workers + 2,
-            pool_kill_plan=WorkerKillPlan(poison_regions=(target,)),
-        )
-    )
-    health = poisoned.stats.pool_health or {}
-    checker.check(
-        _observables(poisoned) == obs,
-        "poison-region run stays bit-identical via inline fallback",
-    )
-    checker.check(
-        bool(health.get("poison_regions"))
-        and "pool" in poisoned.quarantine,
-        "worker-killer region is quarantined and reported",
-    )
-
-
 def _answered_everywhere(result: RunResult, workload: Workload) -> bool:
     """Every query got tuple-level results and/or degraded-flagged bounds."""
     return all(
@@ -386,39 +275,12 @@ def main(argv: "list[str] | None" = None) -> int:
         help="run every fault corner under the write-ahead region "
         "journal (baseline stays plain, proving on==off bit-identity)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="run every fault corner through the deterministic region "
-        "pool with this many worker processes (baseline stays serial, "
-        "proving parallel==serial bit-identity)",
-    )
-    parser.add_argument(
-        "--kill-workers",
-        action="store_true",
-        help="process-level chaos instead of the fault matrix: seeded "
-        "SIGKILLs of pool workers (requeue/respawn), total worker loss "
-        "(degraded-mode fallback) and a poison region, each proven "
-        "bit-identical to the serial engine (uses --workers, default 2)",
-    )
     args = parser.parse_args(argv)
     cardinality = args.cardinality or (80 if args.smoke else 150)
 
     checker = _Checker()
     for seed in args.seeds:
-        if args.kill_workers:
-            run_kill_matrix(
-                seed, cardinality, checker, workers=args.workers or 2
-            )
-        else:
-            run_matrix(
-                seed,
-                cardinality,
-                checker,
-                journal=args.journal,
-                workers=args.workers,
-            )
+        run_matrix(seed, cardinality, checker, journal=args.journal)
     if checker.failures:
         print(f"chaos: {len(checker.failures)} invariant(s) violated")
         return 1

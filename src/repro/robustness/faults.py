@@ -38,7 +38,6 @@ _SITE_CORRUPT = 1
 _SITE_REGION_FAIL = 2
 _SITE_PERSISTENT = 3
 _SITE_STRAGGLER = 4
-_SITE_WORKER_KILL = 5
 _SITE_TENANT_BURST = 6
 
 #: Corruption kinds cycled through by :meth:`FaultPlan.corrupt_relation`.
@@ -218,89 +217,8 @@ class FaultPlan:
 
 
 @dataclass(frozen=True)
-class WorkerKillPlan:
-    """Process-level chaos: deterministic worker-kill triggers (§14.6).
-
-    Unlike :class:`FaultPlan` (whose decisions the *driver* consults),
-    kill triggers fire **worker-side**: a worker announces its task claim
-    on the pool's claim channel and then hard-kills its own process
-    (``SIGKILL`` — no cleanup, no goodbye), which is exactly what an OOM
-    kill or segfault looks like to the supervisor.  Because each trigger
-    is a pure function of ``(worker_id, that worker's own claim count)``
-    or of the claimed region id, the schedule is independent of OS
-    scheduling jitter: the same plan kills the same workers at the same
-    points in their individual task streams on every run.
-
-    The supervision contract (docs/ARCHITECTURE.md §14) is that none of
-    this may move an observable: requeue, respawn, poison quarantine and
-    degraded-mode fallback only cost wall-clock time, so a run under any
-    kill plan stays bit-identical to the serial engine —
-    ``tools/kill_worker_audit.py`` proves it with real SIGKILLs.
-    """
-
-    #: ``(worker_id, nth_claim)`` pairs: that worker dies when claiming
-    #: its nth task.  Worker ids continue past the initial pool size as
-    #: respawns arrive, so a plan can also target replacement workers.
-    kills: "tuple[tuple[int, int], ...]" = ()
-    #: Region ids whose claim kills *any* worker — the poison-region
-    #: scenario (a task that takes down every process that touches it).
-    poison_regions: "tuple[int, ...]" = ()
-    #: Every worker — including respawns — dies when claiming its nth
-    #: task.  With a finite restart budget this reaches "all workers
-    #: dead" and forces the degraded-mode (inline/serial) fallback.
-    kill_all_after: "int | None" = None
-
-    def __post_init__(self) -> None:
-        for _, nth in self.kills:
-            if nth < 1:
-                raise ExecutionError(
-                    f"kill trigger counts must be >= 1, got {nth}"
-                )
-        if self.kill_all_after is not None and self.kill_all_after < 1:
-            raise ExecutionError(
-                f"kill_all_after must be >= 1, got {self.kill_all_after}"
-            )
-
-    @property
-    def active(self) -> bool:
-        """True iff any worker can ever be killed by this plan."""
-        return bool(
-            self.kills or self.poison_regions or self.kill_all_after
-        )
-
-    def kill_after_for(self, worker_id: int) -> "int | None":
-        """Claim count at which ``worker_id`` dies (``None`` = never)."""
-        for wid, nth in self.kills:
-            if wid == worker_id:
-                return nth
-        return self.kill_all_after
-
-    @classmethod
-    def seeded(cls, seed: int, workers: int) -> "WorkerKillPlan":
-        """A seeded plan over ``workers`` initial processes.
-
-        Worker 0 always dies on its first claim — every seeded plan
-        therefore exercises requeue and respawn deterministically — and
-        each further worker dies early in its task stream with
-        probability one half, derived through the same SplitMix64 /
-        :func:`~repro.rng.ensure_rng` discipline as the other injection
-        sites (order-independent, replayable).
-        """
-        if workers < 1:
-            raise ExecutionError(
-                f"a seeded kill plan needs workers >= 1, got {workers}"
-            )
-        kills: "list[tuple[int, int]]" = [(0, 1)]
-        for wid in range(1, workers):
-            rng = ensure_rng(_derive_seed(seed, _SITE_WORKER_KILL, wid))
-            if rng.random() < 0.5:
-                kills.append((wid, int(rng.integers(1, 4))))
-        return cls(kills=tuple(kills))
-
-
-@dataclass(frozen=True)
 class TenantBurstPlan:
-    """Serving-layer chaos: deterministic per-tenant arrival bursts (§15.4).
+    """Serving-layer chaos: deterministic per-tenant arrival bursts (§13.4).
 
     The multi-tenant load generator consults this plan to modulate each
     synthetic tenant's arrival rate over *virtual* time: a seeded subset
@@ -381,5 +299,4 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "TenantBurstPlan",
-    "WorkerKillPlan",
 ]

@@ -2,11 +2,10 @@
 
 ``python -m repro.serving`` runs a self-contained quickstart demo.
 :mod:`repro.serving.scheduler` is the one serving mechanism — admission
-control, breakers, the shared pool, the cross-tenant region scheduler
-and its FIFO policy; :mod:`repro.serving.server` holds the ticket
-machinery it hands out and :class:`CAQEServer`, the driver thread that
-steps it.  See docs/ARCHITECTURE.md §10.6 (admission and ticket
-lifecycle) and §15 (multi-tenant scheduling, brownout ladder, fairness).
+control, breakers, the cross-tenant region scheduler and its FIFO
+policy; :mod:`repro.serving.server` holds the ticket machinery it hands
+out and :class:`CAQEServer`, the driver thread that steps it.  See docs/ARCHITECTURE.md §10.6 (admission and ticket
+lifecycle) and §13 (multi-tenant scheduling, brownout ladder, fairness).
 """
 
 from repro.serving.scheduler import (
@@ -31,7 +30,6 @@ from repro.serving.server import (
     OUTCOME_BREAKER,
     OUTCOME_BROWNOUT,
     OUTCOME_DEADLINE,
-    OUTCOME_POOL,
     REASON_CIRCUIT_OPEN,
     REASON_QUEUE_FULL,
     REASON_SERVER_CLOSED,
@@ -56,7 +54,6 @@ __all__ = [
     "OUTCOME_BREAKER",
     "OUTCOME_BROWNOUT",
     "OUTCOME_DEADLINE",
-    "OUTCOME_POOL",
     "POLICY_BENEFIT",
     "POLICY_FIFO",
     "REASON_BROWNOUT_SHED",

@@ -24,13 +24,6 @@ def main(argv: "list[str] | None" = None) -> int:
         prog="python -m repro.serving", description=__doc__
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="region-pool worker processes shared by all submissions "
-        "(0 = serial engine; results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--mode",
         choices=("fifo", "interleaved"),
         default="fifo",
@@ -44,11 +37,7 @@ def main(argv: "list[str] | None" = None) -> int:
     workload = figure1_workload()
     contracts = {q.name: c2(scale=100.0) for q in workload}
 
-    config = CAQEConfig(
-        server_mode=args.mode,
-        server_queue_limit=4,
-        workers=args.workers,
-    )
+    config = CAQEConfig(server_mode=args.mode, server_queue_limit=4)
     with CAQEServer(pair.left, pair.right, config) as server:
         normal = server.submit(workload, contracts)
         tight = server.submit(workload, contracts, deadline=5_000.0)

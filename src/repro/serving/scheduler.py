@@ -1,4 +1,4 @@
-"""Cross-tenant region scheduling (docs/ARCHITECTURE.md §15).
+"""Cross-tenant region scheduling (docs/ARCHITECTURE.md §13).
 
 :class:`RegionScheduler` multiplexes many live submissions over one
 engine host at *region* granularity: every admitted submission is opened
@@ -45,8 +45,7 @@ deterministic, and a single-tenant scheduler run is *bit-identical* to
 
 ``policy="fifo"`` drives the identical machinery as a whole-run FIFO
 server (always step the oldest submission; no ladder, no bulkheads) —
-the load generator's baseline arm and ``server_mode="fifo"``.  The
-scheduler owns the shared region pool and its trip counters; library
+the load generator's baseline arm and ``server_mode="fifo"``.  Library
 users drive it with ``step``/``drain``, :class:`~repro.serving.server.
 CAQEServer` steps it from one driver thread.
 """
@@ -163,8 +162,7 @@ class RegionScheduler:
     """Interleaves many live CAQE submissions at region granularity.
 
     One scheduler owns one immutable pair of base tables, one shared
-    virtual clock, one breaker per workload signature and (when
-    ``config.workers > 0``) one region pool shared by every submission.
+    virtual clock and one breaker per workload signature.
     ``submit`` may be called from any thread; ``step`` is serialized by
     the scheduler lock and advances exactly one run by one region.
     ``on_finish(ticket, outcome, breaker_failure)`` runs under that lock
@@ -201,22 +199,6 @@ class RegionScheduler:
         # same config partition identically, so same-signature submissions
         # reuse each other's build side instead of rebuilding it per run.
         self._build_caches: "dict[str, dict]" = {}
-        # One region pool shared by every submission (docs/ARCHITECTURE.md
-        # §11.5): worker processes and the shared-memory relation blocks
-        # are paid for once per scheduler, not once per run.
-        self._pool = None
-        if self.config.workers > 0:
-            from repro.parallel import RegionPool
-
-            self._pool = RegionPool(
-                left,
-                right,
-                workers=self.config.workers,
-                use_shared_memory=self.config.enable_shared_memory,
-                restart_budget=self.config.pool_restart_budget,
-                poison_threshold=self.config.pool_poison_threshold,
-                kill_plan=self.config.pool_kill_plan,
-            )
         self.metrics: "dict[str, int]" = {
             "submitted": 0,
             "admitted": 0,
@@ -231,8 +213,6 @@ class RegionScheduler:
             "failed": 0,
             "steps": 0,
             "brownout_degraded": 0,
-            "pool_poisoned_runs": 0,
-            "pool_serial_trips": 0,
         }
 
     # -- tenants --------------------------------------------------------- #
@@ -336,7 +316,6 @@ class RegionScheduler:
                     contracts,
                     ExecutionStats(clock=self.clock),
                     cancel_token=token,
-                    pool=self._pool,
                     build_cache=self._build_caches.setdefault(signature, {}),
                     # Deadline-driven budgets stamp "deadline" on degraded
                     # reports so the reason taxonomy needs no re-derivation.
@@ -521,9 +500,7 @@ class RegionScheduler:
         if outcome is None:
             result = sub.live.finalize()
             degraded = any(result.degraded.values())
-            quarantined = result.stats.regions_quarantined > 0
-            pool_poisoned = "pool" in result.quarantine
-            breaker_failure = quarantined or pool_poisoned
+            breaker_failure = result.stats.regions_quarantined > 0
             outcome = ServedResult(
                 DEGRADED if degraded else ANSWERED,
                 result=result,
@@ -538,8 +515,8 @@ class RegionScheduler:
     def _finish(
         self, ticket: Ticket, outcome: ServedResult, breaker_failure: bool
     ) -> None:
-        """Terminal bookkeeping of one admitted ticket: status and pool
-        counters, the breaker verdict, the completion hook."""
+        """Terminal bookkeeping of one admitted ticket: status counter,
+        the breaker verdict, the completion hook."""
         self.metrics[outcome.status] += 1
         breaker = self._breakers[ticket.signature]
         if outcome.status == CANCELLED:
@@ -552,30 +529,11 @@ class RegionScheduler:
             breaker.record_failure()
         else:
             breaker.record_success()
-        # Pool supervision outcomes (docs/ARCHITECTURE.md §14): a run whose
-        # regions poisoned the shared pool is a breaker failure for its
-        # signature; a pool that exhausted its restart budget has tripped
-        # to serial mode for the rest of the scheduler's life — counted
-        # once.
-        if outcome.result is not None and "pool" in outcome.result.quarantine:
-            self.metrics["pool_poisoned_runs"] += 1
-        if (
-            self._pool is not None
-            and self._pool.degraded
-            and not self.metrics["pool_serial_trips"]
-        ):
-            self.metrics["pool_serial_trips"] = 1
         if self._on_finish is not None:
             self._on_finish(ticket, outcome, breaker_failure)
         ticket._finish(outcome)
 
     # -- observability --------------------------------------------------- #
-    def pool_health(self) -> "dict[str, object] | None":
-        """Supervision snapshot of the shared region pool (None = serial
-        scheduler).  Counters only — safe to poll from any thread."""
-        pool = self._pool
-        return None if pool is None else pool.health().as_dict()
-
     def tenant_report(self) -> "dict[str, dict[str, float]]":
         """Per-tenant fairness snapshot (service, entitlement, deficit)."""
         with self._lock:
@@ -594,15 +552,12 @@ class RegionScheduler:
     # -- lifecycle ------------------------------------------------------- #
     def close(self) -> None:
         """Stop admitting, finish every admitted submission (every
-        admission terminates), then release the pool (idempotent)."""
+        admission terminates) (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self.drain()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def __enter__(self) -> "RegionScheduler":
         return self

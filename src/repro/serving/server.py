@@ -14,7 +14,7 @@ breaker is what eventually re-tests it.
 :class:`~repro.serving.scheduler.RegionScheduler`: a driver thread that
 steps it, so callers can ``submit`` and block on tickets instead of
 stepping the scheduler themselves.  Admission control, the breaker
-table, the shared region pool and every counter belong to the scheduler;
+table and every counter belong to the scheduler;
 the server holds no lock and no state of its own beyond the thread and
 its wake-up event.
 """
@@ -51,7 +51,6 @@ REASON_SERVER_CLOSED = "server_closed"
 OUTCOME_DEADLINE = "deadline"
 OUTCOME_BROWNOUT = "brownout"
 OUTCOME_BREAKER = "breaker"
-OUTCOME_POOL = "pool"
 
 #: Bounded-wait tick of the driver loop: every blocking primitive in the
 #: serving layer carries a timeout (caqe-check rule CQ013) so a lost
@@ -95,8 +94,8 @@ class ServedResult:
     """Terminal outcome of one admitted submission.
 
     ``reasons`` classifies non-clean outcomes with the structured
-    taxonomy (``"deadline"``, ``"brownout"``, ``"breaker"``, ``"pool"``
-    — in that fixed order) so callers branch on it instead of digging
+    taxonomy (``"deadline"``, ``"brownout"``, ``"breaker"`` — in that
+    fixed order) so callers branch on it instead of digging
     through :class:`~repro.core.caqe.RunResult` internals.
     """
 
@@ -120,9 +119,7 @@ def outcome_reasons(
     * ``"brownout"`` — the multi-tenant scheduler browned the submission
       out under overload;
     * ``"breaker"`` — the run counts as a circuit-breaker failure for its
-      workload signature (quarantined regions / pool poisoning / raised);
-    * ``"pool"`` — regions fell back to inline prepare after poisoning
-      the shared worker pool.
+      workload signature (quarantined regions / raised).
     """
     reasons: "list[str]" = []
     if result is not None:
@@ -137,8 +134,6 @@ def outcome_reasons(
             reasons.append(OUTCOME_BROWNOUT)
     if breaker_failure:
         reasons.append(OUTCOME_BREAKER)
-    if result is not None and "pool" in result.quarantine:
-        reasons.append(OUTCOME_POOL)
     return tuple(reasons)
 
 
@@ -329,13 +324,9 @@ class CAQEServer:
         """The scheduler's counters (the server keeps none of its own)."""
         return self.scheduler.metrics
 
-    def pool_health(self) -> "dict[str, object] | None":
-        """Supervision snapshot of the scheduler's shared region pool."""
-        return self.scheduler.pool_health()
-
     def shutdown(self) -> None:
-        """Stop admitting, finish every admitted submission, release the
-        pool and join the driver thread (idempotent)."""
+        """Stop admitting, finish every admitted submission and join the
+        driver thread (idempotent)."""
         self.scheduler.close()
         self._stopped = True
         self._wake.set()
@@ -362,7 +353,6 @@ __all__ = [
     "OUTCOME_BREAKER",
     "OUTCOME_BROWNOUT",
     "OUTCOME_DEADLINE",
-    "OUTCOME_POOL",
     "REASON_CIRCUIT_OPEN",
     "REASON_QUEUE_FULL",
     "REASON_SERVER_CLOSED",

@@ -11,7 +11,7 @@ point may invalidate previously admitted ones.  Evictions are therefore
 reported back to the caller so progressive executors know which earlier
 results became invalid.
 
-Storage layout (docs/ARCHITECTURE.md §16) is a structure of arrays:
+Storage layout (docs/ARCHITECTURE.md §14) is a structure of arrays:
 
 * ``_store`` — a growable float64 matrix whose row order *is* admission
   order (BNL charges depend on entry order, so the order is load-bearing);
@@ -395,7 +395,7 @@ class SkylineWindow:
         order — identical admissions, evictions, duplicate flags, final
         window contents *and charged comparison counts* — but it does the
         work sequential BNL is charged for, not a ``(window × batch)``
-        plane (docs/ARCHITECTURE.md §16.1):
+        plane (docs/ARCHITECTURE.md §14.1):
 
         * the batch runs against the *live* rows only, addressed by their
           position in window order — the unit a charge is stated in;

@@ -1,6 +1,6 @@
 """Property tests: the vectorised grouped join ≡ the scalar reference.
 
-The columnar data plane (docs/ARCHITECTURE.md §12) replaces the
+The columnar data plane (docs/ARCHITECTURE.md §11) replaces the
 dict-of-lists bucket loop with a sort-based kernel
 (:func:`repro.query.joinkernel.vectorized_equi_join`).  Everything
 downstream — SFS presort tie-breaks, insertion ids, skyline replay — is
@@ -11,7 +11,7 @@ sides, singletons, and the NaN / non-numeric inputs where the kernel must
 decline rather than guess.
 
 The modelled probe charge (``left.size + right.size`` per cell pair,
-docs/ARCHITECTURE.md §12) is asserted to be identical on both paths via
+docs/ARCHITECTURE.md §11) is asserted to be identical on both paths via
 :class:`ExecutionStats`, keeping virtual time independent of the plane.
 """
 

@@ -106,6 +106,15 @@ class TestConfigKnobs:
     def test_capacity_floor(self):
         assert CAQEConfig(target_cells=1000).capacity_for(1) >= 1
 
+    def test_workers_is_a_must_be_zero_residue(self):
+        # The worker pool is gone; ``workers`` only stays so existing
+        # ``CAQEConfig(workers=0)`` call sites keep constructing.
+        assert CAQEConfig().workers == 0
+        assert CAQEConfig(workers=0) == CAQEConfig()
+        for workers in (1, 2, -1):
+            with pytest.raises(ExecutionError, match="pool was removed"):
+                CAQEConfig(workers=workers)
+
     def test_extreme_grid_divisions_still_exact(self):
         pair = generate_pair("independent", 80, 4, selectivity=0.1, seed=3)
         wl = subspace_workload(4)

@@ -19,7 +19,7 @@ from repro.datagen import generate_pair
 from repro.query import JoinCondition, Preference, SkylineJoinQuery, add
 from repro.query.workload import Workload
 from repro.durability.journal import JOURNAL_FILENAME
-from repro.robustness.faults import FaultConfig, FaultPlan, WorkerKillPlan
+from repro.robustness.faults import FaultConfig, FaultPlan
 from repro.robustness.recovery import RetryPolicy
 from repro.serving import (
     ANSWERED,
@@ -411,32 +411,6 @@ class TestJournaledServing(_ServedInMode):
 
 
 class TestJournaledServingInterleaved(TestJournaledServing):
-    MODE = "interleaved"
-
-
-class TestSharedPoolSupervision(_ServedInMode):
-    def test_restart_budget_exhaustion_trips_to_serial_once(
-        self, pair, figure1_workload, contracts
-    ):
-        with self.server(
-            pair,
-            workers=2,
-            pool_restart_budget=1,
-            pool_kill_plan=WorkerKillPlan(kill_all_after=1),
-        ) as server:
-            tickets = [
-                server.submit(figure1_workload, contracts) for _ in range(3)
-            ]
-            outcomes = [t.result(timeout=WAIT) for t in tickets]
-            health = server.pool_health()
-        assert [o.status for o in outcomes] == [ANSWERED] * 3
-        assert health is not None and health["degraded"] is True
-        assert server.metrics["pool_serial_trips"] == 1
-        assert server.pool_health() is None  # released by shutdown()
-        assert_accounted(server.metrics)
-
-
-class TestSharedPoolSupervisionInterleaved(TestSharedPoolSupervision):
     MODE = "interleaved"
 
 

@@ -2,10 +2,9 @@
 
 * :class:`CircuitBreaker` is exercised with random event sequences
   against an independent model of its CLOSED/OPEN/HALF_OPEN contract.
-* Cancellation is exercised with a counting token across workers
-  ∈ {0, 2}: a run preempted after ``n`` region-boundary polls must have
-  processed a bit-identical *prefix* of the uncancelled run's region
-  trace, regardless of the worker count.
+* Cancellation is exercised with a counting token: a run preempted
+  after ``n`` region-boundary polls must have processed a bit-identical
+  *prefix* of the uncancelled run's region trace.
 """
 
 import pytest
@@ -16,7 +15,6 @@ from repro.contracts import c2
 from repro.core import CAQE, CAQEConfig
 from repro.datagen import generate_pair
 from repro.errors import QueryCancelled
-from repro.parallel import RegionPool
 from repro.serving import CLOSED, CancellationToken, CircuitBreaker, HALF_OPEN, OPEN
 
 
@@ -137,12 +135,6 @@ def serving_fixture(pair, figure1_workload):
     return pair, figure1_workload, contracts, full
 
 
-@pytest.fixture(scope="module")
-def shared_pool(pair):
-    with RegionPool(pair.left, pair.right, workers=2) as pool:
-        yield pool
-
-
 class TestCancellationPreemption:
     def test_token_is_sticky_and_thread_safe_api(self):
         token = CancellationToken()
@@ -151,16 +143,14 @@ class TestCancellationPreemption:
         assert token.is_cancelled()
         assert token.is_cancelled()  # stays cancelled
 
-    @pytest.mark.parametrize("workers", [0, 2])
     @given(n=st.integers(0, 12))
     @settings(max_examples=10, deadline=None)
     def test_preempts_on_a_bit_identical_region_prefix(
-        self, serving_fixture, shared_pool, workers, n
+        self, serving_fixture, n
     ):
         pair, workload, contracts, full = serving_fixture
         full_trace = full.stats.region_trace
-        engine = CAQE(CAQEConfig(workers=workers))
-        pool = shared_pool if workers else None
+        engine = CAQE(CAQEConfig())
         token = CountdownToken(n)
         if n >= len(full_trace):
             result = engine.run(
@@ -169,7 +159,6 @@ class TestCancellationPreemption:
                 workload,
                 contracts,
                 cancel_token=token,
-                pool=pool,
             )
             assert result.stats.region_trace == full_trace
             assert result.reported == full.reported
@@ -185,7 +174,6 @@ class TestCancellationPreemption:
                 contracts,
                 stats,
                 cancel_token=token,
-                pool=pool,
             )
         trace = stats.region_trace
         # Preemption lands exactly at a region boundary: what ran is a

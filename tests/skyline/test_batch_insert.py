@@ -179,7 +179,7 @@ def test_batch_continues_from_existing_window():
 
 
 # --------------------------------------------------------------------- #
-# The block scan and the rescan of ``insert_batch`` (ARCHITECTURE §16.1):
+# The block scan and the rescan of ``insert_batch`` (ARCHITECTURE §14.1):
 # ``insert_cases`` draws at most 40 points, which one default-sized block
 # swallows whole, so these drive the paths a long window takes.
 # --------------------------------------------------------------------- #

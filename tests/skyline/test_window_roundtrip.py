@@ -1,4 +1,4 @@
-"""Round-trip properties of the flat-array window (docs/ARCHITECTURE.md §16).
+"""Round-trip properties of the flat-array window (docs/ARCHITECTURE.md §14).
 
 ``dump_entries``/``load_entries`` is the frozen serialisation contract the
 durability snapshots ride on.  The SoA rewrite must keep it exact through

@@ -64,7 +64,7 @@ def _passing(record: dict, *, with_speedup: bool = False) -> dict:
 
 
 def test_distil_reads_the_one_mode_row():
-    record = distil(_report(), None)
+    record = distil(_report())
     assert record["fig9"]["invariants"]["skyline_comparisons"] == 7815
     assert [c["queries"] for c in record["fig11"]] == [3, 6]
     assert [c["scale"] for c in record["scale_sweep"]] == [1, 4]
@@ -73,13 +73,13 @@ def test_distil_reads_the_one_mode_row():
 
 
 def test_empty_history_seeds_and_unchanged_record_passes():
-    record = distil(_report(), None)
+    record = distil(_report())
     assert gate(record, [], TOLERANCE) == []
     assert gate(record, [_passing(record)], TOLERANCE) == []
 
 
 def test_invariant_mismatch_fails_and_names_the_cell():
-    record = distil(_report(), None)
+    record = distil(_report())
     history = [_passing(record)]
     for section, label in [
         ("fig9", "DETERMINISM fig9: skyline_comparisons"),
@@ -94,7 +94,7 @@ def test_invariant_mismatch_fails_and_names_the_cell():
 
 
 def test_failed_history_entries_are_not_a_baseline():
-    record = distil(_report(), None)
+    record = distil(_report())
     bad = _passing(record)
     bad["fig9"]["invariants"]["skyline_comparisons"] += 1
     bad["status"] = "fail"
@@ -102,7 +102,7 @@ def test_failed_history_entries_are_not_a_baseline():
 
 
 def test_record_without_speedup_passes_against_history_that_has_it():
-    record = distil(_report(), None)
+    record = distil(_report())
     history = [_passing(record, with_speedup=True)] * 3
     assert gate(record, history, TOLERANCE) == []
     # ... and the old entries still gate the invariants.
@@ -111,8 +111,8 @@ def test_record_without_speedup_passes_against_history_that_has_it():
 
 
 def test_lineages_with_different_repro_scale_do_not_gate_each_other():
-    scale1 = distil(_report(1.0, base=7815), None)
-    scale4 = distil(_report(4.0, base=70865), None)
+    scale1 = distil(_report(1.0, base=7815))
+    scale4 = distil(_report(4.0, base=70865))
     assert gate(scale4, [_passing(scale1)], TOLERANCE) == []
     assert gate(scale1, [_passing(scale4)], TOLERANCE) == []
     # Within a lineage the same drift is caught, whatever sits between.
@@ -123,7 +123,7 @@ def test_lineages_with_different_repro_scale_do_not_gate_each_other():
 
 
 def test_scale_sweep_relative_throughput_ratio_is_still_gated():
-    record = distil(_report(), None)
+    record = distil(_report())
     history = [_passing(record)]
     slowed = copy.deepcopy(record)
     slowed["scale_sweep"][1]["relative_throughput"] = 2.0 * (1 - TOLERANCE) - 0.01
@@ -132,3 +132,21 @@ def test_scale_sweep_relative_throughput_ratio_is_still_gated():
     assert failures[0].startswith("PERF scale 4x relative throughput")
     slowed["scale_sweep"][1]["relative_throughput"] = 2.0 * (1 - TOLERANCE) + 0.01
     assert gate(slowed, history, TOLERANCE) == []
+
+
+def test_history_parallel_section_is_neither_produced_nor_gated():
+    """Entries written while a worker pool existed carry a ``parallel``
+    section (pool speedups + two serial cells' invariants); they still
+    gate the sections a record has, and nothing reads the old one."""
+    record = distil(_report())
+    assert "parallel" not in record
+    old = _passing(record)
+    old["parallel"] = {
+        "fig9_figure1_c2": {
+            "invariants": {"skyline_comparisons": 1},
+            "speedups": {"workers=2": 9.0},
+        }
+    }
+    assert gate(record, [old] * 3, TOLERANCE) == []
+    record["fig9"]["invariants"]["regions_processed"] += 1
+    assert len(gate(record, [old], TOLERANCE)) == 1

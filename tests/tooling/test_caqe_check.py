@@ -602,7 +602,7 @@ class TestCQ007:
 
 
 # ------------------------------------------------------------------ #
-# CQ008 — process parallelism only via the deterministic region pool
+# CQ008 — no process parallelism anywhere in the engine
 # ------------------------------------------------------------------ #
 class TestCQ008:
     def test_fires_on_pool_imports_and_fork(self, tmp_path):
@@ -632,30 +632,38 @@ class TestCQ008:
         )
         assert codes(found) == ["CQ008"]
 
-    def test_parallel_package_is_exempt(self, tmp_path):
+    def test_no_package_is_exempt(self, tmp_path):
         found = lint(
             tmp_path,
-            "repro/parallel/pool.py",
+            "repro/query/joinkernel.py",
             """\
             import multiprocessing
             from multiprocessing import shared_memory
             """,
             select="CQ008",
         )
-        assert found == []
+        assert codes(found) == ["CQ008", "CQ008"]
 
     def test_threading_and_pool_usage_are_clean(self, tmp_path):
         found = lint(
             tmp_path,
             "repro/serving/mod.py",
             """\
+            import queue
             import threading
 
-            from repro.parallel import RegionPool
 
-
-            def serve(left, right, workers):
-                return RegionPool(left, right, workers=workers)
+            def serve(jobs, workers):
+                inbox = queue.Queue()
+                pool = [
+                    threading.Thread(target=inbox.get, daemon=True)
+                    for _ in range(workers)
+                ]
+                for thread in pool:
+                    thread.start()
+                for job in jobs:
+                    inbox.put(job)
+                return pool
             """,
             select="CQ008",
         )
@@ -760,7 +768,7 @@ class TestCQ009:
         assert found == []
 
     def test_fires_in_skyline_window_hot_sections(self, tmp_path):
-        # The SoA window (docs/ARCHITECTURE.md §16) is hot-path scope: a
+        # The SoA window (docs/ARCHITECTURE.md §14) is hot-path scope: a
         # per-row walk over its flat columns reboxes every cell.
         found = lint(
             tmp_path,

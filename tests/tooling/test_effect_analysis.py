@@ -1,7 +1,7 @@
 """Tests for the whole-program analysis layer of ``tools.caqe_check``.
 
-Covers the interprocedural engine (CQ010 worker purity, CQ011 layer
-contracts, CQ012 determinism taint) on the committed fixture trees under
+Covers the interprocedural engine (CQ011 layer contracts, CQ012
+determinism taint) on the committed fixture trees under
 ``tests/tooling/fixtures/``, the CQ000 syntax-error diagnostic, pragma
 edge cases around decorated definitions, the byte-identical determinism
 of the effect fixpoint, the content-hash summary cache, and the
@@ -53,91 +53,6 @@ def write_tree(tmp_path, files):
 
 def codes(violations):
     return [v.code for v in violations]
-
-
-# ------------------------------------------------------------------ #
-# CQ010 — worker purity on the committed fixture tree
-# ------------------------------------------------------------------ #
-class TestCQ010:
-    def test_fixture_mutation_fires_with_witness_chain(self):
-        found = lint_tree(FIXTURES / "cq010_tree", select="CQ010")
-        assert codes(found) == ["CQ010"]
-        message = found[0].message
-        assert "_record_progress" in message
-        assert "MUTATES_NONLOCAL" in message
-        assert "prepare_payload -> repro.parallel.worker:_record_progress" in message
-        # Anchored at the offending def, not the call site or the root.
-        assert found[0].line == 15
-
-    def test_clean_worker_tree_passes(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "repro/parallel/worker.py": """\
-                import os
-
-
-                def prepare_payload(region_id):
-                    return region_id * 2
-
-
-                def worker_main(region_id):
-                    os.getppid()
-                    return prepare_payload(region_id)
-                """
-            },
-        )
-        assert lint_tree(tmp_path, select="CQ010") == []
-
-    def test_stale_allowlist_grant_is_reported(self, tmp_path):
-        # worker_main without the getppid watchdog: the audited IO grant
-        # no longer matches a direct effect, so the grant itself fires.
-        write_tree(
-            tmp_path,
-            {
-                "repro/parallel/worker.py": """\
-                def prepare_payload(region_id):
-                    return region_id
-
-
-                def worker_main(region_id):
-                    return prepare_payload(region_id)
-                """
-            },
-        )
-        found = lint_tree(tmp_path, select="CQ010")
-        assert codes(found) == ["CQ010"]
-        assert "stale purity-allowlist grant" in found[0].message
-
-    def test_absent_roots_keep_rule_quiet(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {"repro/core/mod.py": "def run():\n    return 1\n"},
-        )
-        assert lint_tree(tmp_path, select="CQ010") == []
-
-    def test_unseeded_rng_in_prepare_plane_fires(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "repro/parallel/worker.py": """\
-                import os
-                import random
-
-
-                def prepare_payload(region_id):
-                    return random.random()
-
-
-                def worker_main(region_id):
-                    os.getppid()
-                    return prepare_payload(region_id)
-                """
-            },
-        )
-        found = lint_tree(tmp_path, select="CQ010")
-        assert codes(found) == ["CQ010"]
-        assert "UNSEEDED_RNG" in found[0].message
 
 
 # ------------------------------------------------------------------ #
@@ -306,36 +221,29 @@ class TestCQ000:
 # ------------------------------------------------------------------ #
 class TestPragmaEdgeCases:
     def test_standalone_pragma_above_decorator_covers_the_def(self, tmp_path):
-        # CQ010 anchors at the def line; the pragma sits above the
+        # The violation sits on the def line; the pragma sits above the
         # decorator, two lines earlier.
+        source = """\
+            import functools
+            import time  # caqe-check: disable=CQ007
+
+
+            {pragma}
+            @functools.lru_cache(maxsize=None)
+            def stamp(now=time.time()):
+                return now
+            """
+        write_tree(tmp_path, {"repro/core/mod.py": source.format(pragma="")})
+        assert codes(lint_tree(tmp_path, select="CQ007")) == ["CQ007"]
         write_tree(
             tmp_path,
             {
-                "repro/parallel/worker.py": """\
-                import functools
-                import os
-
-                STATS = {"n": 0}
-
-
-                # caqe-check: disable=CQ010
-                @functools.lru_cache(maxsize=None)
-                def _record(region_id):
-                    STATS["n"] += 1
-                    return region_id
-
-
-                def prepare_payload(region_id):
-                    return _record(region_id)
-
-
-                def worker_main(region_id):
-                    os.getppid()
-                    return prepare_payload(region_id)
-                """
+                "repro/core/mod.py": source.format(
+                    pragma="# caqe-check: disable=CQ007"
+                )
             },
         )
-        assert lint_tree(tmp_path, select="CQ010") == []
+        assert lint_tree(tmp_path, select="CQ007") == []
 
     def test_project_rule_pragma_on_def_line_in_other_file(self, tmp_path):
         # The CQ011 violation anchors in table.py while the graph spans
@@ -480,15 +388,16 @@ class TestGraph:
 # ------------------------------------------------------------------ #
 class TestFormatsAndCli:
     def test_json_and_sarif_render_fixture_violation(self):
-        found = lint_tree(FIXTURES / "cq010_tree", select="CQ010")
+        found = lint_tree(FIXTURES / "cq012_tree", select="CQ012")
         payload = json.loads(render_json(found))
         assert payload["count"] == 1
-        assert payload["violations"][0]["code"] == "CQ010"
+        assert payload["violations"][0]["code"] == "CQ012"
         sarif = json.loads(render_sarif(found))
         results = sarif["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["CQ010"]
+        assert [r["ruleId"] for r in results] == ["CQ012"]
         rule_ids = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"CQ000", "CQ010", "CQ011", "CQ012"} <= rule_ids
+        assert {"CQ000", "CQ011", "CQ012"} <= rule_ids
+        assert "CQ010" not in rule_ids
 
     def test_cli_sarif_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.sarif"
@@ -527,10 +436,10 @@ class TestFormatsAndCli:
                 "--no-cache",
                 "--dump-summaries",
                 "-",
-                str(FIXTURES / "cq010_tree"),
+                str(FIXTURES / "cq011_tree"),
             ]
         )
         out = capsys.readouterr().out
         assert status == 0
         payload = json.loads(out)
-        assert "repro.parallel.worker:_record_progress" in payload["functions"]
+        assert "repro.relation.table:rows" in payload["functions"]

@@ -1,8 +1,8 @@
 """Perf-regression gate over the quick benchmark matrix (ROADMAP item 5).
 
-Runs the two quick benchmarks (``bench_perf_trajectory`` and
-``bench_parallel_scaling``), distils one compact record, and gates it
-against ``BENCH_history.jsonl``:
+Runs the quick benchmarks (``bench_perf_trajectory`` and, unless
+``--no-serving``, ``bench_serving``), distils one compact record, and
+gates it against ``BENCH_history.jsonl``:
 
 * **determinism** — ``skyline_comparisons`` / ``virtual_time`` /
   ``regions_processed`` / ``average_satisfaction`` must match the most
@@ -10,13 +10,14 @@ against ``BENCH_history.jsonl``:
   deterministic functions of the code (not the machine), so any drift is
   a semantics change that slipped past the equivalence suites.
 * **performance** — wall-clock is machine- and load-dependent, so the
-  gate never compares absolute seconds across runs.  It compares
-  *within-run* ratios (``workers=N / workers=0``, and the scale sweep's
-  throughput relative to its own 1x cell) against the median of recent
-  passing entries, with a noise tolerance: a storage-layer blow-up shows
-  up as falling relative throughput at 4x/16x cardinality.  (History
-  entries up to PR 15 also carry a ``speedup`` of the engine over its
-  since-deleted scalar/naive mode; it is no longer produced or gated.)
+  gate never compares absolute seconds across runs.  It compares a
+  *within-run* ratio (the scale sweep's throughput relative to its own
+  1x cell) against the median of recent passing entries, with a noise
+  tolerance: a storage-layer blow-up shows up as falling relative
+  throughput at 4x/16x cardinality.  (Older history entries also carry
+  a ``speedup`` of the engine over its since-deleted scalar/naive mode
+  and a ``parallel`` section from the since-deleted worker pool;
+  neither is produced or gated any more.)
 
 ``REPRO_SCALE`` overrides rescale every cardinality, so each scale forms
 its own baseline lineage in the history file — the CI scaled smoke job
@@ -30,8 +31,7 @@ Usage::
 
     PYTHONPATH=src python -m tools.bench_gate              # run + gate + append
     PYTHONPATH=src python -m tools.bench_gate --no-append  # dry gate
-    PYTHONPATH=src python -m tools.bench_gate --skip-run \
-        --perf BENCH_quick.json --parallel BENCH_parallel_quick.json
+    PYTHONPATH=src python -m tools.bench_gate --skip-run --perf BENCH_quick.json
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def gate_serving(record: dict, history: "list[dict]") -> "list[str]":
     return failures
 
 
-def distil(perf: dict, parallel: "dict | None") -> dict:
-    """One flat, diff-friendly record from the two benchmark reports."""
+def distil(perf: dict) -> dict:
+    """One flat, diff-friendly record from the perf-trajectory report."""
     fig9 = perf["fig9_independent_c2"]
     record: dict = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -202,21 +202,6 @@ def distil(perf: dict, parallel: "dict | None") -> dict:
             for cell in perf.get("scale_sweep", [])
         ],
     }
-    if parallel is not None:
-        scaling = {}
-        for section, cell in parallel.items():
-            if not isinstance(cell, dict) or "settings" not in cell:
-                continue
-            serial = cell["settings"]["workers=0"]
-            scaling[section] = {
-                "invariants": _invariants(serial),
-                "speedups": {
-                    setting: row["speedup_vs_serial"]
-                    for setting, row in cell["settings"].items()
-                    if setting != "workers=0"
-                },
-            }
-        record["parallel"] = scaling
     return record
 
 
@@ -282,11 +267,6 @@ def gate(record: dict, history: "list[dict]", tolerance: float) -> "list[str]":
     ):
         checks.append((f"scale {mine['scale']}x", mine["invariants"],
                        theirs["invariants"]))
-    for mine_p, theirs_p in [(record.get("parallel", {}),
-                              latest.get("parallel", {}))]:
-        for section in sorted(set(mine_p) & set(theirs_p)):
-            checks.append((f"parallel {section}", mine_p[section]["invariants"],
-                           theirs_p[section]["invariants"]))
     for label, mine_i, theirs_i in checks:
         for key in INVARIANT_KEYS:
             if mine_i.get(key) != theirs_i.get(key):
@@ -322,18 +302,6 @@ def gate(record: dict, history: "list[dict]", tolerance: float) -> "list[str]":
                 if len(e.get("scale_sweep", [])) > pos
             ],
         )
-    for section, scaling in record.get("parallel", {}).items():
-        for setting, speedup in scaling["speedups"].items():
-            ratio_gate(
-                f"parallel {section} {setting}",
-                speedup,
-                [
-                    e["parallel"][section]["speedups"][setting]
-                    for e in window
-                    if setting
-                    in e.get("parallel", {}).get(section, {}).get("speedups", {})
-                ],
-            )
     return failures
 
 
@@ -349,7 +317,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--tolerance",
         type=float,
         default=0.35,
-        help="allowed relative speedup drop vs the recent median "
+        help="allowed relative throughput drop vs the recent median "
         "(default 0.35 — quick runs on shared CI boxes are noisy)",
     )
     parser.add_argument(
@@ -358,17 +326,11 @@ def main(argv: "list[str] | None" = None) -> int:
         help="gate existing reports instead of running the benchmarks",
     )
     parser.add_argument("--perf", type=Path, help="perf-trajectory report JSON")
-    parser.add_argument("--parallel", type=Path, help="parallel-scaling report JSON")
     parser.add_argument("--serving", type=Path, help="serving-load report JSON")
     parser.add_argument(
         "--no-serving",
         action="store_true",
         help="skip the multi-tenant serving benchmark and its gate",
-    )
-    parser.add_argument(
-        "--no-parallel",
-        action="store_true",
-        help="skip the parallel-scaling benchmark (serial-only machines)",
     )
     parser.add_argument(
         "--no-append",
@@ -381,34 +343,14 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.perf is None:
             parser.error("--skip-run requires --perf")
         perf = json.loads(args.perf.read_text())
-        parallel = (
-            json.loads(args.parallel.read_text()) if args.parallel else None
-        )
         serving = (
             json.loads(args.serving.read_text()) if args.serving else None
         )
     else:
-        run_parallel = not args.no_parallel
-        if run_parallel and (os.cpu_count() or 1) <= 1:
-            # A workers=N vs workers=0 ratio on a single-core box measures
-            # only scheduling overhead; gating on it would flag phantom
-            # regressions, so the comparison is skipped, loudly.
-            print(
-                "bench-gate: SKIP parallel-scaling comparison — "
-                f"os.cpu_count()={os.cpu_count()!r} provides no real "
-                "parallelism, so worker-pool speedup ratios would be "
-                "meaningless (run on a multi-core machine to gate them)"
-            )
-            run_parallel = False
         with tempfile.TemporaryDirectory(prefix="bench-gate-") as scratch:
             perf = _run_quick_bench(
                 "bench_perf_trajectory.py", Path(scratch) / "perf.json"
             )
-            parallel = None
-            if run_parallel:
-                parallel = _run_quick_bench(
-                    "bench_parallel_scaling.py", Path(scratch) / "parallel.json"
-                )
             serving = None
             if not args.no_serving:
                 serving = _run_quick_bench(
@@ -417,7 +359,7 @@ def main(argv: "list[str] | None" = None) -> int:
                     ("--burst", "--check-determinism"),
                 )
 
-    record = distil(perf, parallel)
+    record = distil(perf)
     if serving is not None:
         record["serving"] = distil_serving(serving)
     history = load_history(args.history)
@@ -439,7 +381,6 @@ def main(argv: "list[str] | None" = None) -> int:
         f"{len(record['fig11'])} fig11 cells, "
         f"{len(record.get('scale_sweep', []))} scale cells "
         f"(REPRO_SCALE={record.get('repro_scale', 1.0)}), "
-        f"{'parallel sections: %d, ' % len(record.get('parallel', {})) if parallel else ''}"
         f"{'serving arms: %d, ' % len(record.get('serving', {})) if serving else ''}"
         f"baseline entries: {baseline_count}"
     )

@@ -16,7 +16,7 @@ Whole-program options:
 * ``--format {text,json,sarif}`` — machine-readable reports (SARIF is
   what CI uploads as a workflow artifact);
 * ``--cache-dir DIR`` / ``--no-cache`` — content-hash summary cache for
-  the CQ010–CQ012 analysis (default: ``.caqe-check-cache/`` under the
+  the CQ011/CQ012 analysis (default: ``.caqe-check-cache/`` under the
   repo root; the key hashes every scanned source *and* the analysis
   code, so stale hits are impossible);
 * ``--dump-summaries PATH`` — write the effect/call-graph summaries as

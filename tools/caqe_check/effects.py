@@ -1,4 +1,4 @@
-"""Per-function effect summaries by interprocedural fixpoint (CQ010/CQ012).
+"""Per-function effect summaries by interprocedural fixpoint (CQ012).
 
 The effect lattice is a powerset over six atoms:
 
@@ -21,7 +21,7 @@ summaries of every statically-resolved callee, computed as a worklist
 fixpoint over the :class:`~tools.caqe_check.graph.ProgramGraph` call
 graph.  Unresolvable dynamic calls contribute nothing — the analysis is
 optimistic about what it cannot see and exact about what it can (the
-contract is documented in ARCHITECTURE §13).
+contract is documented in ARCHITECTURE §12).
 
 The same pass computes the determinism-taint summaries used by CQ012:
 which functions *return* a value derived from set/dict iteration order or

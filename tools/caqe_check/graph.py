@@ -1,6 +1,6 @@
 """Module import graph and call graph over the scanned tree.
 
-This is the substrate for the whole-program rules (CQ010–CQ012): it maps
+This is the substrate for the whole-program rules (CQ011, CQ012): it maps
 every scanned file to a dotted module name, indexes the functions and
 classes each module defines, resolves ``import``/``from`` tables
 (chasing re-exports through package ``__init__`` modules), and extracts
@@ -22,7 +22,7 @@ we can defend:
 
 Everything else is an *unknown* call and — deliberately — carries no
 effects: the analysis is optimistic on dynamic dispatch it cannot see,
-and exact on everything it can.  The docs (ARCHITECTURE §13) spell out
+and exact on everything it can.  The docs (ARCHITECTURE §12) spell out
 this contract.
 """
 
@@ -73,9 +73,9 @@ def module_name_for(posix: str) -> "str | None":
 class FunctionInfo:
     """One function or method defined in a scanned module."""
 
-    qualname: str  # "repro.parallel.worker:worker_main" / "mod:Cls.meth"
+    qualname: str  # "repro.core.caqe:coarse_join" / "mod:Cls.meth"
     module: str
-    name: str  # "worker_main" or "Cls.meth"
+    name: str  # "coarse_join" or "Cls.meth"
     class_name: "str | None"
     file: CheckedFile
     node: "ast.FunctionDef | ast.AsyncFunctionDef"

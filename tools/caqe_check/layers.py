@@ -11,7 +11,6 @@ Layer order (bottom → top)::
     skyline      skyline
     query        query                (query uses skyline.bnl/dominance)
     structure    partition, plan, contracts, datagen
-    parallel     parallel             (pure prepare plane)
     robustness   robustness           (faults/sanitize/recovery)
     core         core                 (driver; consumes everything below)
     durability   durability           (journals *around* core)
@@ -47,7 +46,6 @@ LAYERS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
     ("query", ("repro.query",)),
     ("structure", ("repro.partition", "repro.plan", "repro.contracts",
                    "repro.datagen")),
-    ("parallel", ("repro.parallel",)),
     ("robustness", ("repro.robustness",)),
     ("core", ("repro.core",)),
     ("durability", ("repro.durability",)),

@@ -11,11 +11,11 @@ Three placements are honoured:
 ``disable=all`` suppresses every rule.  Rule names are comma-separated and
 case-insensitive (``CQ001`` canonical).
 
-Decorated definitions get one extra accommodation: project rules (CQ010+)
+Decorated definitions get one extra accommodation: project rules (CQ011+)
 anchor violations at the ``def``/``class`` line, but a pragma written
 above the definition lands on the *decorator* line first.  Any pragma
 that binds to a decorator line is therefore extended to the decorated
-definition's own line as well, so ``# caqe-check: disable=CQ010`` above
+definition's own line as well, so ``# caqe-check: disable=CQ012`` above
 ``@dataclass`` suppresses as the author intended.
 """
 

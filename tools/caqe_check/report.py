@@ -15,9 +15,8 @@ RULE_DESCRIPTIONS = {
     "CQ005": "No float-literal equality comparisons",
     "CQ006": "No bare/broad except without re-raise in src/repro",
     "CQ007": "No wall-clock reads in src/repro (virtual clock only)",
-    "CQ008": "Process parallelism only via repro.parallel.RegionPool",
+    "CQ008": "No process parallelism in src/repro (serial commit only)",
     "CQ009": "No per-row loops over relation columns in the hot path",
-    "CQ010": "Worker purity: the prepare plane must be effect-free",
     "CQ011": "Layer contracts: no upward imports, no import cycles",
     "CQ012": "Determinism taint: unordered values must not order anything",
 }

@@ -18,7 +18,6 @@ from tools.caqe_check.rules import (
     cq007_wallclock,
     cq008_parallel,
     cq009_rowloop,
-    cq010_purity,
     cq011_layers,
     cq012_taint,
     cq013_bounded_waits,
@@ -35,7 +34,7 @@ FILE_RULES = (
     cq009_rowloop,
     cq013_bounded_waits,
 )
-PROJECT_RULES = (cq004_config, cq010_purity, cq011_layers, cq012_taint)
+PROJECT_RULES = (cq004_config, cq011_layers, cq012_taint)
 
 #: Engine-level diagnostic code (not a rule module).
 SYNTAX_ERROR_CODE = "CQ000"

@@ -1,24 +1,23 @@
-"""CQ008 — process parallelism only via the deterministic region pool.
+"""CQ008 — no process parallelism in the engine.
 
-The parallel layer (docs/ARCHITECTURE.md §11) guarantees bit-identical
-observables because *all* multi-process execution funnels through
-``repro.parallel.RegionPool``: pure prepare work in workers, every
-commit applied by the driver in serial benefit order.  A stray
-``multiprocessing.Pool`` (or executor / raw fork) elsewhere in the
-engine would bypass the commit protocol and reintroduce scheduling
-nondeterminism, so inside ``src/repro`` — but outside
-``src/repro/parallel/`` — this rule forbids:
+Algorithm 1 commits regions one at a time in benefit order, and every
+observable (region trace, comparison counts, virtual time, reported
+identity sets) is a deterministic function of that serial commit.
+Process fan-out would reintroduce scheduling nondeterminism, and the
+work it could move off the driver (cell join + projection) is ≈ 5 % of a
+run (EXPERIMENTS.md § "Worker pool verdict"), so this rule forbids,
+everywhere under ``repro/``:
 
 * ``import multiprocessing`` / ``from multiprocessing import ...``
   (including submodules such as ``multiprocessing.pool``);
 * ``import concurrent.futures`` / ``from concurrent.futures import
-  ...`` — both process and thread pools construct futures-based fan-out
-  that sidesteps the deterministic pool;
+  ...`` — both process and thread pools construct futures-based fan-out;
 * calls to ``os.fork`` / ``os.forkpty``.
 
-Thread primitives (``threading``) stay allowed: the serving layer uses
-them for admission control, and threads never skip the commit point.
-Deliberate exceptions can carry ``# caqe-check: disable=CQ008``.
+Thread primitives (``threading``) stay allowed: the serving layer's
+driver thread steps one scheduler under its lock, so threads never skip
+the serial commit.  Deliberate exceptions can carry
+``# caqe-check: disable=CQ008``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ _BANNED_OS_CALLS = {"fork", "forkpty"}
 
 
 def _in_scope(posix: str) -> bool:
-    return "repro/" in posix and "repro/parallel/" not in posix
+    return "repro/" in posix
 
 
 def check(file: CheckedFile) -> "list[Violation]":
@@ -56,8 +55,8 @@ def check(file: CheckedFile) -> "list[Violation]":
                     emit(
                         node,
                         f"import of {alias.name!r}: process parallelism "
-                        "must go through repro.parallel.RegionPool (the "
-                        "deterministic commit protocol)",
+                        "is banned in the engine (regions commit serially "
+                        "in benefit order)",
                     )
         elif isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")[0]
@@ -65,8 +64,8 @@ def check(file: CheckedFile) -> "list[Violation]":
                 emit(
                     node,
                     f"import from {node.module!r}: process parallelism "
-                    "must go through repro.parallel.RegionPool (the "
-                    "deterministic commit protocol)",
+                    "is banned in the engine (regions commit serially "
+                    "in benefit order)",
                 )
         elif isinstance(node, ast.Call):
             chain = dotted_name(node.func)
@@ -75,7 +74,8 @@ def check(file: CheckedFile) -> "list[Violation]":
             if chain[0] == "os" and chain[-1] in _BANNED_OS_CALLS:
                 emit(
                     node,
-                    f"call to os.{chain[-1]}: raw forks bypass the "
-                    "deterministic region pool (repro.parallel)",
+                    f"call to os.{chain[-1]}: process parallelism is "
+                    "banned in the engine (regions commit serially in "
+                    "benefit order)",
                 )
     return violations

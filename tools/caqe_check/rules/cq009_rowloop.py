@@ -1,6 +1,6 @@
 """CQ009 — per-row Python loops over relation columns in the hot path.
 
-The columnar data plane (docs/ARCHITECTURE.md §12) keeps the region hot
+The columnar data plane (docs/ARCHITECTURE.md §11) keeps the region hot
 path — tuple-level join, projection, and result commit — as array
 programs: one numpy call over a whole region, never a Python-level loop
 over the rows of a relation column.  A ``for`` loop that walks
@@ -10,7 +10,7 @@ interpreter speed.
 
 Scope: the hot-path modules ``core/executor.py``,
 ``query/joinkernel.py`` and ``skyline/window.py`` (whose SoA columns
-— docs/ARCHITECTURE.md §16 — make per-row Python loops just as costly as
+— docs/ARCHITECTURE.md §14 — make per-row Python loops just as costly as
 relation-column walks).  Flagged: ``for`` loops and comprehensions
 whose iterable is
 
@@ -128,7 +128,7 @@ class _ScopeVisitor:
                 anchor,
                 CODE,
                 f"per-row loop over {kind}: hot-path modules must process "
-                "regions as array programs (docs/ARCHITECTURE.md §12); "
+                "regions as array programs (docs/ARCHITECTURE.md §11); "
                 "vectorise, or pragma a deliberate scalar ablation path",
             )
             if violation is not None:

@@ -5,8 +5,7 @@ insertion history; ``id()`` follows the allocator.  A value derived from
 either is harmless as *data* but poison as an *ordering decision*: used
 as a sort key, written into a journal record, pushed onto a scheduling
 heap, or driving skyline insertion order, it silently breaks the
-bit-identical-replay contract that the durability and parallel layers
-are built on.
+bit-identical-replay contract that the durability layer is built on.
 
 The taint pass in :mod:`tools.caqe_check.effects` tracks these values
 interprocedurally: functions that *return* tainted values propagate the

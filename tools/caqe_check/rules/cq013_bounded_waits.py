@@ -1,4 +1,4 @@
-"""CQ013 — bounded waits in the serving layer (docs/ARCHITECTURE.md §15.5).
+"""CQ013 — bounded waits in the serving layer (docs/ARCHITECTURE.md §13.5).
 
 Every blocking wait in ``src/repro/serving`` must carry a bound.  The
 serving layer is the only part of the tree where threads park on

@@ -57,7 +57,7 @@ OBSERVABLES = (
 )
 
 
-def _build_inputs(seed: int, workers: int = 0):
+def _build_inputs(seed: int):
     """Deterministic inputs: Figure-1 workload + a seeded fault plan."""
     from repro.contracts import c2
     from repro.core import CAQEConfig
@@ -97,7 +97,6 @@ def _build_inputs(seed: int, workers: int = 0):
             enable_journal=True,
             journal_dir=journal_dir,
             checkpoint_every_regions=7,
-            workers=workers,
         )
 
     return pair, workload, contracts, config
@@ -124,14 +123,12 @@ def _observables(result) -> "dict[str, object]":
     }
 
 
-def child_run(
-    seed: int, journal_dir: str, kill_after: int, workers: int = 0
-) -> int:
+def child_run(seed: int, journal_dir: str, kill_after: int) -> int:
     """Run once; with ``kill_after`` > 0, SIGKILL after that many records."""
     from repro.core import CAQE
     from repro.durability import journal as journal_mod
 
-    pair, workload, contracts, config = _build_inputs(seed, workers)
+    pair, workload, contracts, config = _build_inputs(seed)
 
     if kill_after > 0:
         original_append = journal_mod.RegionJournal.append
@@ -155,11 +152,11 @@ def child_run(
     return 0
 
 
-def child_resume(seed: int, journal_dir: str, workers: int = 0) -> int:
+def child_resume(seed: int, journal_dir: str) -> int:
     """Resume from a crashed directory and print the final observables."""
     from repro.durability import resume_run
 
-    pair, workload, contracts, config = _build_inputs(seed, workers)
+    pair, workload, contracts, config = _build_inputs(seed)
     result = resume_run(
         pair.left, pair.right, workload, contracts, config(journal_dir)
     )
@@ -197,7 +194,6 @@ def audit_seed(
     fractions,
     failures: "list[str]",
     torn_tail: bool,
-    workers: int = 0,
 ) -> None:
     print(f"seed {seed}:")
     with tempfile.TemporaryDirectory(prefix="caqe-ref-") as ref_dir:
@@ -208,8 +204,6 @@ def audit_seed(
                 str(seed),
                 "--journal-dir",
                 ref_dir,
-                "--workers",
-                "0",
             ]
         )
     assert reference is not None
@@ -227,8 +221,6 @@ def audit_seed(
                     crash_dir,
                     "--kill-after",
                     str(kill_after),
-                    "--workers",
-                    "0",
                 ],
                 expect_kill=True,
             )
@@ -241,8 +233,6 @@ def audit_seed(
                     str(seed),
                     "--journal-dir",
                     crash_dir,
-                    "--workers",
-                    "0",
                 ]
             )
         assert resumed is not None
@@ -259,52 +249,6 @@ def audit_seed(
         else:
             print(f"  ok   {label}: resumed bit-identically")
         torn_tail = False  # one torn-tail corner per seed is plenty
-
-    if workers:
-        # SIGKILL-under-parallelism corner (docs/ARCHITECTURE.md §11.5):
-        # the crashing run AND the resume both drive a worker pool; the
-        # reference stayed serial, so a match proves kill-resume is
-        # bit-identical across the parallel/serial boundary too.
-        kill_after = _kill_points(total, seed, fractions)[-1]
-        with tempfile.TemporaryDirectory(prefix="caqe-kill-") as crash_dir:
-            _spawn(
-                [
-                    "--child-run",
-                    "--seed",
-                    str(seed),
-                    "--journal-dir",
-                    crash_dir,
-                    "--kill-after",
-                    str(kill_after),
-                    "--workers",
-                    str(workers),
-                ],
-                expect_kill=True,
-            )
-            resumed = _spawn(
-                [
-                    "--child-resume",
-                    "--seed",
-                    str(seed),
-                    "--journal-dir",
-                    crash_dir,
-                    "--workers",
-                    str(workers),
-                ]
-            )
-        assert resumed is not None
-        drifted = [
-            key for key in OBSERVABLES if resumed[key] != reference[key]
-        ]
-        label = (
-            f"SIGKILL after record {kill_after}/{total} "
-            f"(workers={workers}, serial reference)"
-        )
-        if drifted:
-            print(f"  FAIL {label}: drift in {', '.join(drifted)}")
-            failures.append(f"seed {seed}, {label}: {', '.join(drifted)}")
-        else:
-            print(f"  ok   {label}: resumed bit-identically")
 
 
 def _append_torn_tail(journal_dir: str) -> None:
@@ -343,13 +287,6 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="one seed, two kill points (local smoke)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker-pool size for the SIGKILL-under-parallelism corner "
-        "(0 disables it); also internal for child modes",
-    )
     args = parser.parse_args(argv)
 
     if str(SRC_ROOT) not in sys.path:
@@ -359,18 +296,14 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.journal_dir is None:
             parser.error("--journal-dir is required for child modes")
         if args.child_run:
-            return child_run(
-                args.seed, args.journal_dir, args.kill_after, args.workers
-            )
-        return child_resume(args.seed, args.journal_dir, args.workers)
+            return child_run(args.seed, args.journal_dir, args.kill_after)
+        return child_resume(args.seed, args.journal_dir)
 
     seeds = args.seeds[:1] if args.quick else args.seeds
     fractions = KILL_FRACTIONS[:2] if args.quick else KILL_FRACTIONS
     failures: "list[str]" = []
     for seed in seeds:
-        audit_seed(
-            seed, fractions, failures, torn_tail=True, workers=args.workers
-        )
+        audit_seed(seed, fractions, failures, torn_tail=True)
     if failures:
         print(f"kill-resume-audit: FAIL — {len(failures)} divergent resume(s)")
         for line in failures:
