@@ -8,7 +8,8 @@ Each function regenerates the data behind one figure:
   execution time of every strategy relative to CAQE (Figures 10a-10c);
 * :func:`figure11` — average satisfaction as the workload grows
   (Figures 11a/11b);
-* :func:`figure6_sizes` — shared-plan size: min-max cuboid vs full skycube.
+* :func:`figure6_sizes` — shared-plan size: min-max cuboid vs full skycube;
+* :func:`figure1_workload` — the paper's running example workload.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from repro.bench.runner import (
 )
 from repro.contracts.presets import CONTRACT_CLASSES
 from repro.plan import build_minmax_cuboid
-from repro.query import Workload, subspace_workload
+from repro.query import (
+    JoinCondition,
+    Preference,
+    SkylineJoinQuery,
+    Workload,
+    add,
+    subspace_workload,
+)
 from repro.bench.config import PRIORITY_SCHEME_BY_CONTRACT
 
 #: Figure 10 is reported for the independent distribution under C2 (§7.3).
@@ -208,18 +216,12 @@ def figure11(
     return result
 
 
-def figure6_sizes(dims: int = 4) -> "dict[str, int]":
-    """Shared-plan sizes: Figure 6's cuboid vs Figure 5's full skycube."""
-    from repro.query import (
-        JoinCondition,
-        Preference,
-        SkylineJoinQuery,
-        add,
-    )
-
+def figure1_workload() -> Workload:
+    """The paper's running example (Figure 1): Q1..Q4 over output dims
+    d1..d4, each ``d_i = m_i + m_i`` across the one join condition JC1."""
     jc = JoinCondition.on("jc1", name="JC1")
-    fns = tuple(add(f"m{i}", f"m{i}", f"d{i}") for i in range(1, dims + 1))
-    figure1 = Workload(
+    fns = tuple(add(f"m{i}", f"m{i}", f"d{i}") for i in range(1, 5))
+    return Workload(
         [
             SkylineJoinQuery("Q1", jc, fns[:2], Preference.over("d1", "d2")),
             SkylineJoinQuery("Q2", jc, fns[:3], Preference.over("d1", "d2", "d3")),
@@ -227,7 +229,12 @@ def figure6_sizes(dims: int = 4) -> "dict[str, int]":
             SkylineJoinQuery("Q4", jc, fns[1:4], Preference.over("d2", "d3", "d4")),
         ]
     )
-    cuboid = build_minmax_cuboid(figure1)
+
+
+def figure6_sizes(dims: int = 4) -> "dict[str, int]":
+    """Shared-plan sizes: Figure 6's cuboid (over the Figure 1 workload)
+    vs Figure 5's full skycube over ``dims`` dimensions."""
+    cuboid = build_minmax_cuboid(figure1_workload())
     return {
         "full_skycube": 2 ** dims - 1,
         "min_max_cuboid": len(cuboid),
@@ -239,6 +246,7 @@ __all__ = [
     "Figure9Result",
     "Figure10Result",
     "Figure11Result",
+    "figure1_workload",
     "figure6_sizes",
     "figure9",
     "figure10",

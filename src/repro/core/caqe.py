@@ -13,13 +13,16 @@
    dominated, and update query weights from run-time satisfaction
    (Equation 11).
 
+Steps 1–4 are :meth:`CAQE.open_run`'s prologue; step 5, with its
+per-region bookkeeping, runs on the :class:`LiveRun` it returns.
+
 Every optimisation the paper describes can be toggled off through
 :class:`CAQEConfig` for the ablation benches (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -73,8 +76,6 @@ class CAQEConfig:
     #: Target leaf-cell count per table; the quad-tree capacity is derived
     #: as ``ceil(cardinality / target_cells)``.
     target_cells: int = 16
-    #: Explicit quad-tree leaf capacity (overrides ``target_cells``).
-    partition_capacity: "int | None" = None
     #: Input-tree split policy: "quad" (paper's 2^d midpoint split) or
     #: "kd" (binary median splits; balanced leaves — ablation option).
     partition_split: str = "quad"
@@ -103,8 +104,6 @@ class CAQEConfig:
     #: Validate measure columns and quarantine NaN/inf/out-of-domain
     #: tuples before partitioning.
     enable_sanitize: bool = False
-    #: Magnitude bound for the sanitizer's domain check.
-    sanitize_domain_limit: float = 1e9
     #: Region-level retry with backoff + quarantine of repeat offenders.
     enable_recovery: bool = False
     #: Backoff shape used when ``enable_recovery`` is on.
@@ -134,9 +133,6 @@ class CAQEConfig:
     #: Rejected submissions an open breaker absorbs before allowing a
     #: half-open trial (event-count cooldown — wall clocks are banned).
     server_breaker_cooldown: int = 8
-    #: Default per-query virtual-time deadline applied by the server
-    #: when a submission carries none.  ``None`` = no deadline.
-    server_default_deadline: "float | None" = None
     #: The one residue of the removed worker pool: always ``0`` (the
     #: serial engine); any other value is rejected.
     workers: int = 0
@@ -145,13 +141,6 @@ class CAQEConfig:
     #: whole runs in arrival order; ``"interleaved"`` multiplexes live
     #: submissions region by region under the cross-tenant benefit ranking.
     server_mode: str = "fifo"
-    #: Fair-share weight assumed for tenants registered without one.
-    tenant_default_weight: float = 1.0
-    #: SLO tier assumed for tenants registered without one (0 = highest
-    #: priority; higher numbers brown out first).
-    tenant_default_tier: int = 1
-    #: Bulkhead cap: max in-flight submissions per tenant.
-    tenant_max_live: int = 4
     #: Weight of the deficit term in the cross-tenant benefit score
     #: (0 disables fairness pressure — pure benefit greedy).
     tenant_fairness_pressure: float = 0.05
@@ -195,7 +184,6 @@ class CAQEConfig:
             "server_queue_limit",
             "server_breaker_threshold",
             "server_breaker_cooldown",
-            "tenant_max_live",
             "tenant_brownout_defer_live",
             "tenant_brownout_degrade_live",
             "tenant_brownout_shed_live",
@@ -209,30 +197,10 @@ class CAQEConfig:
                 raise ValueError(
                     f"{knob} must be an integer >= 1, got {value!r}"
                 )
-        if (
-            self.server_default_deadline is not None
-            and self.server_default_deadline <= 0
-        ):
-            raise ValueError(
-                f"server_default_deadline must be positive, got "
-                f"{self.server_default_deadline}"
-            )
         if self.server_mode not in ("fifo", "interleaved"):
             raise ValueError(
                 f"unknown server_mode {self.server_mode!r}; "
                 "expected 'fifo' or 'interleaved'"
-            )
-        if not (
-            0.0 < float(self.tenant_default_weight) < float("inf")
-        ):
-            raise ValueError(
-                f"tenant_default_weight must be positive and finite, got "
-                f"{self.tenant_default_weight}"
-            )
-        if self.tenant_default_tier < 0:
-            raise ValueError(
-                f"tenant_default_tier must be >= 0, got "
-                f"{self.tenant_default_tier}"
             )
         if not (0.0 <= float(self.tenant_fairness_pressure) < float("inf")):
             raise ValueError(
@@ -257,8 +225,6 @@ class CAQEConfig:
             )
 
     def capacity_for(self, cardinality: int) -> int:
-        if self.partition_capacity is not None:
-            return self.partition_capacity
         # A 2x headroom keeps the quad-tree from over-splitting skewed
         # quadrants far beyond the requested cell budget.
         return max(1, -(-2 * cardinality // max(self.target_cells, 1)))
@@ -360,7 +326,6 @@ class _RunState:
     cells_right: "dict[int, LeafCell]"
     quarantine: "dict[str, QuarantineReport]"
     fault_plan: "FaultPlan | None"
-    inject: bool
     executor: "RegionExecutor | None" = None
     #: Journal sequence number of the last completed region.
     seq: int = 0
@@ -530,12 +495,8 @@ class CAQE:
         quarantine: "dict[str, QuarantineReport]" = {}
         if cfg.enable_sanitize:
             build_cache = None
-            left, left_report = sanitize_relation(
-                left, domain_limit=cfg.sanitize_domain_limit
-            )
-            right, right_report = sanitize_relation(
-                right, domain_limit=cfg.sanitize_domain_limit
-            )
+            left, left_report = sanitize_relation(left)
+            right, right_report = sanitize_relation(right)
             for side, report in (("left", left_report), ("right", right_report)):
                 if report:
                     quarantine[side] = report
@@ -600,7 +561,6 @@ class CAQE:
         """
         cfg = self.config
         fault_plan = cfg.fault_plan
-        inject = fault_plan is not None and fault_plan.active
 
         # -- Step 1: shared min-max cuboid -------------------------------- #
         # The global cuboid drives the region-level machinery (coarse
@@ -658,7 +618,7 @@ class CAQE:
             estimates=estimates,
             tracker=tracker,
             weights=weights,
-            state=_ReportingState(workload, cuboid),
+            state=_ReportingState(workload, cuboid, tracker, stats, store),
             supervisor=supervisor,
             degraded={q.name: [] for q in workload},
             degraded_queries=set(),
@@ -666,10 +626,9 @@ class CAQE:
             cells_right={c.cell_id: c for c in right_part.leaves},
             quarantine=quarantine,
             fault_plan=fault_plan,
-            inject=inject,
         )
         fault_hook = None
-        if inject:
+        if fault_plan is not None and fault_plan.active:
 
             def fault_hook(target: OutputRegion) -> None:
                 attempt = (
@@ -695,65 +654,6 @@ class CAQE:
         )
         return rs
 
-    def _journal_region(
-        self,
-        rs: _RunState,
-        durability: "object | None",
-        region: OutputRegion,
-        event: str,
-    ) -> None:
-        """Journal one completed (processed or quarantined) region.
-
-        The record carries the run's externally observable progress —
-        cumulative comparison count, virtual-clock reading, per-query
-        reported counts, fault-decision cursor — so resume verification
-        compares the replay against the persisted history field for
-        field (write-ahead: the record is fsync'd before the loop picks
-        the next region).
-        """
-        rs.seq += 1
-        if durability is None:
-            return
-        record = {
-            "seq": rs.seq,
-            "event": event,
-            "region": region.region_id,
-            "rql": region.rql,
-            "comparisons": int(rs.stats.skyline_comparisons),
-            "clock": float(rs.stats.clock.now()),
-            "reported": [
-                len(rs.state.reported[q.name]) for q in rs.workload
-            ],
-            "rng": rs.rng_cursor,
-        }
-        durability.on_region_complete(record, lambda: _dump_run_state(rs))
-
-    def _finalize(self, rs: _RunState) -> RunResult:
-        """Package the drained loop state into a :class:`RunResult`."""
-        rs.state.assert_drained()
-        logs = {q.name: rs.tracker.log(q.name) for q in rs.workload}
-        reported = {
-            name: {
-                rs.executor.store.identity(k).as_tuple()
-                for k in rs.state.reported[name]
-            }
-            for name in rs.state.reported
-        }
-        return RunResult(
-            workload=rs.workload,
-            contracts=dict(rs.contracts),
-            logs=logs,
-            stats=rs.stats,
-            horizon=rs.stats.clock.now(),
-            reported=reported,
-            degraded={
-                name: reports
-                for name, reports in rs.degraded.items()
-                if reports
-            },
-            quarantine=rs.quarantine,
-        )
-
     # ------------------------------------------------------------------ #
     @staticmethod
     def _result_estimates(
@@ -772,180 +672,20 @@ class CAQE:
             out[query.name] = max(buchta_skyline_size(total_join, d), 1.0)
         return out
 
-    def _discard_dominated(
-        self,
-        region: OutputRegion,
-        successors: "dict[int, int]",
-        outcome: RegionOutcome,
-        executor: RegionExecutor,
-        alive: "dict[int, OutputRegion]",
-        graph: DependencyGraph,
-        benefit: BenefitModel,
-        state: "_ReportingState",
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
-    ) -> None:
-        """Section 6's discard step over the captured dependency edges.
 
-        The per-(target, query) box-dominance tests are precomputed in one
-        broadcast per query — the region's admitted vectors stacked into a
-        matrix against every candidate target's lower corner — and the loop
-        then replays the scalar decision order over the boolean table, so
-        deactivations, releases and their clock charges happen in exactly
-        the sequence the per-key loop produced.
-        """
-        targets = [
-            (target_id, alive[target_id])
-            for target_id in successors
-            if target_id in alive
-        ]
-        if not targets:
-            return
-        lowers = np.vstack([t.lower for _, t in targets])
-        dominated: "dict[int, np.ndarray]" = {}
-        for qi, query in enumerate(executor.workload):
-            keys = outcome.admitted.get(query.name, ())
-            if not keys:
-                continue
-            positions = list(benefit.query_positions[qi])
-            points = _gather_vectors(outcome, keys)[:, positions]
-            corners = lowers[:, positions]
-            dominated[qi] = dominance_mask(points, corners).any(axis=0)
-        for t_pos, (target_id, target) in enumerate(targets):
-            query_mask = successors[target_id]
-            for qi, query in enumerate(executor.workload):
-                if not ((query_mask >> qi) & 1) or not target.serves(qi):
-                    continue
-                flags = dominated.get(qi)
-                if flags is not None and flags[t_pos]:
-                    target.deactivate_query(qi)
-                    benefit.note_deactivation(target_id, qi)
-                    state.release_region_for_query(
-                        target_id, query.name, tracker, stats
-                    )
-            if target.is_discarded:
-                stats.record_region_discarded()
-                del alive[target_id]
-                graph.remove_node(target_id)
-                benefit.note_removed(target_id)
-                state.release_region(target_id, target.rql, tracker, stats)
-
-    # -- robustness layer (docs/ARCHITECTURE.md §9) --------------------- #
-    @staticmethod
-    def _degraded_report(
-        query_name: str, region: OutputRegion, reason: str, now: float
-    ) -> DegradedReport:
-        """Approximate answer from the region's coarse MQLA bounds."""
-        return DegradedReport(
-            query_name=query_name,
-            region_id=region.region_id,
-            lower=tuple(float(v) for v in region.lower),
-            upper=tuple(float(v) for v in region.upper),
-            est_join_count=float(region.est_join_count),
-            reason=reason,
-            timestamp=now,
-        )
-
-    def _quarantine_region(
-        self,
-        workload: Workload,
-        region: OutputRegion,
-        alive: "dict[int, OutputRegion]",
-        graph: DependencyGraph,
-        benefit: BenefitModel,
-        state: "_ReportingState",
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
-        degraded: "dict[str, list[DegradedReport]]",
-    ) -> None:
-        """Retire a repeatedly-failing region without blocking dependents.
-
-        The region leaves the dependency graph through the normal
-        ``remove_node`` path, so its successors are promoted to roots
-        exactly as if it had been processed; each query it served gets a
-        degraded (MQLA-bound) answer, and any progressive-reporting
-        threats it held are released so pending candidates can emit.
-        """
-        stats.record_region_quarantined()
-        now = stats.clock.now()
-        for qi, query in enumerate(workload):
-            if region.serves(qi):
-                degraded[query.name].append(
-                    self._degraded_report(
-                        query.name, region, REASON_QUARANTINE, now
-                    )
-                )
-                stats.record_degraded_reports(1)
-        del alive[region.region_id]
-        graph.remove_node(region.region_id)
-        benefit.note_removed(region.region_id)
-        state.release_region(region.region_id, region.rql, tracker, stats)
-
-    def _degrade_exhausted_queries(self, rs: _RunState) -> None:
-        """Graceful degradation once the virtual clock passes the budget.
-
-        Each newly-exhausted query receives, for every remaining region
-        serving it, an approximate answer from the region's coarse MQLA
-        bounds; the region is deactivated for that query so its pending
-        candidates emit immediately instead of starving.  Regions left
-        serving no query at all are retired.
-        """
-        budget = self.config.query_time_budget
-        now = rs.stats.clock.now()
-        if budget is None or now < budget:
-            return
-        if not self.config.enable_recovery:
-            # Degradation is a recovery-layer behaviour; without it the
-            # budget is a hard limit and exhaustion fails loudly.
-            raise BudgetExhausted(
-                f"virtual-time budget {budget:g} exhausted at t={now:g} "
-                f"with {len(rs.alive)} region(s) outstanding "
-                "(enable_recovery=True degrades gracefully instead)"
-            )
-        for qi, query in enumerate(rs.workload):
-            if qi in rs.degraded_queries:
-                continue
-            rs.degraded_queries.add(qi)
-            self._degrade_query(rs, qi, query, rs.budget_reason, now)
-
-    def _degrade_all_queries(self, rs: _RunState, reason: str) -> None:
-        """Degrade every not-yet-degraded query to MQLA bounds at once.
-
-        The serving scheduler's brownout rung 2: a victim submission is
-        answered approximately from coarse bounds *now* instead of
-        holding regions other tenants need.  Identical per-query
-        mechanics to budget exhaustion, just unconditional; the run is
-        ``done`` when this returns.
-        """
-        now = rs.stats.clock.now()
-        for qi, query in enumerate(rs.workload):
-            if qi in rs.degraded_queries:
-                continue
-            rs.degraded_queries.add(qi)
-            self._degrade_query(rs, qi, query, reason, now)
-
-    def _degrade_query(
-        self, rs: _RunState, qi: int, query: "object", reason: str, now: float
-    ) -> None:
-        """Answer one query's remaining regions from coarse MQLA bounds."""
-        for rid in sorted(rs.alive):
-            region = rs.alive.get(rid)
-            if region is None or not region.serves(qi):
-                continue
-            rs.degraded[query.name].append(
-                self._degraded_report(query.name, region, reason, now)
-            )
-            rs.stats.record_degraded_reports(1)
-            region.deactivate_query(qi)
-            rs.benefit.note_deactivation(rid, qi)
-            rs.state.release_region_for_query(
-                rid, query.name, rs.tracker, rs.stats
-            )
-            if region.is_discarded:
-                del rs.alive[rid]
-                rs.graph.remove_node(rid)
-                rs.benefit.note_removed(rid)
-                rs.state.release_region(rid, region.rql, rs.tracker, rs.stats)
+def _degraded_report(
+    query_name: str, region: OutputRegion, reason: str, now: float
+) -> DegradedReport:
+    """Approximate answer from the region's coarse MQLA bounds."""
+    return DegradedReport(
+        query_name=query_name,
+        region_id=region.region_id,
+        lower=tuple(float(v) for v in region.lower),
+        upper=tuple(float(v) for v in region.upper),
+        est_join_count=float(region.est_join_count),
+        reason=reason,
+        timestamp=now,
+    )
 
 
 class LiveRun:
@@ -959,6 +699,11 @@ class LiveRun:
     host.  ``CAQE.run`` is literally ``while not done: step()``, which
     pins driver-owned and scheduler-owned control flow to bit-identical
     observables.
+
+    The loop's per-region bookkeeping lives here too: a region leaves
+    the run only through :meth:`_retire` (or, once processed, through
+    :meth:`step` itself), a query leaves a region's lineage only through
+    :meth:`_drop_query`, and :meth:`degrade_all` is the one degrade path.
     """
 
     def __init__(
@@ -1021,29 +766,32 @@ class LiveRun:
             t_c, prog, rs.weights, rs.stats.clock.now()
         )
 
-    def degrade_all(self, reason: str) -> None:
-        """Brownout: answer every remaining query from coarse MQLA bounds
-        *now* (reason ``"brownout"`` in the degraded reports) and drain
-        the run.  ``done`` is True when this returns."""
-        self._engine._degrade_all_queries(self.rs, reason)
-
     # ------------------------------------------------------------------ #
     def step(self) -> None:
         """One iteration of Algorithm 1's loop (no-op once ``done``)."""
-        engine = self._engine
-        cfg = engine.config
+        cfg = self._engine.config
         rs = self.rs
         if not rs.alive:
             return
-        workload, stats, executor = rs.workload, rs.stats, rs.executor
+        stats = rs.stats
         if self.cancel_token is not None and self.cancel_token.is_cancelled():
             raise QueryCancelled(
                 f"run cancelled at region boundary "
                 f"(t={stats.clock.now():g}, "
                 f"{len(rs.alive)} region(s) outstanding)"
             )
-        if cfg.query_time_budget is not None:
-            engine._degrade_exhausted_queries(rs)
+        budget = cfg.query_time_budget
+        if budget is not None and stats.clock.now() >= budget:
+            if not cfg.enable_recovery:
+                # Degradation is a recovery-layer behaviour; without it the
+                # budget is a hard limit and exhaustion fails loudly.
+                raise BudgetExhausted(
+                    f"virtual-time budget {budget:g} exhausted at "
+                    f"t={stats.clock.now():g} with {len(rs.alive)} "
+                    "region(s) outstanding "
+                    "(enable_recovery=True degrades gracefully instead)"
+                )
+            self.degrade_all(rs.budget_reason)
             if not rs.alive:
                 return
         root_arr, scores = self._root_scores()
@@ -1054,16 +802,17 @@ class LiveRun:
         best = np.argsort(-scores, kind="stable")[0]
         region = rs.alive[int(root_arr[best])]
         captured_successors = rs.graph.successors(region.region_id)
-        if rs.inject:
+        fault_plan = rs.fault_plan
+        if fault_plan is not None and fault_plan.active:
             rs.rng_cursor += 1
-            straggler_factor = rs.fault_plan.straggler_factor_for(
+            straggler_factor = fault_plan.straggler_factor_for(
                 region.region_id
             )
         else:
             straggler_factor = 1.0
         started = stats.clock.now()
         try:
-            outcome = executor.process(
+            outcome = rs.executor.process(
                 region,
                 rs.cells_left[region.left_cell_id],
                 rs.cells_right[region.right_cell_id],
@@ -1076,63 +825,175 @@ class LiveRun:
                     rs.supervisor.backoff_for(region.region_id)
                 )
             else:
-                engine._quarantine_region(
-                    workload,
-                    region,
-                    rs.alive,
-                    rs.graph,
-                    rs.benefit,
-                    rs.state,
-                    rs.tracker,
-                    stats,
-                    rs.degraded,
-                )
-                engine._journal_region(
-                    rs, self._durability, region, "quarantined"
-                )
+                self._quarantine(region)
+                self._journal(region, "quarantined")
             return
         if straggler_factor > 1.0:
             stats.record_straggler_penalty(
                 (straggler_factor - 1.0) * (stats.clock.now() - started)
             )
-        # Region leaves the remaining set before safety checks run.
-        # Remaining regions that counted it as a potential dominator
-        # lose a threat — their progressive estimates improve; the
+        # The processed region leaves the remaining set before evictions
+        # and admission, so no new candidate counts it as a threat; the
         # benefit model's memoised ratios self-validate against the
-        # changed membership at the next lookup (Algorithm 1's
-        # "Update R_f's CSM scores").
+        # changed membership at the next lookup (Algorithm 1's "Update
+        # R_f's CSM scores").  Its own threats are released only after
+        # the discard step — the emission timestamps depend on that order.
         del rs.alive[region.region_id]
         rs.graph.remove_node(region.region_id)
         rs.benefit.note_removed(region.region_id)
 
-        rs.state.apply_evictions(outcome, rs.tracker)
-        rs.state.admit_candidates(
-            outcome, region, executor, rs.benefit, rs.tracker, stats
-        )
+        rs.state.apply_evictions(outcome)
+        rs.state.admit_candidates(outcome, region, rs.benefit)
         if cfg.enable_tuple_discard:
-            engine._discard_dominated(
-                region,
-                captured_successors,
-                outcome,
-                executor,
-                rs.alive,
-                rs.graph,
-                rs.benefit,
-                rs.state,
-                rs.tracker,
-                stats,
-            )
-        rs.state.release_region(
-            region.region_id, region.rql, rs.tracker, stats
-        )
+            self._discard_dominated(captured_successors, outcome)
+        rs.state.release_region(region.region_id, region.rql)
 
         if cfg.enable_feedback:
             sats = np.array(
-                [rs.tracker.runtime_satisfaction(q.name) for q in workload]
+                [rs.tracker.runtime_satisfaction(q.name) for q in rs.workload]
             )
             rs.weights = update_weights(rs.weights, sats)
 
-        engine._journal_region(rs, self._durability, region, "processed")
+        self._journal(region, "processed")
+
+    # -- region lifecycle ------------------------------------------------ #
+    def _retire(self, region: OutputRegion) -> None:
+        """Remove a region from the run — alive set, dependency graph and
+        benefit model — then release the reporting threats it held.  Its
+        successors are promoted to roots exactly as if it had been
+        processed.  Records no stats; each caller records its own."""
+        rs = self.rs
+        rid = region.region_id
+        del rs.alive[rid]
+        rs.graph.remove_node(rid)
+        rs.benefit.note_removed(rid)
+        rs.state.release_region(rid, region.rql)
+
+    def _drop_query(self, region: OutputRegion, qi: int) -> None:
+        """Remove query ``qi`` from the region's lineage and release the
+        reporting threats the region held against that query."""
+        rs = self.rs
+        region.deactivate_query(qi)
+        rs.benefit.note_deactivation(region.region_id, qi)
+        rs.state.release_region_for_query(
+            region.region_id, rs.workload.queries[qi].name
+        )
+
+    def _discard_dominated(
+        self, successors: "dict[int, int]", outcome: RegionOutcome
+    ) -> None:
+        """Section 6's discard step over the processed region's captured
+        dependency edges.
+
+        The per-(target, query) box-dominance tests are precomputed in one
+        broadcast per query — the region's admitted vectors stacked into a
+        matrix against every candidate target's lower corner — and the loop
+        then replays the scalar decision order over the boolean table, so
+        deactivations, releases and their clock charges happen in exactly
+        the sequence the per-key loop produced.
+        """
+        rs = self.rs
+        targets = [
+            rs.alive[target_id] for target_id in successors
+            if target_id in rs.alive
+        ]
+        if not targets:
+            return
+        lowers = np.vstack([t.lower for t in targets])
+        dominated: "dict[int, np.ndarray]" = {}
+        for qi, query in enumerate(rs.workload):
+            keys = outcome.admitted.get(query.name, ())
+            if not keys:
+                continue
+            positions = list(rs.benefit.query_positions[qi])
+            points = _gather_vectors(outcome, keys)[:, positions]
+            corners = lowers[:, positions]
+            dominated[qi] = dominance_mask(points, corners).any(axis=0)
+        for t_pos, target in enumerate(targets):
+            query_mask = successors[target.region_id]
+            for qi in range(len(rs.workload)):
+                if not ((query_mask >> qi) & 1) or not target.serves(qi):
+                    continue
+                flags = dominated.get(qi)
+                if flags is not None and flags[t_pos]:
+                    self._drop_query(target, qi)
+            if target.is_discarded:
+                rs.stats.record_region_discarded()
+                self._retire(target)
+
+    # -- robustness layer (docs/ARCHITECTURE.md §9) --------------------- #
+    def _quarantine(self, region: OutputRegion) -> None:
+        """Retire a repeatedly-failing region without blocking dependents:
+        each query it served gets a degraded (MQLA-bound) answer."""
+        rs = self.rs
+        rs.stats.record_region_quarantined()
+        now = rs.stats.clock.now()
+        for qi, query in enumerate(rs.workload):
+            if region.serves(qi):
+                rs.degraded[query.name].append(
+                    _degraded_report(query.name, region, REASON_QUARANTINE, now)
+                )
+                rs.stats.record_degraded_reports(1)
+        self._retire(region)
+
+    def degrade_all(self, reason: str) -> None:
+        """Answer every not-yet-degraded query's remaining regions from
+        their coarse MQLA bounds *now*, and drain the run.
+
+        Budget exhaustion (reason :attr:`_RunState.budget_reason`) and the
+        serving scheduler's brownout rung 2 (reason ``"brownout"``) both
+        end here.  Each region is deactivated for the query so its pending
+        candidates emit immediately instead of starving; a region left
+        serving no query is retired.  ``done`` is True when this returns.
+        """
+        rs = self.rs
+        now = rs.stats.clock.now()
+        for qi, query in enumerate(rs.workload):
+            if qi in rs.degraded_queries:
+                continue
+            rs.degraded_queries.add(qi)
+            for rid in sorted(rs.alive):
+                region = rs.alive[rid]
+                if not region.serves(qi):
+                    continue
+                rs.degraded[query.name].append(
+                    _degraded_report(query.name, region, reason, now)
+                )
+                rs.stats.record_degraded_reports(1)
+                self._drop_query(region, qi)
+                if region.is_discarded:
+                    self._retire(region)
+
+    # -- durability (docs/ARCHITECTURE.md §10) --------------------------- #
+    def _journal(self, region: OutputRegion, event: str) -> None:
+        """Journal one completed (processed or quarantined) region.
+
+        The record carries the run's externally observable progress —
+        cumulative comparison count, virtual-clock reading, per-query
+        reported counts, fault-decision cursor — so resume verification
+        compares the replay against the persisted history field for
+        field (write-ahead: the record is fsync'd before the loop picks
+        the next region).
+        """
+        rs = self.rs
+        rs.seq += 1
+        if self._durability is None:
+            return
+        record = {
+            "seq": rs.seq,
+            "event": event,
+            "region": region.region_id,
+            "rql": region.rql,
+            "comparisons": int(rs.stats.skyline_comparisons),
+            "clock": float(rs.stats.clock.now()),
+            "reported": [
+                len(rs.state.reported[q.name]) for q in rs.workload
+            ],
+            "rng": rs.rng_cursor,
+        }
+        self._durability.on_region_complete(
+            record, lambda: _dump_run_state(rs)
+        )
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -1145,7 +1006,81 @@ class LiveRun:
 
     def finalize(self) -> RunResult:
         """Package the drained loop state into a :class:`RunResult`."""
-        return self._engine._finalize(self.rs)
+        rs = self.rs
+        rs.state.assert_drained()
+        logs = {q.name: rs.tracker.log(q.name) for q in rs.workload}
+        reported = {
+            name: {
+                rs.executor.store.identity(k).as_tuple()
+                for k in rs.state.reported[name]
+            }
+            for name in rs.state.reported
+        }
+        return RunResult(
+            workload=rs.workload,
+            contracts=dict(rs.contracts),
+            logs=logs,
+            stats=rs.stats,
+            horizon=rs.stats.clock.now(),
+            reported=reported,
+            degraded={
+                name: reports
+                for name, reports in rs.degraded.items()
+                if reports
+            },
+            quarantine=rs.quarantine,
+        )
+
+    def check_invariants(self) -> None:
+        """Check that the run's region bookkeeping agrees with itself;
+        raises ``AssertionError`` on the first disagreement.
+
+        Between steps: the dependency graph's nodes are the alive
+        regions; per query, the benefit model's serving set is exactly the
+        alive regions serving it; the reporting state's two threat indexes
+        mirror each other, name only regions in that serving set, and no
+        candidate is both pending and reported.  A test-side check.
+        """
+
+        def expect(condition: bool, message: str) -> None:
+            if not condition:
+                raise AssertionError(f"LiveRun invariant: {message}")
+
+        rs = self.rs
+        expect(rs.graph.nodes == rs.alive.keys(), "graph nodes != alive set")
+        for qi, query in enumerate(rs.workload):
+            name = query.name
+            serving = set(rs.benefit.active_serving(qi)[0].tolist())
+            expect(
+                serving
+                == {rid for rid, r in rs.alive.items() if r.serves(qi)},
+                f"{name}: benefit serving set != alive regions serving it",
+            )
+            pending = rs.state.pending[name]
+            buckets = rs.state.threats_by_region[name]
+            expect(
+                all(
+                    rid in pending.get(key, ())
+                    for rid, keys in buckets.items()
+                    for key in keys
+                )
+                and all(
+                    key in buckets.get(rid, ())
+                    for key, rids in pending.items()
+                    for rid in rids
+                ),
+                f"{name}: pending and threats_by_region do not mirror",
+            )
+            threats = set(buckets).union(*pending.values())
+            expect(
+                threats <= serving,
+                f"{name}: threat held by regions {sorted(threats - serving)} "
+                "that no longer serve the query",
+            )
+            expect(
+                not pending.keys() & rs.state.reported[name],
+                f"{name}: a candidate is both pending and reported",
+            )
 
 
 class _ReportingState:
@@ -1154,11 +1089,23 @@ class _ReportingState:
     For each query, candidates admitted to the shared plan wait until no
     *remaining* region could produce a dominating tuple; the waiting is
     tracked as per-candidate threat sets that drain as regions are
-    processed, discarded, or deactivated for the query.
+    processed, discarded, or deactivated for the query.  An emitted
+    candidate's identity is read from the run's result store and recorded
+    on its tracker and stats.
     """
 
-    def __init__(self, workload: Workload, cuboid: MinMaxCuboid) -> None:
+    def __init__(
+        self,
+        workload: Workload,
+        cuboid: MinMaxCuboid,
+        tracker: SatisfactionTracker,
+        stats: ExecutionStats,
+        store: JoinResultStore,
+    ) -> None:
         self.workload = workload
+        self.tracker = tracker
+        self.stats = stats
+        self.store = store
         table = cuboid.lattice.table
         self.positions = {
             q.name: tuple(
@@ -1174,12 +1121,9 @@ class _ReportingState:
             q.name: {} for q in workload
         }
         self.reported: dict[str, set[int]] = {q.name: set() for q in workload}
-        self._store: "JoinResultStore | None" = None
 
     # -- candidate lifecycle ------------------------------------------- #
-    def apply_evictions(
-        self, outcome: RegionOutcome, tracker: SatisfactionTracker
-    ) -> None:
+    def apply_evictions(self, outcome: RegionOutcome) -> None:
         for query in self.workload:
             for key in outcome.evicted.get(query.name, ()):
                 self._drop_pending(query.name, key)
@@ -1188,13 +1132,9 @@ class _ReportingState:
         self,
         outcome: RegionOutcome,
         region: OutputRegion,
-        executor: RegionExecutor,
         benefit: BenefitModel,
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
     ) -> None:
-        self._store = executor.store
-        now = stats.clock.now()
+        now = self.stats.clock.now()
         for qi, query in enumerate(self.workload):
             if not region.serves(qi):
                 continue
@@ -1204,7 +1144,7 @@ class _ReportingState:
             serving_ids, lowers = benefit.active_serving(qi)
             if not serving_ids.size:
                 for key in keys:
-                    self._emit(query.name, key, now, tracker, stats)
+                    self._emit(query.name, key, now)
                 continue
             positions = list(self.positions[query.name])
             vectors = _gather_vectors(outcome, keys)[
@@ -1224,31 +1164,19 @@ class _ReportingState:
                             rid, set()
                         ).add(key)
                 else:
-                    self._emit(query.name, key, now, tracker, stats)
+                    self._emit(query.name, key, now)
 
     # -- threat draining ------------------------------------------------ #
-    def release_region(
-        self,
-        region_id: int,
-        rql: int,
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
-    ) -> None:
+    def release_region(self, region_id: int, rql: int) -> None:
         for qi, query in enumerate(self.workload):
             if (rql >> qi) & 1:
-                self.release_region_for_query(
-                    region_id, query.name, tracker, stats
-                )
+                self.release_region_for_query(region_id, query.name)
 
     def release_region_for_query(
-        self,
-        region_id: int,
-        query_name: str,
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
+        self, region_id: int, query_name: str
     ) -> None:
         keys = self.threats_by_region[query_name].pop(region_id, set())
-        now = stats.clock.now()
+        now = self.stats.clock.now()
         for key in keys:
             threats = self.pending[query_name].get(key)
             if threats is None:
@@ -1256,22 +1184,15 @@ class _ReportingState:
             threats.discard(region_id)
             if not threats:
                 del self.pending[query_name][key]
-                self._emit(query_name, key, now, tracker, stats)
+                self._emit(query_name, key, now)
 
-    def _emit(
-        self,
-        query_name: str,
-        key: int,
-        now: float,
-        tracker: SatisfactionTracker,
-        stats: ExecutionStats,
-    ) -> None:
+    def _emit(self, query_name: str, key: int, now: float) -> None:
         if key in self.reported[query_name]:
             return
         self.reported[query_name].add(key)
-        identity = self._store.identity(key).as_tuple()
-        tracker.record(query_name, [identity], now)
-        stats.record_outputs(1)
+        identity = self.store.identity(key).as_tuple()
+        self.tracker.record(query_name, [identity], now)
+        self.stats.record_outputs(1)
 
     def _drop_pending(self, query_name: str, key: int) -> None:
         threats = self.pending[query_name].pop(key, None)
@@ -1374,7 +1295,6 @@ def _restore_run_state(rs: _RunState, state: "dict[str, object]") -> None:
                 st.threats_by_region[name].setdefault(rid, set()).add(key)
     for name, keys in reporting["reported"].items():
         st.reported[name] = {int(k) for k in keys}
-    st._store = rs.executor.store
     rs.tracker._logs.update(cp.load_logs(state["logs"]))
     cp.load_supervisor(rs.supervisor, state["supervisor"])
     rs.degraded = cp.load_degraded(state["degraded"])

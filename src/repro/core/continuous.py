@@ -468,9 +468,7 @@ class ContinuousCAQE:
         if delta is None or delta.cardinality == 0:
             return []
         if self.config.enable_sanitize:
-            delta, report = sanitize_relation(
-                delta, domain_limit=self.config.sanitize_domain_limit
-            )
+            delta, report = sanitize_relation(delta)
             if report:
                 self.quarantine[f"{side}@epoch{self._epoch}"] = report
                 self.stats.record_tuples_quarantined(report.rows_dropped)

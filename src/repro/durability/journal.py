@@ -80,7 +80,6 @@ _NEUTRAL_FIELDS = {
     "server_queue_limit": 16,
     "server_breaker_threshold": 3,
     "server_breaker_cooldown": 8,
-    "server_default_deadline": None,
 }
 
 

@@ -34,34 +34,15 @@ import argparse
 import dataclasses
 import tempfile
 
+from repro.bench.figures import figure1_workload
 from repro.contracts.presets import c2
 from repro.core.caqe import CAQE, CAQEConfig, RunResult
-from repro.query import (
-    JoinCondition,
-    Preference,
-    SkylineJoinQuery,
-    add,
-    reference_evaluate,
-)
+from repro.query import reference_evaluate
 from repro.query.workload import Workload
 from repro.datagen import generate_pair
 from repro.robustness.faults import FaultConfig, FaultPlan
 from repro.robustness.recovery import RetryPolicy
 from repro.robustness.sanitize import sanitize_relation
-
-
-def figure1_workload() -> Workload:
-    """The paper's running example: Q1..Q4 over output dims d1..d4."""
-    jc = JoinCondition.on("jc1", name="JC1")
-    fns = tuple(add(f"m{i}", f"m{i}", f"d{i}") for i in range(1, 5))
-    return Workload(
-        [
-            SkylineJoinQuery("Q1", jc, fns[:2], Preference.over("d1", "d2")),
-            SkylineJoinQuery("Q2", jc, fns[:3], Preference.over("d1", "d2", "d3")),
-            SkylineJoinQuery("Q3", jc, fns[1:3], Preference.over("d2", "d3")),
-            SkylineJoinQuery("Q4", jc, fns[1:4], Preference.over("d2", "d3", "d4")),
-        ]
-    )
 
 
 def _observables(result: RunResult) -> "tuple[object, ...]":

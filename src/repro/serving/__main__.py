@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 
+from repro.bench.figures import figure1_workload
 from repro.contracts.presets import c2
 from repro.core.caqe import CAQEConfig
 from repro.datagen import generate_pair
-from repro.robustness.chaos import figure1_workload
 from repro.serving import CAQEServer, CancellationToken
 
 

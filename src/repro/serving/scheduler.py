@@ -114,12 +114,19 @@ class TenantSpec:
             raise ValueError(
                 f"tenant weight must be positive and finite, got {self.weight}"
             )
-        if self.tier < 0:
-            raise ValueError(f"tenant tier must be >= 0, got {self.tier}")
-        if self.max_live < 1:
-            raise ValueError(
-                f"tenant max_live must be >= 1, got {self.max_live}"
-            )
+        for knob, floor in (("tier", 0), ("max_live", 1)):
+            value = getattr(self, knob)
+            # Counts must be real integers: 2.5 or True is
+            # misconfiguration, not something to truncate.
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or value < floor
+            ):
+                raise ValueError(
+                    f"tenant {knob} must be an integer >= {floor}, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass
@@ -226,15 +233,13 @@ class RegionScheduler:
     ) -> TenantSpec:
         """Declare (or re-declare, while idle) a tenant's serving contract.
 
-        Unregistered tenants are auto-registered at first submit with the
-        ``tenant_*`` config defaults.
+        An argument left ``None`` takes :class:`TenantSpec`'s default;
+        unregistered tenants are auto-registered at first submit with all
+        three defaults.
         """
-        cfg = self.config
+        given = {"weight": weight, "tier": tier, "max_live": max_live}
         spec = TenantSpec(
-            name=name,
-            weight=cfg.tenant_default_weight if weight is None else weight,
-            tier=cfg.tenant_default_tier if tier is None else tier,
-            max_live=cfg.tenant_max_live if max_live is None else max_live,
+            name=name, **{k: v for k, v in given.items() if v is not None}
         )
         with self._lock:
             state = self._tenants.get(name)
@@ -270,14 +275,12 @@ class RegionScheduler:
 
         ``deadline`` is a *relative* virtual-time allowance from the
         moment of admission (mapped onto an absolute budget on the shared
-        clock, so time spent live behind other runs consumes it); it
-        defaults to ``config.server_default_deadline``.  The MQLA prologue
-        runs here, on the caller's thread; if it raises, the admitted
-        ticket finishes ``failed`` and counts against its breaker.
+        clock, so time spent live behind other runs consumes it); ``None``
+        means no deadline.  The MQLA prologue runs here, on the caller's
+        thread; if it raises, the admitted ticket finishes ``failed`` and
+        counts against its breaker.
         """
         cfg = self.config
-        if deadline is None:
-            deadline = cfg.server_default_deadline
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         signature = workload_signature(workload)

@@ -5,15 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench import figures
 from repro.datagen import generate_pair
-from repro.query import (
-    JoinCondition,
-    Preference,
-    SkylineJoinQuery,
-    Workload,
-    add,
-    subspace_workload,
-)
+from repro.query import add, subspace_workload
 
 
 @pytest.fixture(scope="session")
@@ -22,22 +16,13 @@ def figure1_functions():
 
 
 @pytest.fixture(scope="session")
-def figure1_workload(figure1_functions):
+def figure1_workload():
     """The paper's running workload (Figure 1) on a single join condition.
 
     The original uses two join conditions; most plan-level tests only need
     the skyline-dimension structure, which is unchanged by the condition.
     """
-    jc = JoinCondition.on("jc1", name="JC1")
-    f = figure1_functions
-    return Workload(
-        [
-            SkylineJoinQuery("Q1", jc, f[:2], Preference.over("d1", "d2")),
-            SkylineJoinQuery("Q2", jc, f[:3], Preference.over("d1", "d2", "d3")),
-            SkylineJoinQuery("Q3", jc, f[1:3], Preference.over("d2", "d3")),
-            SkylineJoinQuery("Q4", jc, f[1:4], Preference.over("d2", "d3", "d4")),
-        ]
-    )
+    return figures.figure1_workload()
 
 
 @pytest.fixture(scope="session")

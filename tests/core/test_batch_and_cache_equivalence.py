@@ -21,6 +21,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.bench.figures import figure1_workload
 from repro.contracts import c2
 from repro.core import CAQE, CAQEConfig
 from repro.core.benefit import EXACT_DOMINATOR_LIMIT
@@ -59,20 +60,6 @@ GOLDEN = {
 def _observables(result):
     stats = result.stats
     return (stats.skyline_comparisons, stats.elapsed, len(stats.region_trace))
-
-
-def figure1_workload() -> Workload:
-    """The running example of the paper (Figure 1): Q1..Q4 over d1..d4."""
-    jc = JoinCondition.on("jc1", name="JC1")
-    fns = tuple(add(f"m{i}", f"m{i}", f"d{i}") for i in range(1, 5))
-    return Workload(
-        [
-            SkylineJoinQuery("Q1", jc, fns[:2], Preference.over("d1", "d2")),
-            SkylineJoinQuery("Q2", jc, fns[:3], Preference.over("d1", "d2", "d3")),
-            SkylineJoinQuery("Q3", jc, fns[1:3], Preference.over("d2", "d3")),
-            SkylineJoinQuery("Q4", jc, fns[1:4], Preference.over("d2", "d3", "d4")),
-        ]
-    )
 
 
 def random_workload(n_queries: int, dims: int, seed: int) -> Workload:
@@ -183,7 +170,8 @@ class TestFigure1Workload:
         ``prog_ratio × cardinality`` recomputed from scratch, bit for bit,
         and ranking the roots on the from-scratch matrix picks the region
         the engine then processes; after every region the estimator's
-        resident state passes ``check_invariants``.
+        resident state passes ``check_invariants``, and so does the run's
+        region bookkeeping (``LiveRun.check_invariants``).
 
         The run must reach both resident transitions, counted here from
         the reach sets: a small box whose reach set shrinks from over
@@ -232,6 +220,7 @@ class TestFigure1Workload:
                 live.step()
                 burst = max(burst, lineage - _lineage_pairs(rs.alive))
                 benefit.check_invariants()
+                live.check_invariants()
                 assert trace[step] == naive_pick
         finally:
             live.close()

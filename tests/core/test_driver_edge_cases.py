@@ -95,10 +95,6 @@ class TestEmptyAndDegenerateJoins:
 
 
 class TestConfigKnobs:
-    def test_capacity_override(self):
-        config = CAQEConfig(partition_capacity=7)
-        assert config.capacity_for(10**6) == 7
-
     def test_target_cells_derivation(self):
         config = CAQEConfig(target_cells=10)
         assert config.capacity_for(100) == 20  # 2x headroom

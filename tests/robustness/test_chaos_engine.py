@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.figures import figure1_workload
 from repro.contracts import c2
 from repro.core import CAQE, CAQEConfig
 from repro.datagen import generate_pair
 from repro.errors import BudgetExhausted, RegionFailure
 from repro.query import reference_evaluate
-from repro.robustness.chaos import figure1_workload
 from repro.robustness.faults import FaultConfig, FaultPlan
 from repro.robustness.recovery import (
     REASON_BUDGET,
@@ -45,6 +45,21 @@ def make_inputs(seed, cardinality=60):
 def run(pair, workload, contracts, **config_overrides):
     config = CAQEConfig(**config_overrides)
     return CAQE(config).run(pair.left, pair.right, workload, contracts)
+
+
+def stepped_run(pair, workload, contracts, **config_overrides):
+    """:func:`run` one region at a time, checking the run's region
+    bookkeeping (``LiveRun.check_invariants``) after every step."""
+    live = CAQE(CAQEConfig(**config_overrides)).open_run(
+        pair.left, pair.right, workload, contracts
+    )
+    try:
+        while not live.done:
+            live.step()
+            live.check_invariants()
+    finally:
+        live.close()
+    return live.finalize()
 
 
 def observables(result):
@@ -154,7 +169,7 @@ class TestFailureRecovery:
         pair, workload, contracts = make_inputs(7)
         baseline = run(pair, workload, contracts)
         plan = FaultPlan(FaultConfig(seed=1, persistent_failure_rate=1.0))
-        result = run(
+        result = stepped_run(
             pair, workload, contracts,
             enable_recovery=True,
             retry_policy=RetryPolicy(max_attempts=2),
@@ -177,7 +192,7 @@ class TestBudgetDegradation:
         stragglers = FaultPlan(
             FaultConfig(seed=5, straggler_rate=0.5, straggler_factor=8.0)
         )
-        result = run(
+        result = stepped_run(
             pair, workload, contracts,
             enable_recovery=True,
             fault_plan=stragglers,

@@ -146,10 +146,10 @@ class TestAllRegionsQuarantined:
 
     @pytest.fixture(scope="class")
     def total_loss_run(self):
+        from repro.bench.figures import figure1_workload
         from repro.contracts import c2
         from repro.core import CAQE, CAQEConfig
         from repro.datagen import generate_pair
-        from repro.robustness.chaos import figure1_workload
         from repro.robustness.faults import FaultConfig, FaultPlan
 
         pair = generate_pair(

@@ -290,8 +290,12 @@ class TestBrownoutLadder:
             sched.register_tenant("bronze", tier=2, max_live=4)
             first = sched.submit(figure1_workload, contracts, tenant="bronze")
             second = sched.submit(figure1_workload, contracts, tenant="bronze")
+            runs = [sub.live for sub in sched._live.values()]
             sched.step()
+            for live in runs:
+                live.check_invariants()
             # The youngest submission was browned out on the first step.
+            assert runs[1].done
             brown = second.result(timeout=WAIT)
             assert brown.status == DEGRADED
             assert OUTCOME_BROWNOUT in brown.reasons
@@ -301,7 +305,8 @@ class TestBrownoutLadder:
                 for reports in brown.result.degraded.values()
                 for report in reports
             )
-            sched.drain()
+            while sched.step():
+                runs[0].check_invariants()
             assert first.result(timeout=WAIT).status == ANSWERED
             assert sched.metrics["brownout_degraded"] == 1
 
@@ -529,6 +534,11 @@ class TestSpecAndConfigValidation:
             {"name": "t", "weight": float("inf")},
             {"name": "t", "tier": -1},
             {"name": "t", "max_live": 0},
+            # Non-integer counts are misconfiguration, not truncation.
+            {"name": "t", "max_live": 2.5},
+            {"name": "t", "max_live": True},
+            {"name": "t", "tier": 0.5},
+            {"name": "t", "tier": True},
         ],
     )
     def test_tenant_spec_rejects_bad_values(self, kwargs):
@@ -546,11 +556,6 @@ class TestSpecAndConfigValidation:
             {"server_queue_limit": 0},
             {"server_breaker_threshold": 0},
             {"server_breaker_cooldown": 0},
-            {"server_default_deadline": 0.0},
-            {"tenant_default_weight": 0.0},
-            {"tenant_default_weight": float("inf")},
-            {"tenant_default_tier": -1},
-            {"tenant_max_live": 0},
             {"tenant_fairness_pressure": -0.5},
             {"tenant_brownout_defer_live": 0},
             {"tenant_brownout_degrade_live": 0},
@@ -565,7 +570,6 @@ class TestSpecAndConfigValidation:
                 "tenant_brownout_shed_live": 5,
             },
             # Non-integer counts are misconfiguration, not truncation.
-            {"tenant_max_live": 2.5},
             {"server_queue_limit": True},
         ],
     )
@@ -577,7 +581,6 @@ class TestSpecAndConfigValidation:
         "kwargs",
         [
             {"server_mode": "interleaved"},
-            {"tenant_default_weight": 0.25},
             {"tenant_fairness_pressure": 0.0},
             {
                 "tenant_brownout_defer_live": 3,

@@ -326,8 +326,8 @@ class TestCircuitBreakerServing(_ServedInMode):
                 FaultConfig(seed=5, persistent_failure_rate=1.0)
             ),
             server_breaker_threshold=2,
-            tenant_max_live=1,
         ) as server:
+            server.scheduler.register_tenant("default", max_live=1)
             for _ in range(2):
                 # Under the benefit policy the bulkhead cap of 1 makes the
                 # second admission proof that the failed run gave its slot

@@ -44,22 +44,12 @@ OBSERVABLES = (
 
 def run_workload() -> "dict[str, object]":
     """One Figure-1 run under the current interpreter's hash seed."""
+    from repro.bench.figures import figure1_workload
     from repro.contracts import c2
     from repro.core import CAQE, CAQEConfig
     from repro.datagen import generate_pair
-    from repro.query import JoinCondition, Preference, SkylineJoinQuery, add
-    from repro.query.workload import Workload
 
-    jc = JoinCondition.on("jc1", name="JC1")
-    fns = tuple(add(f"m{i}", f"m{i}", f"d{i}") for i in range(1, 5))
-    workload = Workload(
-        [
-            SkylineJoinQuery("Q1", jc, fns[:2], Preference.over("d1", "d2")),
-            SkylineJoinQuery("Q2", jc, fns[:3], Preference.over("d1", "d2", "d3")),
-            SkylineJoinQuery("Q3", jc, fns[1:3], Preference.over("d2", "d3")),
-            SkylineJoinQuery("Q4", jc, fns[1:4], Preference.over("d2", "d3", "d4")),
-        ]
-    )
+    workload = figure1_workload()
     pair = generate_pair("independent", 150, 4, selectivity=0.05, seed=23)
     contracts = {q.name: c2(scale=100.0) for q in workload}
     result = CAQE(CAQEConfig()).run(pair.left, pair.right, workload, contracts)
