@@ -8,8 +8,9 @@ normal multi-round timing.
 
 The ``dominance-kernel`` group times the pairwise kernel of
 ``repro.skyline.dominance`` against the literal ``all(<=) & any(<)``
-definition on the three shapes that matter: the coarse skyline's
-``_CHUNK`` x regions block, a mid-size optimizer broadcast, and the tiny
+definition on the shapes that matter: the coarse skyline's first probe
+block (16 regions against a ~2 050-region lineage group) and its
+survivors pass (~150 x 150), a mid-size optimizer broadcast, and the tiny
 window/estimate shapes where per-call overhead is everything.  Like every
 row in this file they are diagnostics for reproducing a per-call number
 on another host — not evidence: a performance claim rests on ``perfbench``
@@ -179,7 +180,7 @@ def bench_micro_window_dump_load(run_once, benchmark, dataset):
 # --------------------------------------------------------------------- #
 # The pairwise dominance kernel (docs/ARCHITECTURE.md §5)
 # --------------------------------------------------------------------- #
-KERNEL_SHAPES = [(512, 2054, 4), (30, 80, 3), (5, 20, 2)]
+KERNEL_SHAPES = [(16, 2054, 4), (150, 150, 4), (30, 80, 3), (5, 20, 2)]
 
 
 def _literal_dominance(dominators, candidates, axis):

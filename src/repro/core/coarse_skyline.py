@@ -3,17 +3,23 @@
 Region-level dominance over the min-max cuboid, bottom-up: a region that is
 non-dominated in a child subspace is — by Theorem 1 — non-dominated in the
 parent, so it skips the membership test there (Corollary 1's sharing at the
-region granularity).
+region granularity) while staying a dominator of the regions that are
+tested.
 
 Dominance between two regions is only meaningful when they serve a common
 query (Section 5.2).  Because a region's initial lineage is fixed by its
 join condition, candidates at a node partition into equal-lineage groups,
 within which full dominance is transitive — so the non-dominated set equals
-that of a sequential sorted (SFS-style) pass, and we can compute it with
-chunked vectorised matrix tests while *charging* the comparison count the
-sequential pass would have performed (each unseeded candidate compares
-against the surviving regions that precede it in ascending upper-corner
-order; a dominator always precedes its victims in that order).
+that of a sequential sorted (SFS-style) pass.  We compute it with
+vectorised matrix tests whose work tracks the survivors: the strongest
+regions (smallest upper-corner sums) probe the rest in growing blocks, and
+the survivors settle among themselves in one all-pairs pass, the backstop
+that keeps the result exact when sums round equal (see
+:func:`dominated_flags`).  Each group is sorted once, and the comparison
+count *charged* is the one the sequential pass would have performed (each
+unseeded candidate compares against the surviving regions that precede it
+in ascending upper-corner order; a dominator always precedes its victims in
+that order).
 
 A region fully dominated at a query's preference subspace can never
 contribute to that query and loses the query from its active lineage; a
@@ -33,8 +39,14 @@ from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
 from repro.skyline.dominance import dominance_mask
 
-#: Row-chunk size for the pairwise dominance tests (bounds peak memory).
+#: Probe positions stop here: past the ``_CHUNK`` strongest regions of a
+#: lineage group the survivors settle among themselves in one all-pairs
+#: pass.  Also the row-chunk size of every pairwise test (bounds peak
+#: memory).
 _CHUNK = 512
+#: Size of the first probe block; each next block is ``_GROWTH`` x larger.
+_FIRST_PROBES = 16
+_GROWTH = 4
 
 
 @dataclass
@@ -60,46 +72,78 @@ def _dominated_by(
     return flags
 
 
-def dominated_flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def dominated_flags(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    *,
+    order: "np.ndarray | None" = None,
+    seeded: "np.ndarray | None" = None,
+) -> np.ndarray:
     """``flags[j]`` true iff some region i fully dominates region j.
 
     ``lower``/``upper`` are already restricted to the subspace columns.
-    Full dominance is transitive, so testing in two passes is complete:
-    pass 1 kills most regions against the strongest candidates (smallest
-    upper-corner sums); pass 2 resolves the remaining survivors among
-    themselves — any dominator eliminated in pass 1 is itself dominated by
-    a pass-2 participant.
+    ``seeded`` (bool per region) marks regions that survived at a child
+    node: they are not tested, so their flag is False, but they stay
+    dominators of the others.  ``order`` is the stable argsort of the
+    upper-corner sums, when the caller already has it.
+
+    Up to ``2 * _CHUNK`` regions, every region is tested against every
+    other.  Above that, the regions are visited in ascending upper-corner
+    sum order, the order in which a dominator precedes its victims
+    (``U_i`` dominating ``L_j`` gives ``sum(U_i) < sum(L_j) <= sum(U_j)``).
+    The still-undominated regions at sorted positions ``[start, stop)``
+    probe the still-undominated ones at positions ``>= start``, in blocks
+    of 16, 64, 256, ... up to position ``_CHUNK``; on correlated data the
+    first block already dominates nearly every region.  The survivors then
+    test each other all-pairs.  Full dominance is transitive, so each
+    dominated region has a dominator that is itself undominated, never
+    flagged, and therefore in the survivors pass: the result is exact
+    whatever the probes resolved.  That pass is the backstop for sums
+    that round equal, where a dominator can sort after its victim.
     """
     n = len(lower)
+    tested = np.ones(n, dtype=bool) if seeded is None else ~seeded
+    flags = np.zeros(n, dtype=bool)
     if n <= 2 * _CHUNK:
-        return _dominated_by(upper, lower)
-    order = np.argsort(upper.sum(axis=1), kind="stable")
-    strongest = order[:_CHUNK]
-    flags = _dominated_by(upper[strongest], lower)
-    flags[strongest] = False  # pass 1 cannot settle the strongest set itself
-    remaining = np.nonzero(~flags)[0]
-    # Pass 1 may mark a "strongest" region's victim whose dominator is later
-    # itself dominated — harmless, flags stay correct by transitivity.  Now
-    # resolve all still-unflagged regions against each other.
-    rem_flags = _dominated_by(upper[remaining], lower[remaining])
-    flags[remaining[rem_flags]] = True
-    # Strongest regions were exempted above only from pass 1; the pass 2 run
-    # covered them (they are all in ``remaining``).
+        flags[tested] = _dominated_by(upper, lower[tested])
+        return flags
+    if order is None:
+        order = np.argsort(upper.sum(axis=1), kind="stable")
+    lo, up, tested = lower[order], upper[order], tested[order]
+    dominated = np.zeros(n, dtype=bool)  # by sorted position
+    start, size = 0, _FIRST_PROBES
+    while start < _CHUNK:
+        stop = min(start + size, _CHUNK)
+        probes = start + np.flatnonzero(~dominated[start:stop])
+        targets = start + np.flatnonzero(tested[start:] & ~dominated[start:])
+        dominated[targets[_dominated_by(up[probes], lo[targets])]] = True
+        start, size = stop, size * _GROWTH
+    survivors = np.flatnonzero(~dominated)
+    targets = survivors[tested[survivors]]
+    dominated[targets[_dominated_by(up[survivors], lo[targets])]] = True
+    flags[order] = dominated
     return flags
 
 
 def sequential_comparison_count(
-    upper: np.ndarray, survivors: np.ndarray, charged: np.ndarray
+    upper: np.ndarray,
+    survivors: np.ndarray,
+    charged: np.ndarray,
+    order: "np.ndarray | None" = None,
 ) -> int:
     """Comparisons a sorted sequential pass would perform.
 
-    Candidates are visited in ascending upper-corner-sum order; each charged
-    candidate compares against the survivors that precede it (its potential
-    dominators all precede it in that order).
+    Candidates are visited in ascending upper-corner-sum order (``order``,
+    the stable argsort of those sums, when the caller already has it);
+    each charged candidate compares against the survivors that precede it
+    (its potential dominators all precede it in that order).
     """
-    order_rank = np.argsort(np.argsort(upper.sum(axis=1), kind="stable"), kind="stable")
-    survivor_ranks = np.sort(order_rank[survivors])
-    preceding = np.searchsorted(survivor_ranks, order_rank[charged], side="left")
+    if order is None:
+        order = np.argsort(upper.sum(axis=1), kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    survivor_ranks = np.sort(rank[survivors])
+    preceding = np.searchsorted(survivor_ranks, rank[charged], side="left")
     return int(preceding.sum())
 
 
@@ -159,10 +203,16 @@ def coarse_skyline(
             lo = lower_all[np.ix_(group, positions)]
             up = upper_all[np.ix_(group, positions)]
             seeded_flags = seeded[group]
-            survivor_flags = seeded_flags | ~dominated_flags(lo, up)
+            order = np.argsort(up.sum(axis=1), kind="stable")
+            survivor_flags = seeded_flags | ~dominated_flags(
+                lo, up, order=order, seeded=seeded_flags
+            )
             stats.record_coarse_comparisons(
                 sequential_comparison_count(
-                    up, np.flatnonzero(survivor_flags), np.flatnonzero(~seeded_flags)
+                    up,
+                    np.flatnonzero(survivor_flags),
+                    np.flatnonzero(~seeded_flags),
+                    order,
                 )
             )
             survivors_here[group[survivor_flags]] = True

@@ -33,7 +33,7 @@ def mqla_cases(eleven_query_workload):
     """``name -> (workload, left partitioning, right partitioning)``.
 
     ``correlated`` is the only regime with > 1 024 regions in one
-    equal-lineage group (``dominated_flags``' two-pass branch at engine
+    equal-lineage group (``dominated_flags``' probe-block branch at engine
     level); ``filtered`` carries a non-prunable query; ``two_conditions``
     splits every cuboid node into two equal-lineage groups.
     """

@@ -11,6 +11,7 @@ from repro.core.region import OutputRegion
 from repro.core.stats import ExecutionStats
 from repro.partition import quadtree_partition
 from repro.plan import build_minmax_cuboid
+from repro.skyline.dominance import dominance_mask
 
 
 def _mqla(workload, pair, capacity=40):
@@ -26,6 +27,31 @@ def _mqla(workload, pair, capacity=40):
     return cj, stats
 
 
+def _boxes(data, n, width):
+    """``n`` region boxes over ``width`` attributes: correlated,
+    independent, anticorrelated or on a small integer grid."""
+    rng = np.random.default_rng(n * 10 + width)
+    if data == "grid":  # many ties and zero-width boxes
+        lower = rng.integers(0, 5, (n, width)).astype(float)
+        return lower, lower + rng.integers(0, 2, (n, width))
+    if data == "corr":
+        lower = rng.random((n, 1)) * 50 + rng.random((n, width)) * 5
+    elif data == "anti":
+        points = rng.random((n, width)) + 0.01
+        lower = 50 * points / points.sum(axis=1, keepdims=True)
+        lower += rng.normal(0.0, 0.5, (n, width))
+    else:
+        lower = rng.random((n, width)) * 50
+    return lower, lower + rng.random((n, width)) * 2
+
+
+def _brute_force_flags(lower, upper):
+    flags = np.zeros(len(lower), dtype=bool)
+    for start in range(0, len(upper), 512):
+        flags |= dominance_mask(upper[start : start + 512], lower).any(axis=0)
+    return flags
+
+
 class TestDominatedFlags:
     def test_simple(self):
         lower = np.array([[0.0, 0.0], [5.0, 5.0], [2.0, 0.5]])
@@ -35,20 +61,44 @@ class TestDominatedFlags:
         # region 0 (better in d2, worse in d1).
         np.testing.assert_array_equal(flags, [False, True, False])
 
-    def test_two_pass_equals_direct(self, rng):
-        """The strongest-first two-pass shortcut must match brute force."""
-        n = 1500  # above the single-pass threshold
-        lower = rng.random((n, 3)) * 50
-        upper = lower + rng.random((n, 3)) * 10
-        flags = dominated_flags(lower, upper)
-        # Brute force on a sample of rows.
-        for j in rng.integers(0, n, size=60):
-            expected = any(
-                np.all(upper[i] <= lower[j]) and np.any(upper[i] < lower[j])
-                for i in range(n)
-                if i != j
-            )
-            assert bool(flags[j]) == expected
+    @pytest.mark.parametrize("n", [1024, 1025, 1500, 3000])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("data", ["corr", "indep", "anti", "grid"])
+    def test_brute_force(self, data, width, n):
+        """Every row against the chunked all-pairs mask; 1024 regions is
+        the last all-pairs group, 1025 the first with probe blocks."""
+        lower, upper = _boxes(data, n, width)
+        np.testing.assert_array_equal(
+            dominated_flags(lower, upper), _brute_force_flags(lower, upper)
+        )
+
+    @pytest.mark.parametrize("n", [300, 1500])
+    def test_seeded_regions_dominate_but_are_not_tested(self, rng, n):
+        lower, upper = _boxes("corr", n, 3)
+        seeded = rng.random(n) < 0.2
+        seeded[np.argmin(upper.sum(axis=1))] = True  # the strongest region
+        flags = dominated_flags(lower, upper, seeded=seeded)
+        assert not flags[seeded].any()
+        np.testing.assert_array_equal(
+            flags, _brute_force_flags(lower, upper) & ~seeded
+        )
+
+    def test_survivors_pass_catches_rounded_sums(self):
+        """A dominator whose upper-corner sum rounds equal to its victim's
+        sorts after it: the victim closes the first probe block and the
+        dominator opens the second, so only the survivors pass can flag
+        the victim."""
+        victim = [1e16, 1.0]
+        dominator = [1e16, 0.0]
+        assert sum(victim) == sum(dominator)
+        # Mutually incomparable, small sums, above both on the 2nd axis.
+        padding = [[-1.0 - k, 2.0 + k] for k in range(15)]
+        filler = [[2e16, 1.0 + k] for k in range(1100)]
+        boxes = np.array(padding + [victim, dominator] + filler)
+        flags = dominated_flags(boxes, boxes.copy())
+        j = len(padding)
+        assert flags[j] and not flags[j + 1]
+        np.testing.assert_array_equal(flags, _brute_force_flags(boxes, boxes))
 
     def test_no_self_domination(self):
         lower = np.array([[0.0, 0.0]])
