@@ -19,6 +19,7 @@ from repro.core.output_space import DEFAULT_DIVISIONS, OutputGrid, grid_for_cell
 from repro.core.region import (
     OutputRegion,
     RegionDominance,
+    RegionTable,
     point_could_be_dominated_by_region,
     point_dominates_region,
     region_dominance,
@@ -41,6 +42,7 @@ __all__ = [
     "OutputGrid",
     "OutputRegion",
     "RegionDominance",
+    "RegionTable",
     "RegionExecutor",
     "RegionOutcome",
     "ResultIdentity",

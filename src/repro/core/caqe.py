@@ -309,9 +309,9 @@ class _RunState:
     stats: ExecutionStats
     plan: WorkloadPlan
     cuboid: "MinMaxCuboid"
-    #: Every coarse-join region in creation order (including discarded
-    #: ones) — the stable universe snapshot region-ids resolve against.
-    regions: "list[OutputRegion]"
+    #: Regions the coarse join created, discarded ones included — the
+    #: width of the run's region-id range.
+    regions_created: int
     alive: "dict[int, OutputRegion]"
     graph: DependencyGraph
     benefit: BenefitModel
@@ -571,25 +571,25 @@ class CAQE:
         cj = coarse_join(
             workload, left_part, right_part, stats,
             divisions=cfg.divisions, touching=touching,
+            first_region_id=first_region_id,
         )
-        regions = cj.regions
-        for region in regions:
-            region.region_id += first_region_id
+        table = cj.regions
         if cfg.enable_coarse_pruning:
-            coarse_skyline(workload, cuboid, regions, stats)
+            coarse_skyline(workload, cuboid, table, stats)
+        # Only the regions the coarse skyline kept become objects.
+        survivors = np.flatnonzero(table.active_rql != 0)
         alive: dict[int, OutputRegion] = {
-            r.region_id: r for r in regions if not r.is_discarded
+            r.region_id: r for r in table.materialise(survivors)
         }
 
         # -- Step 3: dependency graph + benefit model --------------------- #
         if cfg.enable_depgraph:
-            graph = build_dependency_graph(
-                workload, cuboid, list(alive.values()), cj.grid, stats
-            )
+            graph = build_dependency_graph(workload, cuboid, table, cj.grid, stats)
         else:
-            graph = DependencyGraph()
-            for rid in alive:
-                graph.add_node(rid)
+            graph = DependencyGraph.from_edges(
+                table.region_id[survivors],
+                np.zeros((len(survivors), len(survivors)), dtype=np.int64),
+            )
         benefit = BenefitModel(
             workload, cuboid, cj.grid, contracts, cfg.cost_model
         )
@@ -611,7 +611,7 @@ class CAQE:
             stats=stats,
             plan=plan,
             cuboid=cuboid,
-            regions=regions,
+            regions_created=len(table),
             alive=alive,
             graph=graph,
             benefit=benefit,
@@ -749,11 +749,9 @@ class LiveRun:
         configured objective — ranked by :meth:`step`, maxed by
         :meth:`peek_best_csm`."""
         rs = self.rs
-        roots = rs.graph.roots() & rs.alive.keys()
-        if not roots:
-            roots = rs.graph.force_roots() & rs.alive.keys()
-        root_arr = np.fromiter(roots, dtype=np.intp, count=len(roots))
-        root_arr.sort()
+        root_arr = rs.graph.roots()
+        if not root_arr.size:
+            root_arr = rs.graph.force_roots()
         objective = self._engine.config.objective
         if objective == "scan" or not root_arr.size:
             # Creation order: every root ties and the ranking's stable
@@ -1266,7 +1264,8 @@ def _restore_run_state(rs: _RunState, state: "dict[str, object]") -> None:
     from repro.durability import checkpoint as cp
 
     cp.load_stats(rs.stats, state["stats"])
-    by_id = {r.region_id: r for r in rs.regions}
+    # A fresh run's alive set holds every region the snapshot can name.
+    by_id = rs.alive
     alive: "dict[int, OutputRegion]" = {}
     for rid, active_rql in state["alive"]:
         region = by_id[int(rid)]

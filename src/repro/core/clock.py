@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ExecutionError
 
 
@@ -83,6 +85,22 @@ class VirtualClock:
         if units < 0:
             raise ExecutionError(f"cannot advance the clock by {units}")
         self.time += units
+        return self.time
+
+    def advance_repeated(self, units: float, count: int) -> float:
+        """``count`` successive :meth:`advance` calls of ``units`` each.
+
+        Not ``advance(units * count)``: float addition is not associative,
+        so the clock reading after many small charges depends on how they
+        are grouped.  ``np.add.accumulate`` adds strictly left to right,
+        which is the rounding of the one-by-one calls, bit for bit.
+        """
+        if units < 0:
+            raise ExecutionError(f"cannot advance the clock by {units}")
+        if count > 0:
+            steps = np.full(count + 1, units)
+            steps[0] = self.time
+            self.time = float(np.add.accumulate(steps)[-1])
         return self.time
 
     # Convenience charging methods — one per primitive. --------------------

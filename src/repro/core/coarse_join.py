@@ -3,9 +3,15 @@
 For every pair of leaf cells (one per table) and every join condition in
 the workload, intersect the cells' join signatures.  A non-empty
 intersection guarantees at least one tuple-level join result, so the pair
-becomes an :class:`~repro.core.region.OutputRegion`; an empty intersection
-proves the pair can never contribute to queries using that condition and
-the pair is skipped entirely — join work the shared plan never performs.
+becomes an output region; an empty intersection proves the pair can never
+contribute to queries using that condition and the pair is skipped
+entirely — join work the shared plan never performs.
+
+All signature tests of a condition are one product: each side's leaves
+become a ``(leaves x values)`` 0/1 incidence matrix over the values the
+left signatures hold, and ``left @ right.T`` counts every pair's shared
+values at once.  The regions come out as the columns of a
+:class:`~repro.core.region.RegionTable`.
 
 Region bounds in output space are derived by pushing the input-cell bounds
 through the (monotone) mapping functions; the estimated join cardinality
@@ -15,15 +21,16 @@ comes from the signature overlap under a uniform-value assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.core.output_space import DEFAULT_DIVISIONS, OutputGrid, grid_for_cells
-from repro.core.region import OutputRegion
+from repro.core.region import RegionTable
 from repro.core.stats import ExecutionStats
 from repro.errors import ExecutionError
+from repro.partition.cells import LeafCell
 from repro.partition.quadtree import Partitioning
-from repro.partition.signatures import common_values
 from repro.query.workload import Workload
 
 
@@ -31,25 +38,47 @@ from repro.query.workload import Workload
 class CoarseJoinResult:
     """Everything MQLA's later steps need."""
 
-    regions: "list[OutputRegion]"
+    regions: RegionTable
     grid: OutputGrid
     #: (left_cell_id, right_cell_id, condition) pairs pruned by signatures.
     pruned_pairs: int
 
 
-def _estimate_join_count(
-    left_sig: frozenset,
-    right_sig: frozenset,
-    shared: frozenset,
-    left_size: int,
-    right_size: int,
-) -> float:
-    """Expected matches assuming values are uniform within each cell."""
-    if not shared:
-        return 0.0
-    per_left = left_size / max(len(left_sig), 1)
-    per_right = right_size / max(len(right_sig), 1)
-    return len(shared) * per_left * per_right
+def _shared_counts(
+    left: "tuple[LeafCell, ...]", right: "tuple[LeafCell, ...]", condition: str
+) -> np.ndarray:
+    """``shared[li, ri] = |sig(left[li]) & sig(right[ri])|`` for one condition.
+
+    Values are matched with the signatures' own set semantics (hash and
+    ``==``, so ``1 == 1.0`` and any hashable key works), except that a NaN
+    never matches — not even itself.  The float64 product is exact: each
+    entry is a count far below 2**53.
+    """
+    vocab: "dict[object, int]" = {}
+    left_cols = [
+        [vocab.setdefault(v, len(vocab)) for v in leaf.signature(condition) if v == v]
+        for leaf in left
+    ]
+    right_cols = [
+        [vocab[v] for v in leaf.signature(condition) if v in vocab] for leaf in right
+    ]
+
+    def incidence(cols: "list[list[int]]") -> np.ndarray:
+        matrix = np.zeros((len(cols), len(vocab)))
+        rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+        matrix[rows, np.fromiter(chain.from_iterable(cols), np.intp, len(rows))] = 1.0
+        return matrix
+
+    return incidence(left_cols) @ incidence(right_cols).T
+
+
+def _per_value(leaves: "tuple[LeafCell, ...]", condition: str) -> np.ndarray:
+    """Each leaf's tuples per distinct key value (the uniform assumption)."""
+    sizes = np.asarray([leaf.size for leaf in leaves], dtype=float)
+    counts = np.asarray(
+        [max(len(leaf.signature(condition)), 1) for leaf in leaves], dtype=float
+    )
+    return sizes / counts
 
 
 def _corner_maps(
@@ -75,115 +104,110 @@ def coarse_join(
     *,
     divisions: int = DEFAULT_DIVISIONS,
     touching: "tuple[frozenset[int], frozenset[int]] | None" = None,
+    first_region_id: int = 0,
 ) -> CoarseJoinResult:
     """Run the signature-driven coarse join and build the output regions.
 
-    ``touching`` — ``(left cell ids, right cell ids)`` — keeps only the
-    pairs with at least one cell in those sets: the delta join of an
-    append-only epoch (new-left x all-right plus old-left x new-right).
-    A restricted join may legitimately find nothing; it then returns no
-    regions, over a unit grid no region indexes, instead of raising.
+    Regions are numbered from ``first_region_id`` in (left cell, right
+    cell, condition) order.  ``touching`` — ``(left cell ids, right cell
+    ids)`` — keeps only the pairs with at least one cell in those sets:
+    the delta join of an append-only epoch (new-left x all-right plus
+    old-left x new-right).  A restricted join may legitimately find
+    nothing; it then returns no regions, over a unit grid no region
+    indexes, instead of raising.
     """
     output_dims = workload.output_dims
     functions = [workload.function_for(d) for d in output_dims]
     conditions = workload.join_conditions
     # Query bitmask per join condition: which workload queries use it.
-    condition_rql = {
-        c.name: sum(
-            1 << qi
-            for qi, q in enumerate(workload)
-            if q.join_condition.name == c.name
-        )
-        for c in conditions
-    }
+    condition_rql = np.asarray(
+        [
+            sum(
+                1 << qi
+                for qi, q in enumerate(workload)
+                if q.join_condition.name == c.name
+            )
+            for c in conditions
+        ],
+        dtype=np.int64,
+    )
 
-    # Pass 1: signature tests, charged one by one in pair order, pick the
-    # contributing (left cell, right cell, condition) triples.  A restricted
-    # join visits only its pairs, in the same order: every right cell for a
-    # new left cell, only the new right cells for an old one.
+    # Signature tests: every visited (left cell, right cell, condition)
+    # triple, each charged as its own coarse comparison.  A restricted
+    # join visits the pairs with a new cell on either side.
     left_leaves = left_partitioning.leaves
     right_leaves = right_partitioning.leaves
-    every_right = range(len(right_leaves))
-    new_right = every_right
+    visited = np.ones((len(left_leaves), len(right_leaves)), dtype=bool)
     if touching is not None:
-        new_right = [
-            ri for ri in every_right if right_leaves[ri].cell_id in touching[1]
-        ]
-    raw: "list[tuple[int, int, str, float]]" = []
-    pruned = 0
-    for li, left_cell in enumerate(left_leaves):
-        new_left = touching is not None and left_cell.cell_id in touching[0]
-        for ri in every_right if new_left else new_right:
-            right_cell = right_leaves[ri]
-            for condition in conditions:
-                stats.record_coarse_comparisons(1)  # one signature test
-                left_sig = left_cell.signature(condition.name)
-                right_sig = right_cell.signature(condition.name)
-                shared = common_values(left_sig, right_sig)
-                if not shared:
-                    pruned += 1
-                    continue
-                est = _estimate_join_count(
-                    left_sig, right_sig, shared, left_cell.size, right_cell.size
-                )
-                raw.append((li, ri, condition.name, est))
-    if not raw:
-        if touching is None:
-            raise ExecutionError(
-                "coarse join produced no output regions: no cell pair "
-                "satisfies any join condition"
-            )
-        unit = np.zeros((1, len(output_dims))), np.ones((1, len(output_dims)))
-        return CoarseJoinResult(
-            regions=[],
-            grid=grid_for_cells(output_dims, *unit, divisions=divisions),
-            pruned_pairs=pruned,
-        )
+        new_left = np.asarray([c.cell_id in touching[0] for c in left_leaves], bool)
+        new_right = np.asarray([c.cell_id in touching[1] for c in right_leaves], bool)
+        visited = new_left[:, None] | new_right[None, :]
+    shared = np.stack(
+        [_shared_counts(left_leaves, right_leaves, c.name) for c in conditions],
+        axis=-1,
+    )
+    tests = int(visited.sum()) * len(conditions)
+    stats.record_signature_tests(tests)
+    # Row-major nonzero: (left, right, condition) ascending, the order in
+    # which a loop over the triples would create the regions.
+    li, ri, ci = np.nonzero(visited[:, :, None] & (shared > 0))
+    pruned = tests - len(li)
+    # Expected matches under uniform values within each cell: the same two
+    # multiplies, in the same order, as ``shared * per_left * per_right``
+    # for one pair.
+    per_left = np.stack([_per_value(left_leaves, c.name) for c in conditions])
+    per_right = np.stack([_per_value(right_leaves, c.name) for c in conditions])
+    est = shared[li, ri, ci] * per_left[ci, li] * per_right[ci, ri]
 
-    # Output bounds of every contributing pair at once: gather the cell
-    # corners by pair index and push them through each mapping function in
-    # one vectorised call per output dimension — elementwise the same
-    # float operations as mapping one pair at a time.
-    left_lower, left_upper = _corner_maps(
-        left_partitioning, np.asarray([r[0] for r in raw], dtype=np.intp)
-    )
-    right_lower, right_upper = _corner_maps(
-        right_partitioning, np.asarray([r[1] for r in raw], dtype=np.intp)
-    )
-    lower = np.empty((len(raw), len(functions)))
+    lower = np.empty((len(li), len(functions)))
     upper = np.empty_like(lower)
-    for k, fn in enumerate(functions):
-        # Column assignment copies (and repeats a constant bound).
-        lower[:, k], upper[:, k] = fn.apply_bounds(
-            left_lower, left_upper, right_lower, right_upper
-        )
-
-    # Pass 2: size the grid, then materialise regions with coordinate boxes
-    # — `coords_of` performs the same elementwise float operations as the
-    # scalar `box_of`, so each row matches the per-region call bit for bit.
-    grid = grid_for_cells(output_dims, lower, upper, divisions=divisions)
-    box_lo = grid.coords_of(lower).tolist()
-    box_hi = grid.coords_of(upper).tolist()
-    regions: list[OutputRegion] = []
-    for region_id, (li, ri, condition_name, est) in enumerate(raw):
-        left_cell, right_cell = left_leaves[li], right_leaves[ri]
-        regions.append(
-            OutputRegion(
-                region_id=region_id,
-                left_cell_id=left_cell.cell_id,
-                right_cell_id=right_cell.cell_id,
-                condition_name=condition_name,
-                lower=lower[region_id],
-                upper=upper[region_id],
-                rql=condition_rql[condition_name],
-                coord_lo=tuple(box_lo[region_id]),
-                coord_hi=tuple(box_hi[region_id]),
-                est_join_count=max(est, 1.0),
-                left_size=left_cell.size,
-                right_size=right_cell.size,
+    if len(li):
+        # Output bounds of every contributing pair at once: gather the
+        # cell corners by pair index and push them through each mapping
+        # function in one vectorised call per output dimension —
+        # elementwise the same float operations as mapping one pair at a
+        # time.
+        left_lower, left_upper = _corner_maps(left_partitioning, li)
+        right_lower, right_upper = _corner_maps(right_partitioning, ri)
+        for k, fn in enumerate(functions):
+            # Column assignment copies (and repeats a constant bound).
+            lower[:, k], upper[:, k] = fn.apply_bounds(
+                left_lower, left_upper, right_lower, right_upper
             )
+        grid = grid_for_cells(output_dims, lower, upper, divisions=divisions)
+    elif touching is None:
+        raise ExecutionError(
+            "coarse join produced no output regions: no cell pair "
+            "satisfies any join condition"
         )
-    return CoarseJoinResult(regions=regions, grid=grid, pruned_pairs=pruned)
+    else:
+        unit = np.zeros((1, len(output_dims))), np.ones((1, len(output_dims)))
+        grid = grid_for_cells(output_dims, *unit, divisions=divisions)
+    # Coordinate boxes: `coords_of` performs the same elementwise float
+    # operations as the scalar `box_of`, so each row matches the
+    # per-region call bit for bit.
+    left_ids = np.asarray([c.cell_id for c in left_leaves], dtype=np.int64)
+    right_ids = np.asarray([c.cell_id for c in right_leaves], dtype=np.int64)
+    left_sizes = np.asarray([c.size for c in left_leaves], dtype=np.int64)
+    right_sizes = np.asarray([c.size for c in right_leaves], dtype=np.int64)
+    rql = condition_rql[ci]
+    table = RegionTable(
+        region_id=first_region_id + np.arange(len(li), dtype=np.int64),
+        left_cell_id=left_ids[li],
+        right_cell_id=right_ids[ri],
+        condition=ci,
+        condition_names=tuple(c.name for c in conditions),
+        lower=lower,
+        upper=upper,
+        coord_lo=grid.coords_of(lower),
+        coord_hi=grid.coords_of(upper),
+        est_join_count=np.maximum(est, 1.0),
+        rql=rql,
+        active_rql=rql.copy(),
+        left_size=left_sizes[li],
+        right_size=right_sizes[ri],
+    )
+    return CoarseJoinResult(regions=table, grid=grid, pruned_pairs=pruned)
 
 
 __all__ = ["CoarseJoinResult", "coarse_join"]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.region import OutputRegion
+from repro.core.region import RegionTable
 from repro.core.stats import ExecutionStats
 from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
@@ -150,11 +150,12 @@ def sequential_comparison_count(
 def coarse_skyline(
     workload: Workload,
     cuboid: MinMaxCuboid,
-    regions: "list[OutputRegion]",
+    regions: RegionTable,
     stats: ExecutionStats,
     prunable_queries: "int | None" = None,
 ) -> CoarseSkylineResult:
-    """Populate the cuboid with non-dominated regions, bottom-up.
+    """Populate the cuboid with non-dominated regions, bottom-up, and
+    narrow ``regions.active_rql`` in place (0 = discarded).
 
     ``prunable_queries`` masks which workload queries may lose regions to
     region-level dominance.  Region pruning relies on the dominating
@@ -172,17 +173,15 @@ def coarse_skyline(
     output_dims = workload.output_dims
     table = cuboid.lattice.table
 
-    region_list = [r for r in regions if not r.is_discarded]
-    n_regions = len(region_list)
-    if region_list:
-        lower_all = np.vstack([r.lower for r in region_list])
-        upper_all = np.vstack([r.upper for r in region_list])
-    else:
-        lower_all = upper_all = np.empty((0, len(output_dims)))
-    rql_all = np.asarray([r.active_rql for r in region_list], dtype=np.int64)
-    ids_all = np.asarray([r.region_id for r in region_list], dtype=np.int64)
+    # The not-yet-discarded rows; positions below index into them.
+    rows = np.flatnonzero(regions.active_rql != 0)
+    n_regions = len(rows)
+    lower_all = regions.lower[rows]
+    upper_all = regions.upper[rows]
+    rql_all = regions.active_rql[rows]
+    ids_all = regions.region_id[rows]
 
-    # mask -> survivor flags over ``region_list`` positions.
+    # mask -> survivor flags over ``rows`` positions.
     survivors: "dict[int, np.ndarray]" = {}
     for mask in cuboid.masks:
         node = cuboid.node(mask)
@@ -220,7 +219,7 @@ def coarse_skyline(
     # Per-query contribution flags and lineage shrinking: a prunable query
     # is dropped from every region it was created for that did not survive
     # at the query's node.
-    created_rql = np.asarray([r.rql for r in region_list], dtype=np.int64)
+    created_rql = regions.rql[rows]
     active = rql_all.copy()
     contributing: "dict[str, np.ndarray]" = {}
     for qi, query in enumerate(workload):
@@ -230,13 +229,11 @@ def coarse_skyline(
             active[serves & ~keeps] &= ~(np.int64(1) << qi)
             serves &= keeps
         contributing[query.name] = serves
-    for k in np.flatnonzero(active != rql_all).tolist():
-        region_list[k].active_rql = int(active[k])
+    regions.active_rql[rows] = active
 
     alive = active != 0
     discarded = set(ids_all[~alive].tolist())
-    for _ in range(len(discarded)):
-        stats.record_region_discarded()
+    stats.record_region_discarded(len(discarded))
     nondominated = {
         mask: set(ids_all[flags & alive].tolist()) for mask, flags in survivors.items()
     }

@@ -292,7 +292,7 @@ class ContinuousCAQE:
             emitted = rs.state.reported
             self.logs = {q.name: rs.tracker.log(q.name) for q in self.workload}
             self._seq, self._rng_cursor = rs.seq, rs.rng_cursor
-            self._region_seq += len(rs.regions)
+            self._region_seq += rs.regions_created
         new_results: dict[str, set[tuple[int, int]]] = {}
         retracted: dict[str, set[tuple[int, int]]] = {}
         for query in self.workload:

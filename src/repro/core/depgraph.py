@@ -17,90 +17,104 @@ optimizer breaks deadlocks by treating every remaining region as a root
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.output_space import OutputGrid
-from repro.core.region import OutputRegion
+from repro.core.region import RegionTable
 from repro.core.stats import ExecutionStats
 from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
 from repro.skyline.dominance import dominance_mask
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
-    source: int
-    target: int
-    #: Bitmask of workload queries for which source can dominate target.
-    queries: int
-
-
 @dataclass
 class DependencyGraph:
-    """Mutable edge structure driving Algorithm 1's scheduling order."""
+    """Algorithm 1's scheduling order as one edge matrix.
 
-    edges_out: "dict[int, dict[int, int]]" = field(default_factory=dict)
-    edges_in: "dict[int, dict[int, int]]" = field(default_factory=dict)
-    nodes: "set[int]" = field(default_factory=set)
+    Node ``k`` is region ``ids[k]`` (ascending); ``edges[i, j]`` is the
+    query bitmask of the edge ``ids[i] -> ids[j]`` (0 = no edge, never on
+    the diagonal).  Removing a node only clears its ``alive`` flag, so an
+    edge is *live* while both its ends are alive; ``indeg[j]`` counts the
+    live edges into a live node ``j``.
+    """
 
-    def add_node(self, region_id: int) -> None:
-        self.nodes.add(region_id)
-        self.edges_out.setdefault(region_id, {})
-        self.edges_in.setdefault(region_id, {})
+    ids: np.ndarray  # int64 (n,), ascending
+    edges: np.ndarray  # int64 (n, n)
+    indeg: np.ndarray  # int64 (n,)
+    alive: np.ndarray  # bool (n,)
+    #: region id -> node index.
+    index: "dict[int, int]"
 
-    def add_edge(self, source: int, target: int, queries: int) -> None:
-        if queries == 0 or source == target:
-            return
-        self.add_node(source)
-        self.add_node(target)
-        self.edges_out[source][target] = self.edges_out[source].get(target, 0) | queries
-        self.edges_in[target][source] = self.edges_in[target].get(source, 0) | queries
+    @classmethod
+    def from_edges(cls, ids: np.ndarray, edges: np.ndarray) -> "DependencyGraph":
+        """A graph over ascending ``ids``, every node alive; ``edges``
+        (taken, not copied) loses its diagonal — no node precedes itself."""
+        ids = np.asarray(ids, dtype=np.int64)
+        np.fill_diagonal(edges, 0)
+        return cls(
+            ids=ids,
+            edges=edges,
+            indeg=np.count_nonzero(edges, axis=0).astype(np.int64),
+            alive=np.ones(len(ids), dtype=bool),
+            index=dict(zip(ids.tolist(), range(len(ids)))),
+        )
 
-    def roots(self) -> "set[int]":
-        return {n for n in self.nodes if not self.edges_in[n]}
+    def _live_targets(self, region_id: int) -> "tuple[int, np.ndarray]":
+        """Node index of a live ``region_id`` (-1 if none) and the node
+        indices of its live targets."""
+        k = self.index.get(region_id, -1)
+        if k < 0 or not self.alive[k]:
+            return -1, np.empty(0, dtype=np.intp)
+        targets = np.flatnonzero(self.edges[k])
+        return k, targets[self.alive[targets]]
+
+    @property
+    def nodes(self) -> "set[int]":
+        return set(self.ids[self.alive].tolist())
+
+    def roots(self) -> np.ndarray:
+        """Live nodes without a live incoming edge, ascending."""
+        return self.ids[self.alive & (self.indeg == 0)]
 
     def successors(self, region_id: int) -> "dict[int, int]":
-        return dict(self.edges_out.get(region_id, {}))
-
-    def predecessors(self, region_id: int) -> "dict[int, int]":
-        return dict(self.edges_in.get(region_id, {}))
+        """Live targets of ``region_id``'s edges -> query mask, ascending."""
+        k, targets = self._live_targets(region_id)
+        if not targets.size:
+            return {}
+        return dict(zip(self.ids[targets].tolist(), self.edges[k, targets].tolist()))
 
     def remove_node(self, region_id: int) -> "set[int]":
         """Remove a processed/discarded region; return newly-rooted nodes."""
-        if region_id not in self.nodes:
+        k, targets = self._live_targets(region_id)
+        if k < 0:
             return set()
-        promoted: set[int] = set()
-        for target in list(self.edges_out.get(region_id, {})):
-            del self.edges_in[target][region_id]
-            if not self.edges_in[target]:
-                promoted.add(target)
-        for source in list(self.edges_in.get(region_id, {})):
-            del self.edges_out[source][region_id]
-        self.edges_out.pop(region_id, None)
-        self.edges_in.pop(region_id, None)
-        self.nodes.discard(region_id)
-        return promoted
+        self.alive[k] = False
+        if not targets.size:
+            return set()
+        self.indeg[targets] -= 1
+        return set(self.ids[targets[self.indeg[targets] == 0]].tolist())
 
-    def force_roots(self) -> "set[int]":
-        """Deadlock breaker: drop all edges among the remaining nodes."""
-        for n in self.nodes:
-            self.edges_in[n].clear()
-            self.edges_out[n].clear()
-        return set(self.nodes)
+    def force_roots(self) -> np.ndarray:
+        """Deadlock breaker: drop every edge; all live nodes are roots."""
+        self.edges[:] = 0
+        self.indeg[:] = 0
+        return self.ids[self.alive]
 
     def edge_count(self) -> int:
-        return sum(len(t) for t in self.edges_out.values())
+        live = self.alive
+        return int(np.count_nonzero(self.edges[np.ix_(live, live)]))
 
-    def __contains__(self, region_id: object) -> bool:
-        return region_id in self.nodes
+    def __contains__(self, region_id: int) -> bool:
+        k = self.index.get(region_id, -1)
+        return k >= 0 and bool(self.alive[k])
 
 
 def build_dependency_graph(
     workload: Workload,
     cuboid: MinMaxCuboid,
-    regions: "list[OutputRegion]",
+    regions: RegionTable,
     grid: "OutputGrid",
     stats: ExecutionStats,
 ) -> DependencyGraph:
@@ -119,25 +133,20 @@ def build_dependency_graph(
     """
     output_dims = workload.output_dims
     table = cuboid.lattice.table
-    graph = DependencyGraph()
-    alive = [r for r in regions if not r.is_discarded]
-    for r in alive:
-        graph.add_node(r.region_id)
-    if len(alive) < 2:
-        return graph
+    rows = np.flatnonzero(regions.active_rql != 0)
+    ids = regions.region_id[rows]
+    n = len(rows)
+    edge_queries = np.zeros((n, n), dtype=np.int64)
+    if n < 2:
+        return DependencyGraph.from_edges(ids, edge_queries)
 
     # Per-region corner vectors at cell granularity.
     widths = (np.asarray(grid.highs) - np.asarray(grid.lows)) / grid.divisions
     widths = np.where(widths > 0, widths, 1.0)
     lows = np.asarray(grid.lows)
-    coord_lo = np.asarray([r.coord_lo for r in alive])
-    coord_hi = np.asarray([r.coord_hi for r in alive])
-    best_cell_upper = lows + (coord_lo + 1) * widths
-    worst_cell_lower = lows + coord_hi * widths
-    rql = np.asarray([r.active_rql for r in alive], dtype=np.int64)
-    ids = [r.region_id for r in alive]
-    n = len(alive)
-    edge_queries = np.zeros((n, n), dtype=np.int64)
+    best_cell_upper = lows + (regions.coord_lo[rows] + 1) * widths
+    worst_cell_lower = lows + regions.coord_hi[rows] * widths
+    rql = regions.active_rql[rows]
 
     for qi, query in enumerate(workload):
         mask = cuboid.query_nodes[query.name]
@@ -163,29 +172,7 @@ def build_dependency_graph(
         # (src, dst) pairs are unique, so the fancy-index |= is exact.
         edge_queries[idx[src], idx[dst]] |= np.int64(1) << qi
 
-    # Materialise the edge dicts directly (bulk-building through add_edge
-    # costs a function call per edge; dense workloads create 10^5+ edges).
-    # np.nonzero scans row-major, so src arrives sorted: slice per source.
-    src, dst = np.nonzero(edge_queries)
-    masks = edge_queries[src, dst].tolist()
-    id_arr = np.asarray(ids, dtype=object)
-    src_ids = id_arr[src].tolist()
-    dst_ids = id_arr[dst].tolist()
-    uniq_s, start_s = np.unique(src, return_index=True)
-    bounds_s = np.append(start_s, len(src)).tolist()
-    for k, s_row in enumerate(uniq_s.tolist()):
-        a, b = bounds_s[k], bounds_s[k + 1]
-        graph.edges_out[ids[s_row]] = dict(zip(dst_ids[a:b], masks[a:b]))
-    order = np.argsort(dst, kind="stable")
-    dst_sorted = dst[order]
-    src_by_dst = [src_ids[i] for i in order.tolist()]
-    masks_by_dst = [masks[i] for i in order.tolist()]
-    uniq_t, start_t = np.unique(dst_sorted, return_index=True)
-    bounds_t = np.append(start_t, len(dst)).tolist()
-    for k, t_row in enumerate(uniq_t.tolist()):
-        a, b = bounds_t[k], bounds_t[k + 1]
-        graph.edges_in[ids[t_row]] = dict(zip(src_by_dst[a:b], masks_by_dst[a:b]))
-    return graph
+    return DependencyGraph.from_edges(ids, edge_queries)
 
 
-__all__ = ["DependencyEdge", "DependencyGraph", "build_dependency_graph"]
+__all__ = ["DependencyGraph", "build_dependency_graph"]

@@ -5,7 +5,9 @@ functions, of one ``(left cell, right cell, join condition)`` triple — the
 unit of work CAQE's optimizer schedules.  Its *region query lineage*
 (``RQL``, Table 1) starts as the queries whose join signatures intersected
 (Section 5.1) and shrinks as tuple-level results of other regions dominate
-it for individual queries.
+it for individual queries.  The coarse join creates regions as the rows of
+one :class:`RegionTable`; MQLA's coarse skyline works on its columns, and
+only the regions that survive it become objects.
 
 Region dominance over a subspace ``V`` (Definition 8) compares bound
 corners:
@@ -106,6 +108,78 @@ class OutputRegion:
         )
 
 
+@dataclass
+class RegionTable:
+    """Regions as columns, one row per region in creation order.
+
+    What the coarse join creates and the coarse skyline and dependency
+    graph read: most regions of a correlated workload are discarded at
+    cell level, so they never need to exist as :class:`OutputRegion`
+    objects.  ``len`` is the number of regions created; the coarse
+    skyline narrows ``active_rql`` in place (0 = discarded).
+    """
+
+    region_id: np.ndarray  # int64 (n,)
+    left_cell_id: np.ndarray  # int64 (n,)
+    right_cell_id: np.ndarray  # int64 (n,)
+    #: Row -> index into ``condition_names``.
+    condition: np.ndarray  # intp (n,)
+    condition_names: "tuple[str, ...]"
+    lower: np.ndarray  # float (n, d)
+    upper: np.ndarray  # float (n, d)
+    coord_lo: np.ndarray  # int (n, d)
+    coord_hi: np.ndarray  # int (n, d)
+    est_join_count: np.ndarray  # float (n,)
+    rql: np.ndarray  # int64 (n,)
+    active_rql: np.ndarray  # int64 (n,)
+    left_size: np.ndarray  # int64 (n,)
+    right_size: np.ndarray  # int64 (n,)
+
+    def __len__(self) -> int:
+        return len(self.region_id)
+
+    def materialise(
+        self, rows: "Sequence[int] | np.ndarray | None" = None
+    ) -> "list[OutputRegion]":
+        """:class:`OutputRegion` objects for ``rows`` (default: every row),
+        in the given order, with their current ``active_rql`` — except a
+        discarded row's, which :class:`OutputRegion` resets to ``rql``."""
+        idx = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
+        names = self.condition_names
+        columns = zip(
+            self.region_id[idx].tolist(),
+            self.left_cell_id[idx].tolist(),
+            self.right_cell_id[idx].tolist(),
+            self.condition[idx].tolist(),
+            self.rql[idx].tolist(),
+            self.coord_lo[idx].tolist(),
+            self.coord_hi[idx].tolist(),
+            self.est_join_count[idx].tolist(),
+            self.left_size[idx].tolist(),
+            self.right_size[idx].tolist(),
+            self.active_rql[idx].tolist(),
+        )
+        return [
+            OutputRegion(
+                region_id=rid,
+                left_cell_id=lcell,
+                right_cell_id=rcell,
+                condition_name=names[cond],
+                lower=self.lower[row],
+                upper=self.upper[row],
+                rql=rql,
+                coord_lo=tuple(lo),
+                coord_hi=tuple(hi),
+                est_join_count=est,
+                left_size=lsize,
+                right_size=rsize,
+                active_rql=active,
+            )
+            for row, (rid, lcell, rcell, cond, rql, lo, hi, est, lsize, rsize, active)
+            in zip(idx.tolist(), columns)
+        ]
+
+
 def region_dominance(
     r_i: OutputRegion,
     r_j: OutputRegion,
@@ -156,6 +230,7 @@ def point_could_be_dominated_by_region(
 __all__ = [
     "OutputRegion",
     "RegionDominance",
+    "RegionTable",
     "point_could_be_dominated_by_region",
     "point_dominates_region",
     "region_dominance",

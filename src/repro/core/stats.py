@@ -72,12 +72,19 @@ class ExecutionStats:
             self.region_trace.append(region_id)
         self.clock.charge_region_overhead()
 
-    def record_region_discarded(self) -> None:
-        self.regions_discarded += 1
+    def record_region_discarded(self, count: int = 1) -> None:
+        self.regions_discarded += count
 
     def record_coarse_comparisons(self, count: int) -> None:
         self.coarse_comparisons += count
         self.clock.charge_coarse_comparisons(count)
+
+    def record_signature_tests(self, count: int) -> None:
+        """``count`` coarse comparisons, each charged on its own — the
+        coarse join's signature tests, one :meth:`record_coarse_comparisons`
+        call apiece."""
+        self.coarse_comparisons += count
+        self.clock.advance_repeated(self.clock.cost_model.coarse_comparison, count)
 
     def record_outputs(self, count: int) -> None:
         self.results_reported += count

@@ -170,6 +170,7 @@ class TopKEngine:
         )
         cj = coarse_join(shadow, left_part, right_part, stats,
                          divisions=self.config.divisions)
+        regions = cj.regions.materialise()
         cells_l = {c.cell_id: c for c in left_part.leaves}
         cells_r = {c.cell_id: c for c in right_part.leaves}
         output_dims = shadow.output_dims
@@ -187,9 +188,9 @@ class TopKEngine:
             r.region_id: {
                 q.name: float(r.lower @ weight_matrix[q.name]) for q in queries
             }
-            for r in cj.regions
+            for r in regions
         }
-        remaining = {r.region_id: r for r in cj.regions}
+        remaining = {r.region_id: r for r in regions}
         held: dict[str, list[_HeldResult]] = {q.name: [] for q in queries}
         kth_best: dict[str, float] = {q.name: np.inf for q in queries}
         logs = {q.name: ResultLog(q.name) for q in queries}

@@ -220,29 +220,32 @@ def load_plan_windows(plan: "WorkloadPlan", data: "list[list[Any]]") -> None:
 
 
 def dump_graph(graph: DependencyGraph) -> "dict[str, Any]":
+    """Live nodes ascending, each with its live out-edges ascending by
+    target (the order :meth:`DependencyGraph.successors` returns)."""
+    live = np.flatnonzero(graph.alive)
+    ids = graph.ids[live].tolist()
+    block = graph.edges[np.ix_(live, live)]
+    src, dst = np.nonzero(block)
+    targets = [ids[j] for j in dst.tolist()]
+    masks = block[src, dst].tolist()
+    bounds = np.searchsorted(src, np.arange(len(live) + 1)).tolist()
     return {
-        "nodes": sorted(graph.nodes),
-        # Adjacency in insertion order — scheduling reads it through
-        # dict iteration, so order is part of the state.
+        "nodes": ids,
         "edges": [
-            [node, [[t, m] for t, m in graph.edges_out[node].items()]]
-            for node in graph.edges_out
+            [node, [[t, m] for t, m in zip(targets[a:b], masks[a:b])]]
+            for node, a, b in zip(ids, bounds, bounds[1:])
         ],
     }
 
 
 def load_graph(data: "dict[str, Any]") -> DependencyGraph:
-    graph = DependencyGraph()
-    for node in data["nodes"]:
-        graph.add_node(int(node))
+    ids = [int(n) for n in data["nodes"]]
+    pos = {rid: k for k, rid in enumerate(ids)}
+    edges = np.zeros((len(ids), len(ids)), dtype=np.int64)
     for node, targets in data["edges"]:
-        node = int(node)
-        graph.edges_out.setdefault(node, {})
         for target, mask in targets:
-            target = int(target)
-            graph.edges_out[node][target] = int(mask)
-            graph.edges_in.setdefault(target, {})[node] = int(mask)
-    return graph
+            edges[pos[int(node)], pos[int(target)]] = int(mask)
+    return DependencyGraph.from_edges(np.asarray(ids, dtype=np.int64), edges)
 
 
 def dump_logs(logs: "dict[str, ResultLog]") -> "dict[str, list]":

@@ -10,7 +10,6 @@ from repro.partition.quadtree import (
     quadtree_partition,
 )
 from repro.partition.signatures import (
-    common_values,
     signature_of,
     signatures_for_side,
     signatures_intersect,
@@ -22,7 +21,6 @@ __all__ = [
     "LeafCell",
     "Partitioning",
     "QuadTreeNode",
-    "common_values",
     "grid_partition",
     "make_leaf",
     "quadtree_partition",

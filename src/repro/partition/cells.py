@@ -82,7 +82,7 @@ def make_leaf(
     side: str,
 ) -> LeafCell:
     """Build a leaf cell: compute bounds and signatures for ``indices``."""
-    idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.intp)
+    idx = np.unique(np.asarray(indices, dtype=np.intp))
     if len(idx) == 0:
         raise PartitionError("cannot build a leaf cell over zero rows")
     matrix = np.column_stack([relation.column(a)[idx] for a in measure_attrs]).astype(float)

@@ -18,7 +18,9 @@ from repro.relation import Relation
 def signature_of(relation: Relation, indices: np.ndarray, attr: str) -> frozenset:
     """Distinct values of ``attr`` among the rows ``indices``."""
     values = relation.column(attr)[np.asarray(indices, dtype=np.intp)]
-    return frozenset(v.item() if hasattr(v, "item") else v for v in values)
+    # ``tolist`` yields the Python scalars ``.item()`` would (object
+    # columns hand back their objects as they are).
+    return frozenset(values.tolist())
 
 
 def signatures_for_side(
@@ -48,12 +50,7 @@ def signatures_intersect(left_sig: frozenset, right_sig: frozenset) -> bool:
     return any(value in right_sig for value in left_sig)
 
 
-def common_values(left_sig: frozenset, right_sig: frozenset) -> frozenset:
-    return left_sig & right_sig
-
-
 __all__ = [
-    "common_values",
     "signature_of",
     "signatures_for_side",
     "signatures_intersect",

@@ -190,10 +190,10 @@ class TestFigure1Workload:
         switched = emptied = burst = 0
         try:
             while not live.done:
-                roots = rs.graph.roots() & rs.alive.keys()
-                if not roots:
-                    roots = rs.graph.force_roots() & rs.alive.keys()
-                root_arr = np.array(sorted(roots), dtype=np.intp)
+                root_arr = rs.graph.roots()
+                if not root_arr.size:
+                    root_arr = rs.graph.force_roots()
+                assert set(root_arr.tolist()) <= rs.alive.keys()
                 t_c, prog = benefit.estimate_roots_arrays(rid_arr=root_arr)
                 scratch = np.zeros((len(root_arr), len(workload)))
                 for k, rid in enumerate(root_arr.tolist()):

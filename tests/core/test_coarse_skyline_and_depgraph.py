@@ -1,7 +1,12 @@
 """Tests for coarse skyline (Theorem 1 at region level) and the dependency graph."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.coarse_join import coarse_join
 from repro.core.coarse_skyline import coarse_skyline, dominated_flags
@@ -116,7 +121,7 @@ class TestCoarseSkyline:
         cj, stats = _mqla(eleven_query_workload, small_pair)
         cuboid = build_minmax_cuboid(eleven_query_workload)
         result = coarse_skyline(eleven_query_workload, cuboid, cj.regions, stats)
-        alive_ids = {r.region_id for r in cj.regions if not r.is_discarded}
+        alive_ids = set(cj.regions.region_id[cj.regions.active_rql != 0].tolist())
         for name, region_ids in result.reg.items():
             assert region_ids <= alive_ids
 
@@ -126,9 +131,11 @@ class TestCoarseSkyline:
         cj, stats = _mqla(eleven_query_workload, small_pair)
         cuboid = build_minmax_cuboid(eleven_query_workload)
         result = coarse_skyline(eleven_query_workload, cuboid, cj.regions, stats)
-        by_id = {r.region_id: r for r in cj.regions}
+        active = dict(
+            zip(cj.regions.region_id.tolist(), cj.regions.active_rql.tolist())
+        )
         for rid in result.discarded:
-            assert by_id[rid].is_discarded
+            assert active[rid] == 0
             for region_ids in result.reg.values():
                 assert rid not in region_ids
 
@@ -153,51 +160,192 @@ class TestCoarseSkyline:
         assert stats.regions_discarded - before == len(result.discarded)
 
 
+def _graph(ids, edges):
+    """``edges``: ``{(source, target): mask}`` over ``ids``."""
+    ids = sorted(ids)
+    pos = {rid: k for k, rid in enumerate(ids)}
+    matrix = np.zeros((len(ids), len(ids)), dtype=np.int64)
+    for (source, target), mask in edges.items():
+        matrix[pos[source], pos[target]] = mask
+    return DependencyGraph.from_edges(np.asarray(ids), matrix)
+
+
 class TestDependencyGraphStructure:
     def test_add_and_remove(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 2, 0b1)
-        graph.add_edge(1, 3, 0b10)
-        graph.add_edge(2, 3, 0b1)
-        assert graph.roots() == {1}
+        graph = _graph([1, 2, 3], {(1, 2): 0b1, (1, 3): 0b10, (2, 3): 0b1})
+        assert graph.roots().tolist() == [1]
         promoted = graph.remove_node(1)
         assert promoted == {2}
-        assert graph.roots() == {2}
+        assert graph.roots().tolist() == [2]
         graph.remove_node(2)
-        assert graph.roots() == {3}
+        assert graph.roots().tolist() == [3]
 
     def test_edge_mask_merging(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 2, 0b01)
-        graph.add_edge(1, 2, 0b10)
+        """An edge's mask carries every query it was drawn for."""
+        graph = _graph([1, 2], {(1, 2): 0b11})
         assert graph.successors(1) == {2: 0b11}
 
     def test_self_edge_ignored(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 1, 0b1)
+        graph = _graph([1], {(1, 1): 0b1})
         assert graph.edge_count() == 0
+        assert graph.roots().tolist() == [1]
 
     def test_empty_query_mask_ignored(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 2, 0)
+        graph = _graph([1, 2], {(1, 2): 0})
         assert graph.edge_count() == 0
+        assert graph.roots().tolist() == [1, 2]
 
     def test_force_roots(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 2, 1)
-        graph.add_edge(2, 1, 1)  # cycle
-        assert graph.roots() == set()
-        assert graph.force_roots() == {1, 2}
-        assert graph.roots() == {1, 2}
+        graph = _graph([1, 2], {(1, 2): 1, (2, 1): 1})  # cycle
+        assert graph.roots().tolist() == []
+        assert graph.force_roots().tolist() == [1, 2]
+        assert graph.roots().tolist() == [1, 2]
+        assert graph.edge_count() == 0
 
     def test_remove_unknown_is_noop(self):
-        graph = DependencyGraph()
+        graph = _graph([1], {})
         assert graph.remove_node(42) == set()
+        graph.remove_node(1)
+        assert graph.remove_node(1) == set()
 
     def test_contains(self):
-        graph = DependencyGraph()
-        graph.add_node(5)
-        assert 5 in graph and 6 not in graph
+        graph = _graph([5, 7], {})
+        graph.remove_node(7)
+        assert 5 in graph and 6 not in graph and 7 not in graph
+
+
+class _DictGraph:
+    """The dict-of-dicts dependency graph the edge matrix replaced, kept
+    here as the reference for its semantics."""
+
+    def __init__(self, ids, matrix):
+        self.nodes = set(ids)
+        self.out = {rid: {} for rid in ids}
+        self.inn = {rid: {} for rid in ids}
+        for a, source in enumerate(ids):
+            for b, target in enumerate(ids):
+                mask = int(matrix[a, b])
+                if mask and source != target:
+                    self.out[source][target] = mask
+                    self.inn[target][source] = mask
+
+    def roots(self):
+        return {n for n in self.nodes if not self.inn[n]}
+
+    def successors(self, rid):
+        return dict(self.out.get(rid, {}))
+
+    def remove_node(self, rid):
+        if rid not in self.nodes:
+            return set()
+        promoted = set()
+        for target in list(self.out[rid]):
+            del self.inn[target][rid]
+            if not self.inn[target]:
+                promoted.add(target)
+        for source in list(self.inn[rid]):
+            del self.out[source][rid]
+        del self.out[rid], self.inn[rid]
+        self.nodes.discard(rid)
+        return promoted
+
+    def force_roots(self):
+        for n in self.nodes:
+            self.inn[n].clear()
+            self.out[n].clear()
+        return set(self.nodes)
+
+    def edge_count(self):
+        return sum(len(t) for t in self.out.values())
+
+    def dump(self):
+        """The snapshot format journals have always carried."""
+        return {
+            "nodes": sorted(self.nodes),
+            "edges": [[n, [[t, m] for t, m in self.out[n].items()]] for n in self.out],
+        }
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("remove"), st.integers(0, 45)),
+        st.just(("force", 0)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+    seed=st.integers(0, 2**16),
+    ops=_OPS,
+)
+def test_matrix_graph_matches_dict_reference(n, density, seed, ops):
+    """Roots, successors (order and masks), promoted sets, nodes and edge
+    counts agree after every ``remove_node`` / ``force_roots``, and the
+    snapshot is the reference's snapshot and loads back equal."""
+    from repro.durability.checkpoint import dump_graph, load_graph
+
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(45, size=n, replace=False)).astype(np.int64)
+    matrix = np.where(
+        rng.random((n, n)) < density, rng.integers(1, 8, (n, n)), 0
+    ).astype(np.int64)
+    np.fill_diagonal(matrix, 0)
+    ref = _DictGraph(ids.tolist(), matrix)
+    graph = DependencyGraph.from_edges(ids, matrix.copy())
+
+    def agree():
+        assert graph.roots().tolist() == sorted(ref.roots())
+        assert graph.nodes == ref.nodes
+        assert graph.edge_count() == ref.edge_count()
+        for rid in range(46):
+            assert list(graph.successors(rid).items()) == list(
+                ref.successors(rid).items()
+            )
+            assert (rid in graph) == (rid in ref.nodes)
+        assert dump_graph(graph) == ref.dump()
+
+    agree()
+    for op, rid in ops:
+        if op == "remove":
+            assert graph.remove_node(rid) == ref.remove_node(rid)
+        else:
+            assert graph.force_roots().tolist() == sorted(ref.force_roots())
+        agree()
+    loaded = load_graph(json.loads(json.dumps(dump_graph(graph))))
+    assert dump_graph(loaded) == dump_graph(graph)
+    assert loaded.roots().tolist() == graph.roots().tolist()
+
+
+def test_loads_a_dict_graph_snapshot():
+    """A snapshot the dict-of-dicts graph wrote (a 28-node graph left after
+    two removals) loads, schedules like its writer, and dumps back to the
+    same bytes."""
+    from repro.durability.checkpoint import dump_graph, load_graph
+
+    path = Path(__file__).parent / "data" / "depgraph_dump.json"
+    text = path.read_text().strip()
+    data = json.loads(text)
+    graph = load_graph(data)
+    assert json.dumps(dump_graph(graph), separators=(",", ":")) == text
+    ref = _DictGraph.__new__(_DictGraph)
+    ref.nodes = set(data["nodes"])
+    ref.out = {n: {t: m for t, m in targets} for n, targets in data["edges"]}
+    ref.inn = {n: {} for n in ref.nodes}
+    for n, targets in data["edges"]:
+        for t, m in targets:
+            ref.inn[t][n] = m
+    assert graph.edge_count() == ref.edge_count() == 169
+    while ref.nodes:
+        assert graph.roots().tolist() == sorted(ref.roots())
+        roots = sorted(ref.roots()) or sorted(ref.force_roots())
+        if not graph.roots().size:
+            graph.force_roots()
+        assert graph.remove_node(roots[0]) == ref.remove_node(roots[0])
+    assert graph.nodes == set()
 
 
 class TestBuiltGraph:
@@ -208,7 +356,7 @@ class TestBuiltGraph:
         graph = build_dependency_graph(
             eleven_query_workload, cuboid, cj.regions, cj.grid, stats
         )
-        assert graph.roots(), "a built dependency graph must have roots"
+        assert graph.roots().size, "a built dependency graph must have roots"
 
     def test_nodes_are_alive_regions(self, eleven_query_workload, small_pair):
         cj, stats = _mqla(eleven_query_workload, small_pair)
@@ -217,7 +365,7 @@ class TestBuiltGraph:
         graph = build_dependency_graph(
             eleven_query_workload, cuboid, cj.regions, cj.grid, stats
         )
-        alive = {r.region_id for r in cj.regions if not r.is_discarded}
+        alive = set(cj.regions.region_id[cj.regions.active_rql != 0].tolist())
         assert graph.nodes == alive
 
     def test_no_per_query_two_cycles(self, eleven_query_workload, small_pair):
@@ -228,9 +376,9 @@ class TestBuiltGraph:
         graph = build_dependency_graph(
             eleven_query_workload, cuboid, cj.regions, cj.grid, stats
         )
-        for source, targets in graph.edges_out.items():
-            for target, mask in targets.items():
-                reverse = graph.edges_out.get(target, {}).get(source, 0)
+        for source in graph.nodes:
+            for target, mask in graph.successors(source).items():
+                reverse = graph.successors(target).get(source, 0)
                 assert mask & reverse == 0
 
     def test_edge_annotations_are_query_masks(
@@ -242,8 +390,8 @@ class TestBuiltGraph:
             eleven_query_workload, cuboid, cj.regions, cj.grid, stats
         )
         full_mask = (1 << len(eleven_query_workload)) - 1
-        for targets in graph.edges_out.values():
-            for mask in targets.values():
+        for source in graph.nodes:
+            for mask in graph.successors(source).values():
                 assert 0 < mask <= full_mask
 
 
@@ -315,7 +463,7 @@ def test_coarse_skyline_matches_per_pair_scalar_reference(mqla_cases, case):
     cj = coarse_join(workload, lp, rp, ExecutionStats())
     cuboid = build_minmax_cuboid(workload)
     want_nd, want_reg, want_discarded, want_active, charged = _naive_coarse_skyline(
-        workload, cuboid, cj.regions
+        workload, cuboid, cj.regions.materialise()
     )
     seen: "list[int]" = []
     stats = ExecutionStats()
@@ -325,17 +473,22 @@ def test_coarse_skyline_matches_per_pair_scalar_reference(mqla_cases, case):
     assert result.nondominated == want_nd
     assert result.reg == want_reg
     assert result.discarded == want_discarded
-    assert {r.region_id: r.active_rql for r in cj.regions} == want_active
-    assert all(type(r.active_rql) is int for r in cj.regions)
+    table = cj.regions
+    assert dict(zip(table.region_id.tolist(), table.active_rql.tolist())) == want_active
+    survivors = table.materialise(np.flatnonzero(table.active_rql != 0))
+    assert {r.region_id: r.active_rql for r in survivors} == {
+        rid: a for rid, a in want_active.items() if a
+    }
+    assert all(type(r.active_rql) is int for r in survivors)
     # The charge sequence, not just its sum: the virtual clock adds floats.
     assert seen == charged
     assert stats.coarse_comparisons == sum(charged)
     assert stats.regions_discarded == len(want_discarded)
     if case == "correlated":
-        assert len(cj.regions) > 2 * 512  # dominated_flags' two-pass branch
+        assert len(table) > 2 * 512  # dominated_flags' two-pass branch
     if case == "two_conditions":
-        assert len({r.rql for r in cj.regions}) == 2
+        assert len(set(table.rql.tolist())) == 2
     if case == "filtered":
         assert not want_discarded and any(
-            a != r.rql for r, a in zip(cj.regions, want_active.values())
+            a != rql for rql, a in zip(table.rql.tolist(), want_active.values())
         )

@@ -35,13 +35,14 @@ def setup(eleven_query_workload, small_pair):
     )
     cells_l = {c.cell_id: c for c in lp.leaves}
     cells_r = {c.cell_id: c for c in rp.leaves}
-    return wl, cj, executor, cells_l, cells_r, stats
+    regions = cj.regions.materialise()
+    return wl, regions, executor, cells_l, cells_r, stats
 
 
 class TestJoinCellPair:
     def test_matches_hash_join_within_cells(self, setup, small_pair):
-        wl, cj, executor, cells_l, cells_r, stats = setup
-        region = cj.regions[0]
+        wl, regions, executor, cells_l, cells_r, stats = setup
+        region = regions[0]
         li, ri = join_cell_pair(
             small_pair.left, small_pair.right,
             cells_l[region.left_cell_id], cells_r[region.right_cell_id],
@@ -58,9 +59,9 @@ class TestJoinCellPair:
         assert local_pairs == expected
 
     def test_charges_probes(self, setup, small_pair):
-        wl, cj, executor, cells_l, cells_r, _ = setup
+        wl, regions, executor, cells_l, cells_r, _ = setup
         stats = ExecutionStats()
-        region = cj.regions[0]
+        region = regions[0]
         join_cell_pair(
             small_pair.left, small_pair.right,
             cells_l[region.left_cell_id], cells_r[region.right_cell_id],
@@ -80,8 +81,8 @@ class TestRegionExecutor:
         reference skylines."""
         from repro.query import reference_evaluate
 
-        wl, cj, executor, cells_l, cells_r, stats = setup
-        for region in cj.regions:
+        wl, regions, executor, cells_l, cells_r, stats = setup
+        for region in regions:
             executor.process(
                 region, cells_l[region.left_cell_id], cells_r[region.right_cell_id]
             )
@@ -94,8 +95,8 @@ class TestRegionExecutor:
             assert got == ref.skyline_pairs
 
     def test_outcome_reports_admissions(self, setup):
-        wl, cj, executor, cells_l, cells_r, stats = setup
-        region = cj.regions[0]
+        wl, regions, executor, cells_l, cells_r, stats = setup
+        region = regions[0]
         outcome = executor.process(
             region, cells_l[region.left_cell_id], cells_r[region.right_cell_id]
         )
@@ -105,17 +106,17 @@ class TestRegionExecutor:
                 assert executor.plan.is_candidate(name, key)
 
     def test_join_results_counted(self, setup):
-        wl, cj, executor, cells_l, cells_r, stats = setup
+        wl, regions, executor, cells_l, cells_r, stats = setup
         before = stats.join_results
-        region = cj.regions[0]
+        region = regions[0]
         outcome = executor.process(
             region, cells_l[region.left_cell_id], cells_r[region.right_cell_id]
         )
         assert stats.join_results - before == outcome.join_count
 
     def test_discarded_region_rejected(self, setup):
-        wl, cj, executor, cells_l, cells_r, stats = setup
-        region = cj.regions[0]
+        wl, regions, executor, cells_l, cells_r, stats = setup
+        region = regions[0]
         for qi in range(len(wl)):
             region.deactivate_query(qi)
         with pytest.raises(ExecutionError, match="discarded"):
@@ -124,9 +125,9 @@ class TestRegionExecutor:
             )
 
     def test_region_overhead_charged(self, setup):
-        wl, cj, executor, cells_l, cells_r, stats = setup
+        wl, regions, executor, cells_l, cells_r, stats = setup
         before = stats.regions_processed
-        region = cj.regions[1]
+        region = regions[1]
         executor.process(
             region, cells_l[region.left_cell_id], cells_r[region.right_cell_id]
         )

@@ -135,7 +135,9 @@ class TestCoarsePruningWithFiltersRegression:
         cuboid = build_minmax_cuboid(workload)
         result = coarse_skyline(workload, cuboid, cj.regions, stats)
         for qi, query in enumerate(workload):
-            serving = {r.region_id for r in cj.regions if r.rql & (1 << qi)}
+            serving = set(
+                cj.regions.region_id[(cj.regions.rql >> qi) & 1 == 1].tolist()
+            )
             assert result.reg[query.name] == serving, query.name
 
 

@@ -13,7 +13,7 @@ from repro.partition import (
     quadtree_partition,
     signatures_intersect,
 )
-from repro.partition.signatures import common_values, signature_of
+from repro.partition.signatures import signature_of
 from repro.query import JoinCondition
 
 
@@ -150,9 +150,6 @@ class TestSignatures:
     def test_intersect_empty(self):
         assert not signatures_intersect(frozenset(), frozenset({1}))
 
-    def test_common_values(self):
-        assert common_values(frozenset({1, 2, 3}), frozenset({2, 3, 4})) == {2, 3}
-
     def test_signature_of(self, table):
         sig = signature_of(table, np.array([0, 1, 2]), "jc1")
         assert sig == {int(v) for v in table.column("jc1")[:3]}
@@ -162,6 +159,44 @@ class TestSignatures:
 
         with pytest.raises(ValueError):
             signatures_for_side(table, np.arange(3), conditions, "middle")
+
+
+def _canonical(signature):
+    """A signature with its NaNs counted: two NaN objects never compare
+    equal, so frozensets holding them cannot be compared directly."""
+    values = [v for v in signature if v == v]
+    return sorted((type(v).__name__, v) for v in values), len(signature) - len(values)
+
+
+@pytest.mark.parametrize("keys", ["int", "float_nan", "str"])
+def test_leaf_construction_matches_per_row_comprehensions(table, keys):
+    """``make_leaf``'s indices and signatures equal the per-row forms
+    (``sorted(set(int(i)))`` and ``v.item()`` per value), for unsorted
+    indices with duplicates."""
+    from repro.relation import Relation
+
+    raw = table.column("jc1")
+    column = {
+        "int": raw,
+        "float_nan": np.where(np.arange(len(raw)) % 4 == 0, np.nan, raw.astype(float)),
+        "str": np.asarray([f"k{v}" for v in raw]),
+    }[keys]
+    rekeyed = Relation(
+        table.name, table.schema,
+        {**{a: table.column(a) for a in table.schema.names}, "jc1": column},
+    )
+    indices = np.array([40, 3, 17, 3, 8, 40, 0, 12, 17, 25, 9, 8])
+    condition = (JoinCondition.on("jc1", name="JC1"),)
+    leaf = make_leaf(0, rekeyed, indices, ("m1",), condition, "left")
+    want_idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.intp)
+    assert leaf.indices.dtype == want_idx.dtype
+    assert leaf.indices.tolist() == want_idx.tolist()
+    values = column[want_idx]
+    want = frozenset(v.item() if hasattr(v, "item") else v for v in values)
+    assert _canonical(leaf.signature("JC1")) == _canonical(want)
+    assert len(leaf.signature("JC1")) == len(want)
+    if keys == "float_nan":
+        assert _canonical(want)[1] > 0
 
 
 @given(capacity=st.integers(5, 200), seed=st.integers(0, 100))
