@@ -34,9 +34,10 @@ REPLAY_ROUNDS = 7
 
 
 def _recorded_run(distribution, n_queries):
-    """``(model, log)``: a freshly attached ``BenefitModel`` of the run
-    and the run's calls into its own model, in order — ``("removed",
-    rid)``, ``("deactivated", rid, qi)`` and ``("estimate", rid_arr)``."""
+    """``(model, regions, log)``: a freshly attached ``BenefitModel`` of
+    the run, the regions it is attached to (by id), and the run's calls
+    into its own model, in order — ``("removed", rids)``, ``("deactivated",
+    rids, qis)`` and ``("estimate", rid_arr)``."""
     pair = generate_pair(
         distribution, CARDINALITY, 4, selectivity=SELECTIVITY, seed=17
     )
@@ -66,13 +67,13 @@ def _recorded_run(distribution, n_queries):
     # regions and has seen no event.
     fresh = CAQE(config).open_run(pair.left, pair.right, workload, contracts)
     fresh.close()
-    return fresh.rs.benefit, log
+    return fresh.rs.benefit, dict(fresh.rs.alive), log
 
 
-def _replay(model, log, check):
-    """Replay ``log`` on ``model`` (re-attached first); the seconds spent
-    inside ``estimate_roots_arrays``."""
-    model.attach_regions(list(model._regions_by_row.values()))
+def _replay(model, regions, log, check):
+    """Replay ``log`` on ``model`` (re-attached to ``regions`` first); the
+    seconds spent inside ``estimate_roots_arrays``."""
+    model.attach_regions(list(regions.values()))
     spent = 0.0
     for kind, *args in log:
         if kind == "removed":
@@ -84,14 +85,14 @@ def _replay(model, log, check):
             _, prog = model.estimate_roots_arrays(rid_arr=args[0])
             spent += time.perf_counter() - start
             if check:
-                _check_call(model, args[0], prog)
+                _check_call(model, regions, args[0], prog)
     return spent
 
 
-def _check_call(model, rid_arr, prog):
+def _check_call(model, regions, rid_arr, prog):
     scratch = np.zeros_like(prog)
     for k, rid in enumerate(rid_arr.tolist()):
-        region = model._regions_by_row[rid - model._base]
+        region = regions[rid]
         row = rid - model._base
         for qi in range(prog.shape[1]):
             if (int(model._rql_all[row]) >> qi) & 1:
@@ -107,14 +108,16 @@ def _check_call(model, rid_arr, prog):
 def bench_micro_estimator_replay(run_once, benchmark, distribution, n_queries):
     """One run's estimate calls, replayed on a fresh model."""
     benchmark.group = f"estimator-replay-{distribution}-{n_queries}q"
-    model, log = _recorded_run(distribution, n_queries)
+    model, regions, log = _recorded_run(distribution, n_queries)
     calls = sum(1 for entry in log if entry[0] == "estimate")
     events = len(log) - calls
 
     def replay():
         if not benchmark.enabled:
-            return [_replay(model, log, check=True)]
-        return [_replay(model, log, check=False) for _ in range(REPLAY_ROUNDS)]
+            return [_replay(model, regions, log, check=True)]
+        return [
+            _replay(model, regions, log, check=False) for _ in range(REPLAY_ROUNDS)
+        ]
 
     spent = run_once(benchmark, replay)
     print()
@@ -122,7 +125,7 @@ def bench_micro_estimator_replay(run_once, benchmark, distribution, n_queries):
         render_table(
             ("distribution", "queries", "regions", "estimate calls", "events",
              "us/call (median round)"),
-            [(distribution, n_queries, len(model._regions_by_row), calls, events,
+            [(distribution, n_queries, len(regions), calls, events,
               f"{statistics.median(spent) / max(calls, 1) * 1e6:.0f}")],
             title="estimator replay",
         )

@@ -32,7 +32,7 @@ import numpy as np
 from repro.contracts.base import Contract
 from repro.core.clock import CostModel
 from repro.core.output_space import OutputGrid
-from repro.core.region import OutputRegion
+from repro.core.region import OutputRegion, RegionTable
 from repro.errors import ExecutionError
 from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
@@ -60,14 +60,28 @@ def prog_count_exact(
     dominating cell any region can populate is the one at its coordinate
     lower corner.
     """
+    threats = [d.coord_lo for d in dominators if d.region_id != region.region_id]
+    return _exact_count(
+        region,
+        np.asarray(threats, dtype=np.intp).reshape(len(threats), len(region.coord_lo)),
+        positions,
+        grid,
+    )
+
+
+def _exact_count(
+    region: OutputRegion,
+    threat_coord_lo: np.ndarray,
+    positions: "tuple[int, ...]",
+    grid: OutputGrid,
+) -> "tuple[int, int]":
+    """:func:`prog_count_exact` against threats given by the grid
+    coordinates of their lower corners."""
     pos = list(positions)
-    threats = [d for d in dominators if d.region_id != region.region_id]
     total = OutputGrid.box_cell_count(region.coord_lo, region.coord_hi)
-    if not threats:
+    if not len(threat_coord_lo):
         return total, total
-    threat_uppers = grid.cell_uppers(
-        np.asarray([d.coord_lo for d in threats], dtype=np.intp)
-    )[:, pos]
+    threat_uppers = grid.cell_uppers(threat_coord_lo)[:, pos]
     cell_lowers = grid.cell_lowers(
         OutputGrid.box_coords(region.coord_lo, region.coord_hi)
     )
@@ -383,11 +397,10 @@ class BenefitModel:
         self._slot: "np.ndarray | None" = None
         self._exact: "np.ndarray | None" = None
         self._tables: "dict[tuple[int, bool], _CountTable]" = {}
-        # Departure events ``(region row, qi)`` queued by note_removed /
+        # Departure events ``(region rows, qis)`` queued by note_removed /
         # note_deactivation and applied together at the next read
         # (:meth:`_flush_events`).
-        self._pend_rows: "list[int]" = []
-        self._pend_qis: "list[int]" = []
+        self._pend: "list[tuple[np.ndarray, np.ndarray]]" = []
         # Per-width active-membership snapshot (see :meth:`_members_of`),
         # dropped by every membership change.
         self._members: "dict[int, tuple[np.ndarray, ...]]" = {}
@@ -424,7 +437,6 @@ class BenefitModel:
         # id: a continuous epoch's ids start where the previous epoch's
         # ended, and its arrays span only its own regions.
         self._base = 0
-        self._regions_by_row: "dict[int, OutputRegion]" = {}
 
     def set_result_estimates(self, totals: "dict[str, float]") -> None:
         for qi, query in enumerate(self.workload):
@@ -433,17 +445,25 @@ class BenefitModel:
     # ------------------------------------------------------------------ #
     # Region-array bookkeeping
     # ------------------------------------------------------------------ #
-    def attach_regions(self, regions: "list[OutputRegion]") -> None:
-        """Register the run's alive regions for vectorised estimation."""
+    def attach_regions(
+        self, regions: "RegionTable | Sequence[OutputRegion]"
+    ) -> None:
+        """Register the run's alive regions for vectorised estimation: the
+        rows of ``regions`` that still serve a query."""
+        table = (
+            regions
+            if isinstance(regions, RegionTable)
+            else RegionTable.from_regions(list(regions))
+        )
+        src = np.flatnonzero(table.active_rql != 0)
+        ids = table.region_id[src]
         self._tables = {}
         self._members = {}
-        self._pend_rows, self._pend_qis = [], []
+        self._pend = []
         n_q = len(self.workload)
         n_d = len(self.workload.output_dims)
-        self._base = min((r.region_id for r in regions), default=0)
-        n_rows = (
-            max(r.region_id for r in regions) - self._base + 1 if regions else 0
-        )
+        self._base = int(ids.min()) if ids.size else 0
+        n_rows = int(ids.max()) - self._base + 1 if ids.size else 0
         self._lower_all = np.zeros((n_rows, n_d))
         self._upper_all = np.zeros((n_rows, n_d))
         self._cupper_all = np.zeros((n_rows, n_d))
@@ -451,7 +471,6 @@ class BenefitModel:
         self._coord_hi_all = np.zeros((n_rows, n_d), dtype=np.intp)
         self._rql_all = np.zeros(n_rows, dtype=np.int64)
         self._active_all = np.zeros(n_rows, dtype=bool)
-        self._attached_all = np.zeros(n_rows, dtype=bool)
         self._prog_val = np.zeros((n_rows, n_q))
         self._prog_ok = np.zeros((n_rows, n_q), dtype=bool)
         self._reach = np.full((n_rows, n_q), -1, dtype=np.int64)
@@ -460,28 +479,26 @@ class BenefitModel:
         self._cards_all = np.zeros((n_rows, n_q))
         self._cost_all = np.zeros(n_rows)
         self._ccnt_all = np.zeros(n_rows, dtype=np.int64)
-        self._regions_by_row = {}
-        for r in regions:
-            row = r.region_id - self._base
-            self._lower_all[row] = r.lower
-            self._upper_all[row] = r.upper
-            self._coord_lo_all[row] = r.coord_lo
-            self._coord_hi_all[row] = r.coord_hi
-            self._rql_all[row] = r.active_rql
-            self._active_all[row] = True
-            self._attached_all[row] = True
-            self._cards_all[row] = [
-                self.cardinality(r, qi) for qi in range(n_q)
-            ]
-            self._cost_all[row] = self.estimate_cost(r)
-            self._ccnt_all[row] = r.cell_count
-            self._regions_by_row[row] = r
-        if regions:
+        if ids.size:
+            rows = ids - self._base
+            self._lower_all[rows] = table.lower[src]
+            self._upper_all[rows] = table.upper[src]
+            self._coord_lo_all[rows] = table.coord_lo[src]
+            self._coord_hi_all[rows] = table.coord_hi[src]
             # Upper corner of each region's lowest cell — the corner
-            # Definition 11's threat test compares; one broadcast covers
-            # every region.
-            rows = np.asarray(sorted(self._regions_by_row), dtype=np.intp)
+            # Definition 11's threat test compares.
             self._cupper_all[rows] = self.grid.cell_uppers(self._coord_lo_all[rows])
+            self._rql_all[rows] = table.active_rql[src]
+            self._active_all[rows] = True
+            est = table.est_join_count[src]
+            self._cards_all[rows] = self._cardinalities(est)
+            self._cost_all[rows] = self._costs(
+                est, table.left_size[src] + table.right_size[src]
+            )
+            self._ccnt_all[rows] = np.prod(
+                self._coord_hi_all[rows] - self._coord_lo_all[rows] + 1, axis=1
+            )
+        self._attached_all = self._active_all.copy()
         # Geometry is immutable from here on, so each width group's
         # subspace columns are stacked once.
         self._lower_w, self._upper_w, self._cupper_w = {}, {}, {}
@@ -493,37 +510,89 @@ class BenefitModel:
             ):
                 stacked[w] = np.ascontiguousarray(full[:, pos].transpose(1, 0, 2))
 
-    def note_removed(self, region_id: int) -> None:
-        """A region was processed or fully discarded."""
-        row = self._attached_row(region_id)
-        if row is None or not self._active_all[row]:
-            return  # never attached, or already gone: nothing departs
-        qis = np.flatnonzero((self._rql_all[row] >> self._qbits) & 1)
-        self._pend_rows.extend([row] * len(qis))
-        self._pend_qis.extend(qis.tolist())
-        self._members.clear()
-        self._active_all[row] = False
-        self._prog_ok[row, :] = False
+    def _cardinalities(self, est: np.ndarray) -> np.ndarray:
+        """:meth:`cardinality` of every region (rows) for every query,
+        bit for bit: ``math.log`` and Python's ``**`` per region (numpy's
+        ``log`` and ``power`` round differently), one division per
+        subspace width."""
+        logs = [0.0 if n <= 1.0 else math.log(n) for n in est.tolist()]
+        small = np.where(est > 0.0, est, 0.0)  # ``max(0.0, n)``
+        out = np.empty((len(est), len(self.workload)))
+        for w, qis in self._width_qis.items():
+            power = np.asarray([x ** (w - 1) for x in logs], dtype=float)
+            out[:, qis] = np.where(est <= 1.0, small, power / math.factorial(w - 1))[
+                :, None
+            ]
+        return out
 
-    def note_deactivation(self, region_id: int, query_bit: int) -> None:
-        """A region lost one query from its lineage."""
-        row = self._attached_row(region_id)
-        if row is None:
+    def _costs(self, est: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """:meth:`estimate_cost` of every region, bit for bit: the
+        per-insert ``math.log`` per region, then the same ``+`` and ``×``
+        in the same order over arrays."""
+        cm = self.cost_model
+        est_join = np.where(est < 0.0, 0.0, est)  # ``max(est, 0.0)``
+        scan = cm.join_probe * sizes
+        materialise = (
+            cm.join_result + cm.mapping * len(self.workload.output_dims)
+        ) * est_join
+        per_insert = np.asarray(
+            [max(1.0, math.log(max(e, 2.0))) for e in est_join.tolist()], dtype=float
+        )
+        skyline = cm.skyline_comparison * est_join * per_insert
+        return cm.region_overhead + scan + materialise + skyline
+
+    def lineage(self, region_ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Current lineage masks and lower corners of attached regions."""
+        rows = np.asarray(region_ids, dtype=np.intp) - self._base
+        return self._rql_all[rows], self._lower_all[rows]
+
+    def note_removed(self, region_ids: "int | np.ndarray") -> None:
+        """Regions were processed or fully discarded (one id or an id
+        array; ids never attached or already gone are skipped)."""
+        if self._active_all is None:
             return
-        bit = np.int64(1) << query_bit
-        if self._active_all[row] and self._rql_all[row] & bit:
-            self._pend_rows.append(row)
-            self._pend_qis.append(query_bit)
-            self._members.clear()
-        self._rql_all[row] &= ~bit
-        self._prog_ok[row, query_bit] = False
+        rows, inside = self._attached_rows(region_ids)
+        rows = rows[inside]
+        rows = rows[self._active_all[rows]]
+        if not rows.size:
+            return
+        if rows.size > 1:
+            rows = np.unique(rows)
+        k, qis = np.nonzero((self._rql_all[rows][:, None] >> self._qbits) & 1)
+        self._pend.append((rows[k], qis))
+        self._members.clear()
+        self._active_all[rows] = False
+        self._prog_ok[rows, :] = False
 
-    def _attached_row(self, region_id: int) -> "int | None":
-        """``region_id``'s array row, or ``None`` outside the attached range."""
-        row = region_id - self._base
-        if self._rql_all is None or not 0 <= row < len(self._rql_all):
-            return None
-        return row
+    def note_deactivation(
+        self, region_ids: "int | np.ndarray", query_bits: "int | np.ndarray"
+    ) -> None:
+        """Regions lost queries from their lineage: ``query_bits[i]`` from
+        ``region_ids[i]`` (two scalars or two equal-length arrays; a pair
+        may repeat)."""
+        if self._active_all is None:
+            return
+        rows, inside = self._attached_rows(region_ids)
+        rows = rows[inside]
+        qis = np.asarray(query_bits, dtype=np.intp).reshape(-1)[inside]
+        bits = np.int64(1) << qis
+        live = self._active_all[rows] & ((self._rql_all[rows] & bits) != 0)
+        if live.any():
+            # A repeated pair departs once.
+            pairs = np.unique(rows[live] * len(self.workload) + qis[live])
+            self._pend.append(np.divmod(pairs, len(self.workload)))
+            self._members.clear()
+        np.bitwise_and.at(self._rql_all, rows, ~bits)
+        self._prog_ok[rows, qis] = False
+
+    def _attached_rows(
+        self, region_ids: "int | np.ndarray"
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Array rows of ``region_ids`` (flattened), and which of them lie
+        inside the attached range."""
+        rows = np.asarray(region_ids, dtype=np.intp).reshape(-1) - self._base
+        n_rows = 0 if self._rql_all is None else len(self._rql_all)
+        return rows, (rows >= 0) & (rows < n_rows)
 
     def _flush_events(self) -> None:
         """Apply the queued departure events, one pass per count table.
@@ -540,11 +609,11 @@ class BenefitModel:
         departed pairs are tombstoned first, and a row whose reach count
         reaches 0 goes too — its pair reads its cardinality from then on.
         """
-        if not self._pend_rows:
+        if not self._pend:
             return
-        rows = np.asarray(self._pend_rows, dtype=np.intp)
-        qis = np.asarray(self._pend_qis, dtype=np.intp)
-        self._pend_rows, self._pend_qis = [], []
+        rows = np.concatenate([r for r, _ in self._pend]).astype(np.intp, copy=False)
+        qis = np.concatenate([q for _, q in self._pend]).astype(np.intp, copy=False)
+        self._pend = []
         widths = self._qwidth[qis]
         for (w, exact), table in self._tables.items():
             sel = widths == w
@@ -640,7 +709,9 @@ class BenefitModel:
     # Cost side
     # ------------------------------------------------------------------ #
     def estimate_cost(self, region: OutputRegion) -> float:
-        """Estimated virtual time ``t_c`` to process ``region``."""
+        """Estimated virtual time ``t_c`` to process ``region`` — the
+        definition :meth:`attach_regions` evaluates for every region at
+        once (:meth:`_costs`)."""
         cm = self.cost_model
         est_join = max(region.est_join_count, 0.0)
         scan = cm.join_probe * (region.left_size + region.right_size)
@@ -655,7 +726,9 @@ class BenefitModel:
     # Benefit side
     # ------------------------------------------------------------------ #
     def cardinality(self, region: OutputRegion, qi: int) -> float:
-        """Equation 9 for one region and query."""
+        """Equation 9 for one region and query — the definition
+        :meth:`attach_regions` evaluates for every region at once
+        (:meth:`_cardinalities`)."""
         d = self.query_dims[qi]
         return buchta_skyline_size(region.est_join_count, d)
 
@@ -673,9 +746,8 @@ class BenefitModel:
         positions = list(self.query_positions[qi])
         member = ((self._rql_all >> qi) & 1).astype(bool)
         member &= self._active_all
-        row = self._attached_row(region.region_id)
-        if row is not None:
-            member[row] = False
+        rows, inside = self._attached_rows(region.region_id)
+        member[rows[inside]] = False
         ids = np.flatnonzero(member)
         lowers = self._lower_all[np.ix_(ids, positions)]
         reach = (lowers < region.upper[positions]).all(axis=1)
@@ -694,9 +766,8 @@ class BenefitModel:
             region.cell_count <= self.exact_cell_limit
             and len(ids) <= EXACT_DOMINATOR_LIMIT
         ):
-            dominators = [self._regions_by_row[int(row)] for row in ids]
-            safe, total = prog_count_exact(
-                region, dominators, tuple(positions), self.grid
+            safe, total = _exact_count(
+                region, self._coord_lo_all[ids], tuple(positions), self.grid
             )
             return safe / total if total else 0.0
         lo = region.lower[positions]

@@ -37,7 +37,7 @@ from repro.core.depgraph import DependencyGraph, build_dependency_graph
 from repro.core.executor import JoinResultStore, RegionExecutor, RegionOutcome
 from repro.core.feedback import update_weights
 from repro.core.output_space import DEFAULT_DIVISIONS
-from repro.core.region import OutputRegion
+from repro.core.region import OutputRegion, RegionTable
 from repro.core.stats import ExecutionStats
 from repro.errors import (
     BudgetExhausted,
@@ -593,8 +593,8 @@ class CAQE:
         benefit = BenefitModel(
             workload, cuboid, cj.grid, contracts, cfg.cost_model
         )
-        benefit.attach_regions(list(alive.values()))
-        estimates = self._result_estimates(workload, cuboid, alive.values())
+        benefit.attach_regions(table)
+        estimates = self._result_estimates(workload, cuboid, table)
         benefit.set_result_estimates(estimates)
         tracker = SatisfactionTracker(contracts, estimates)
 
@@ -659,16 +659,17 @@ class CAQE:
     def _result_estimates(
         workload: Workload,
         cuboid: MinMaxCuboid,
-        regions: "list[OutputRegion]",
+        regions: RegionTable,
     ) -> "dict[str, float]":
-        """Estimated final skyline size per query (for N_est in contracts)."""
-        table = cuboid.lattice.table
+        """Estimated final skyline size per query (for N_est in contracts),
+        from the estimated joins of the regions serving it."""
+        lattice = cuboid.lattice.table
         out: dict[str, float] = {}
         for qi, query in enumerate(workload):
-            total_join = sum(
-                r.est_join_count for r in regions if (r.active_rql >> qi) & 1
-            )
-            d = table.size(cuboid.query_nodes[query.name])
+            joins = regions.est_join_count[(regions.active_rql >> qi) & 1 == 1]
+            # ``cumsum`` adds left to right, region after region.
+            total_join = float(np.cumsum(joins)[-1]) if joins.size else 0.0
+            d = lattice.size(cuboid.query_nodes[query.name])
             out[query.name] = max(buchta_skyline_size(total_join, d), 1.0)
         return out
 
@@ -718,6 +719,8 @@ class LiveRun:
         self._durability = durability
         self.cancel_token = cancel_token
         self._closed = False
+        self._names = rs.workload.names
+        self._qbits = np.arange(len(self._names), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     @property
@@ -799,7 +802,7 @@ class LiveRun:
         # lower region id, matching ``argmax``.
         best = np.argsort(-scores, kind="stable")[0]
         region = rs.alive[int(root_arr[best])]
-        captured_successors = rs.graph.successors(region.region_id)
+        targets, edge_masks = rs.graph.out_edges(region.region_id)
         fault_plan = rs.fault_plan
         if fault_plan is not None and fault_plan.active:
             rs.rng_cursor += 1
@@ -843,8 +846,8 @@ class LiveRun:
         rs.state.apply_evictions(outcome)
         rs.state.admit_candidates(outcome, region, rs.benefit)
         if cfg.enable_tuple_discard:
-            self._discard_dominated(captured_successors, outcome)
-        rs.state.release_region(region.region_id, region.rql)
+            self._discard_dominated(targets, edge_masks, outcome)
+        self._release(np.array([region.region_id]), np.array([region.rql]))
 
         if cfg.enable_feedback:
             sats = np.array(
@@ -855,69 +858,101 @@ class LiveRun:
         self._journal(region, "processed")
 
     # -- region lifecycle ------------------------------------------------ #
-    def _retire(self, region: OutputRegion) -> None:
-        """Remove a region from the run — alive set, dependency graph and
-        benefit model — then release the reporting threats it held.  Its
-        successors are promoted to roots exactly as if it had been
+    # Every method here takes id arrays: the discard step and degrade
+    # pass many regions at once, and one region is a one-element array.
+    def _retire(self, rids: np.ndarray) -> None:
+        """Remove regions from the run — alive set, dependency graph and
+        benefit model — then release the reporting threats they held.
+        Their successors are promoted to roots exactly as if they had been
         processed.  Records no stats; each caller records its own."""
         rs = self.rs
-        rid = region.region_id
-        del rs.alive[rid]
-        rs.graph.remove_node(rid)
-        rs.benefit.note_removed(rid)
-        rs.state.release_region(rid, region.rql)
-
-    def _drop_query(self, region: OutputRegion, qi: int) -> None:
-        """Remove query ``qi`` from the region's lineage and release the
-        reporting threats the region held against that query."""
-        rs = self.rs
-        region.deactivate_query(qi)
-        rs.benefit.note_deactivation(region.region_id, qi)
-        rs.state.release_region_for_query(
-            region.region_id, rs.workload.queries[qi].name
+        rql = np.array(
+            [rs.alive.pop(rid).rql for rid in rids.tolist()], dtype=np.int64
         )
+        rs.graph.remove_node(rids)
+        rs.benefit.note_removed(rids)
+        self._release(rids, rql)
 
-    def _discard_dominated(
-        self, successors: "dict[int, int]", outcome: RegionOutcome
+    def _drop_query(
+        self, rids: np.ndarray, masks: np.ndarray, with_reports: bool = False
     ) -> None:
-        """Section 6's discard step over the processed region's captured
-        dependency edges.
+        """Remove the queries of ``masks[i]`` (all served) from region
+        ``rids[i]``'s lineage and release the reporting threats it held
+        against them; ``with_reports`` is passed on to :meth:`_release`."""
+        rs = self.rs
+        for rid, mask in zip(rids.tolist(), masks.tolist()):
+            rs.alive[rid].active_rql &= ~mask
+        k, qis = np.nonzero((masks[:, None] >> self._qbits) & 1)
+        rs.benefit.note_deactivation(rids[k], qis)
+        self._release(rids, masks, with_reports)
 
-        The per-(target, query) box-dominance tests are precomputed in one
-        broadcast per query — the region's admitted vectors stacked into a
-        matrix against every candidate target's lower corner — and the loop
-        then replays the scalar decision order over the boolean table, so
-        deactivations, releases and their clock charges happen in exactly
-        the sequence the per-key loop produced.
+    def _release(
+        self, rids: np.ndarray, masks: np.ndarray, with_reports: bool = False
+    ) -> None:
+        """Release the threats region ``rids[i]`` holds against the
+        queries of ``masks[i]``: region by region, queries ascending, the
+        order the one-region-at-a-time loop released them in — each
+        release stamps its emissions with the clock it finds, and every
+        emission advances it.  Only pairs holding a threat bucket are
+        visited; the others would release nothing.
+
+        ``with_reports``: one degraded report per region (one output
+        charge) falls due just before the region's releases.  Reports are
+        recorded as they fall due, so every release finds the clock it
+        found when each report was recorded on its own.
         """
         rs = self.rs
-        targets = [
-            rs.alive[target_id] for target_id in successors
-            if target_id in rs.alive
-        ]
-        if not targets:
+        state = rs.state
+        names = self._names
+        buckets = [state.threats_by_region[name] for name in names]
+        charged = 0  # reports recorded so far
+        for k, (rid, mask) in enumerate(zip(rids.tolist(), masks.tolist())):
+            for qi, bucket in enumerate(buckets):
+                if not ((mask >> qi) & 1 and rid in bucket):
+                    continue
+                if with_reports and charged <= k:
+                    rs.stats.record_degraded_reports(k + 1 - charged)
+                    charged = k + 1
+                state.release_region_for_query(rid, names[qi])
+        if with_reports and charged < len(rids):
+            rs.stats.record_degraded_reports(len(rids) - charged)
+
+    def _discard_dominated(
+        self, targets: np.ndarray, edge_masks: np.ndarray, outcome: RegionOutcome
+    ) -> None:
+        """Section 6's discard step over the processed region's captured
+        dependency edges, as one array pass.
+
+        ``drop[t]`` collects the queries target ``t`` loses: those its
+        edge from the processed region carries, the target still serves,
+        and one of the region's admitted tuples dominates the target's
+        lower corner for.  Targets left serving nothing are retired.
+        """
+        rs = self.rs
+        if not targets.size:
             return
-        lowers = np.vstack([t.lower for t in targets])
-        dominated: "dict[int, np.ndarray]" = {}
+        rql, lowers = rs.benefit.lineage(targets)
+        candidates = edge_masks & rql
+        drop = np.zeros(len(targets), dtype=np.int64)
         for qi, query in enumerate(rs.workload):
             keys = outcome.admitted.get(query.name, ())
             if not keys:
                 continue
+            rows = np.flatnonzero((candidates >> qi) & 1)
+            if not rows.size:
+                continue
             positions = list(rs.benefit.query_positions[qi])
             points = _gather_vectors(outcome, keys)[:, positions]
-            corners = lowers[:, positions]
-            dominated[qi] = dominance_mask(points, corners).any(axis=0)
-        for t_pos, target in enumerate(targets):
-            query_mask = successors[target.region_id]
-            for qi in range(len(rs.workload)):
-                if not ((query_mask >> qi) & 1) or not target.serves(qi):
-                    continue
-                flags = dominated.get(qi)
-                if flags is not None and flags[t_pos]:
-                    self._drop_query(target, qi)
-            if target.is_discarded:
-                rs.stats.record_region_discarded()
-                self._retire(target)
+            hit = dominance_mask(points, lowers[np.ix_(rows, positions)]).any(axis=0)
+            drop[rows[hit]] |= np.int64(1) << qi
+        hit = np.flatnonzero(drop)
+        if not hit.size:
+            return
+        self._drop_query(targets[hit], drop[hit])
+        gone = targets[hit][(rql[hit] & ~drop[hit]) == 0]
+        if gone.size:
+            rs.stats.record_region_discarded(len(gone))
+            self._retire(gone)
 
     # -- robustness layer (docs/ARCHITECTURE.md §9) --------------------- #
     def _quarantine(self, region: OutputRegion) -> None:
@@ -926,13 +961,15 @@ class LiveRun:
         rs = self.rs
         rs.stats.record_region_quarantined()
         now = rs.stats.clock.now()
-        for qi, query in enumerate(rs.workload):
-            if region.serves(qi):
-                rs.degraded[query.name].append(
-                    _degraded_report(query.name, region, REASON_QUARANTINE, now)
-                )
-                rs.stats.record_degraded_reports(1)
-        self._retire(region)
+        served = [
+            query.name for qi, query in enumerate(rs.workload) if region.serves(qi)
+        ]
+        for name in served:
+            rs.degraded[name].append(
+                _degraded_report(name, region, REASON_QUARANTINE, now)
+            )
+        rs.stats.record_degraded_reports(len(served))
+        self._retire(np.array([region.region_id]))
 
     def degrade_all(self, reason: str) -> None:
         """Answer every not-yet-degraded query's remaining regions from
@@ -950,17 +987,20 @@ class LiveRun:
             if qi in rs.degraded_queries:
                 continue
             rs.degraded_queries.add(qi)
-            for rid in sorted(rs.alive):
-                region = rs.alive[rid]
-                if not region.serves(qi):
-                    continue
-                rs.degraded[query.name].append(
-                    _degraded_report(query.name, region, reason, now)
-                )
-                rs.stats.record_degraded_reports(1)
-                self._drop_query(region, qi)
-                if region.is_discarded:
-                    self._retire(region)
+            rids = rs.benefit.active_serving(qi)[0]
+            if not rids.size:
+                continue
+            regions = [rs.alive[rid] for rid in rids.tolist()]
+            rs.degraded[query.name].extend(
+                _degraded_report(query.name, region, reason, now)
+                for region in regions
+            )
+            self._drop_query(
+                rids, np.full(len(rids), np.int64(1) << qi), with_reports=True
+            )
+            gone = [r.region_id for r in regions if r.is_discarded]
+            if gone:
+                self._retire(np.array(gone, dtype=np.int64))
 
     # -- durability (docs/ARCHITECTURE.md §10) --------------------------- #
     def _journal(self, region: OutputRegion, event: str) -> None:
@@ -1045,6 +1085,7 @@ class LiveRun:
                 raise AssertionError(f"LiveRun invariant: {message}")
 
         rs = self.rs
+        rs.graph.check_invariants()
         expect(rs.graph.nodes == rs.alive.keys(), "graph nodes != alive set")
         for qi, query in enumerate(rs.workload):
             name = query.name
@@ -1165,11 +1206,6 @@ class _ReportingState:
                     self._emit(query.name, key, now)
 
     # -- threat draining ------------------------------------------------ #
-    def release_region(self, region_id: int, rql: int) -> None:
-        for qi, query in enumerate(self.workload):
-            if (rql >> qi) & 1:
-                self.release_region_for_query(region_id, query.name)
-
     def release_region_for_query(
         self, region_id: int, query_name: str
     ) -> None:
@@ -1276,7 +1312,7 @@ def _restore_run_state(rs: _RunState, state: "dict[str, object]") -> None:
     # Re-attach wipes and lazily rebuilds the benefit caches; warm and
     # cold caches are bit-identical by construction (memoisation only
     # skips recomputation of values that would come out equal).
-    rs.benefit.attach_regions(list(alive.values()))
+    rs.benefit.attach_regions(RegionTable.from_regions(list(alive.values())))
     rs.weights = np.asarray([float(w) for w in state["weights"]], dtype=float)
     cp.load_store(rs.executor.store, state["store"])
     cp.load_plan_windows(rs.plan, state["windows"])

@@ -61,14 +61,15 @@ class DependencyGraph:
             index=dict(zip(ids.tolist(), range(len(ids)))),
         )
 
-    def _live_targets(self, region_id: int) -> "tuple[int, np.ndarray]":
-        """Node index of a live ``region_id`` (-1 if none) and the node
-        indices of its live targets."""
+    def out_edges(self, region_id: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Live targets of ``region_id``'s edges, ascending, and each
+        edge's query mask (both empty unless ``region_id`` is live)."""
         k = self.index.get(region_id, -1)
         if k < 0 or not self.alive[k]:
-            return -1, np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         targets = np.flatnonzero(self.edges[k])
-        return k, targets[self.alive[targets]]
+        targets = targets[self.alive[targets]]
+        return self.ids[targets], self.edges[k, targets]
 
     @property
     def nodes(self) -> "set[int]":
@@ -80,20 +81,33 @@ class DependencyGraph:
 
     def successors(self, region_id: int) -> "dict[int, int]":
         """Live targets of ``region_id``'s edges -> query mask, ascending."""
-        k, targets = self._live_targets(region_id)
-        if not targets.size:
-            return {}
-        return dict(zip(self.ids[targets].tolist(), self.edges[k, targets].tolist()))
+        targets, masks = self.out_edges(region_id)
+        return dict(zip(targets.tolist(), masks.tolist()))
 
-    def remove_node(self, region_id: int) -> "set[int]":
-        """Remove a processed/discarded region; return newly-rooted nodes."""
-        k, targets = self._live_targets(region_id)
-        if k < 0:
+    def remove_node(self, region_ids: "int | np.ndarray") -> "set[int]":
+        """Remove processed/discarded regions (one id or an id array;
+        unknown and already removed ids are skipped); return the live
+        nodes this made roots.
+
+        Each removed live node drops each of its out-edges from its
+        target's in-degree once, so a batch leaves the survivors exactly
+        as removing its ids one by one in any order would.  A removed
+        node's own ``indeg`` is no longer maintained.
+        """
+        index, alive = self.index, self.alive
+        ks = [
+            k
+            for k in map(index.get, np.atleast_1d(region_ids).tolist())
+            if k is not None and alive[k]
+        ]
+        if not ks:
             return set()
-        self.alive[k] = False
-        if not targets.size:
-            return set()
-        self.indeg[targets] -= 1
+        ks = np.unique(ks) if len(ks) > 1 else np.asarray(ks)
+        self.alive[ks] = False
+        # One decrement per edge out of a removed node.
+        targets = np.nonzero(self.edges[ks])[1]
+        np.subtract.at(self.indeg, targets, 1)
+        targets = targets[self.alive[targets]]
         return set(self.ids[targets[self.indeg[targets] == 0]].tolist())
 
     def force_roots(self) -> np.ndarray:
@@ -105,6 +119,32 @@ class DependencyGraph:
     def edge_count(self) -> int:
         live = self.alive
         return int(np.count_nonzero(self.edges[np.ix_(live, live)]))
+
+    def check_invariants(self) -> None:
+        """Check the matrix against itself; raises ``AssertionError`` on
+        the first disagreement: ids ascend and ``index`` inverts them, no
+        node has a self-edge, and every live node's ``indeg`` is its count
+        of live in-edges.  A test-side check."""
+
+        def expect(condition: bool, message: str) -> None:
+            if not condition:
+                raise AssertionError(f"DependencyGraph invariant: {message}")
+
+        n = len(self.ids)
+        expect(bool((np.diff(self.ids) > 0).all()), "ids do not ascend")
+        expect(
+            self.index == dict(zip(self.ids.tolist(), range(n))),
+            "index does not invert ids",
+        )
+        expect(not np.diagonal(self.edges).any(), "a self-edge")
+        live = self.alive
+        expect(
+            np.array_equal(
+                self.indeg[live],
+                np.count_nonzero(self.edges[np.ix_(live, live)], axis=0),
+            ),
+            "indeg of a live node != its live in-edges",
+        )
 
     def __contains__(self, region_id: int) -> bool:
         k = self.index.get(region_id, -1)

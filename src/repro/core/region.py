@@ -138,6 +138,41 @@ class RegionTable:
     def __len__(self) -> int:
         return len(self.region_id)
 
+    @classmethod
+    def from_regions(cls, regions: "Sequence[OutputRegion]") -> "RegionTable":
+        """The table whose rows are ``regions``, in the given order, each
+        with its current ``active_rql``."""
+        names = tuple(dict.fromkeys(r.condition_name for r in regions))
+        code = {name: k for k, name in enumerate(names)}
+        d = len(regions[0].lower) if regions else 0
+
+        def column(attr: str, dtype: type) -> np.ndarray:
+            return np.asarray([getattr(r, attr) for r in regions], dtype=dtype)
+
+        def matrix(attr: str, dtype: type) -> np.ndarray:
+            return np.asarray(
+                [getattr(r, attr) for r in regions], dtype=dtype
+            ).reshape(len(regions), d)
+
+        return cls(
+            region_id=column("region_id", np.int64),
+            left_cell_id=column("left_cell_id", np.int64),
+            right_cell_id=column("right_cell_id", np.int64),
+            condition=np.asarray(
+                [code[r.condition_name] for r in regions], dtype=np.intp
+            ),
+            condition_names=names,
+            lower=matrix("lower", float),
+            upper=matrix("upper", float),
+            coord_lo=matrix("coord_lo", np.intp),
+            coord_hi=matrix("coord_hi", np.intp),
+            est_join_count=column("est_join_count", float),
+            rql=column("rql", np.int64),
+            active_rql=column("active_rql", np.int64),
+            left_size=column("left_size", np.int64),
+            right_size=column("right_size", np.int64),
+        )
+
     def materialise(
         self, rows: "Sequence[int] | np.ndarray | None" = None
     ) -> "list[OutputRegion]":

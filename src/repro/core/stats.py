@@ -105,9 +105,10 @@ class ExecutionStats:
         self.regions_quarantined += 1
 
     def record_degraded_reports(self, count: int) -> None:
-        """Approximate (MQLA-bound) answers issued; each costs one output."""
+        """Approximate (MQLA-bound) answers issued; each costs one output,
+        charged on its own."""
         self.degraded_reports += count
-        self.clock.charge_outputs(count)
+        self.clock.advance_repeated(self.clock.cost_model.output, count)
 
     def record_straggler_penalty(self, units: float) -> None:
         self.straggler_penalty += units

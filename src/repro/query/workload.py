@@ -40,6 +40,11 @@ class Workload:
         self._queries = items
         self._by_name = {q.name: q for q in items}
         self._function_universe = self._build_function_universe(items)
+        # Queries are immutable, so the shared output space is fixed here;
+        # ``subset`` and ``with_priorities`` build new workloads.
+        self._output_dims = tuple(
+            dict.fromkeys(name for q in items for name in q.output_names)
+        )
 
     @staticmethod
     def _build_function_universe(
@@ -87,11 +92,7 @@ class Workload:
     @property
     def output_dims(self) -> tuple[str, ...]:
         """Union of all queries' output dims, in first-seen order."""
-        seen: dict[str, None] = {}
-        for query in self._queries:
-            for name in query.output_names:
-                seen.setdefault(name, None)
-        return tuple(seen)
+        return self._output_dims
 
     @property
     def skyline_dims(self) -> tuple[str, ...]:

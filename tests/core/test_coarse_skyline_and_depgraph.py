@@ -208,6 +208,19 @@ class TestDependencyGraphStructure:
         graph.remove_node(1)
         assert graph.remove_node(1) == set()
 
+    def test_check_invariants_catches_a_stale_indeg(self):
+        graph = _graph([1, 2, 3], {(1, 2): 0b1, (1, 3): 0b10, (2, 3): 0b1})
+        graph.check_invariants()
+        graph.alive[0] = False  # node 1 gone without its edges leaving indeg
+        with pytest.raises(AssertionError, match="indeg"):
+            graph.check_invariants()
+
+    def test_check_invariants_catches_a_self_edge(self):
+        graph = _graph([1, 2], {(1, 2): 0b1})
+        graph.edges[1, 1] = 0b1
+        with pytest.raises(AssertionError, match="self-edge"):
+            graph.check_invariants()
+
     def test_contains(self):
         graph = _graph([5, 7], {})
         graph.remove_node(7)
@@ -269,6 +282,7 @@ class _DictGraph:
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("remove"), st.integers(0, 45)),
+        st.tuples(st.just("batch"), st.lists(st.integers(0, 45), max_size=10)),
         st.just(("force", 0)),
     ),
     max_size=30,
@@ -285,7 +299,11 @@ _OPS = st.lists(
 def test_matrix_graph_matches_dict_reference(n, density, seed, ops):
     """Roots, successors (order and masks), promoted sets, nodes and edge
     counts agree after every ``remove_node`` / ``force_roots``, and the
-    snapshot is the reference's snapshot and loads back equal."""
+    snapshot is the reference's snapshot and loads back equal.  A batch
+    ``remove_node`` (ids repeated, unknown or already removed included)
+    equals removing its ids one by one, and promotes the survivors the
+    one-by-one removals promoted; the graph passes ``check_invariants``
+    throughout."""
     from repro.durability.checkpoint import dump_graph, load_graph
 
     rng = np.random.default_rng(seed)
@@ -307,11 +325,16 @@ def test_matrix_graph_matches_dict_reference(n, density, seed, ops):
             )
             assert (rid in graph) == (rid in ref.nodes)
         assert dump_graph(graph) == ref.dump()
+        graph.check_invariants()
 
     agree()
     for op, rid in ops:
         if op == "remove":
             assert graph.remove_node(rid) == ref.remove_node(rid)
+        elif op == "batch":
+            promoted = set().union(*(ref.remove_node(r) for r in rid))
+            removed = graph.remove_node(np.asarray(rid, dtype=np.int64))
+            assert removed == promoted - set(rid)
         else:
             assert graph.force_roots().tolist() == sorted(ref.force_roots())
         agree()

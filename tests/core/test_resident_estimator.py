@@ -4,10 +4,13 @@
 count row that departure events update in place.  These tests pin the
 pieces that make that exact: the batched geometry builders equal their
 per-box forms bit for bit, applying events one flush at a time equals
-applying them in one flush, and ``check_invariants`` notices corrupted
-state.  The whole-run oracle is
+applying them in one flush, the columnar attach equals the scalar
+formulas, and ``check_invariants`` notices corrupted state.  The whole-run
+oracle is
 ``test_batch_and_cache_equivalence.py::...test_cached_scheduler_picks_the_naive_region_sequence``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contracts import c2
+from repro.core import CAQE, CAQEConfig
 from repro.core.benefit import BenefitModel, _sample_lattice, _sample_lattices
 from repro.core.clock import CostModel
 from repro.core.output_space import OutputGrid
 from repro.core.region import OutputRegion
 from repro.plan import build_minmax_cuboid
 from repro.query.workload import subspace_workload
+from repro.skyline.estimate import buchta_skyline_size
 
 #: 11 queries in three width groups (2, 3 and 4 dimensions).
 WORKLOAD = subspace_workload(4)
@@ -157,11 +162,13 @@ class TestBatchedGeometry:
     def test_box_cells_are_the_projected_box(self, boxes, qi):
         """An exact row holds each distinct projection of the box's cells
         once, and every one stands for the same number of full cells."""
-        model = _model([(lo, size, 2**11 - 1, 10.0) for lo, size in boxes])
+        boxes = [(lo, size, 2**11 - 1, 10.0) for lo, size in boxes]
+        model = _model(boxes)
         positions = list(model.query_positions[qi])
         rows = np.arange(len(boxes), dtype=np.intp)
         cells, mult = model._box_cells(rows, np.tile(positions, (len(rows), 1)))
-        for row, region in model._regions_by_row.items():
+        for row, box in enumerate(boxes):
+            region = _region(row, *box)
             full = GRID.cell_lowers(
                 OutputGrid.box_coords(region.coord_lo, region.coord_hi)
             )[:, positions]
@@ -213,3 +220,74 @@ class TestCheckInvariants:
         model._active_all[table.region[row]] = False
         with pytest.raises(AssertionError, match="departed"):
             model.check_invariants()
+
+
+def _assert_attached_scalars(model, regions):
+    """Each region's attached Buchta cardinalities, ``t_c`` and cell
+    count are the scalar formulas' values, bit for bit (``float.hex``
+    tells -0.0 from 0.0)."""
+    assert regions
+    for region in regions:
+        row = region.region_id - model._base
+        assert model._cost_all[row].hex() == model.estimate_cost(region).hex()
+        for qi, d in enumerate(model.query_dims):
+            expected = buchta_skyline_size(region.est_join_count, d)
+            assert model._cards_all[row, qi].hex() == float(expected).hex()
+        assert model._ccnt_all[row] == region.cell_count
+        assert model._rql_all[row] == region.active_rql
+
+
+class TestColumnarAttach:
+    """``attach_regions`` computes ``log`` with ``math.log`` and powers
+    with Python's ``**`` per region — ``np.log`` and numpy's ``**`` round
+    differently on some inputs — and vectorises only ``+``, ``×`` and the
+    division, in the scalar formulas' order."""
+
+    @pytest.mark.parametrize("est", [0.0, 0.5, 1.0, 2.0, 1e6])
+    def test_edge_join_counts(self, est):
+        regions = [_region(i, (i, 0, 0, 0), (2, 1, 3, 1), 2**11 - 1, est) for i in range(3)]
+        model = _model([(r.coord_lo, (2, 1, 3, 1), r.rql, est) for r in regions])
+        _assert_attached_scalars(model, regions)
+
+    def test_random_join_counts(self):
+        """Many join estimates through the two column builders: enough
+        that ``np.log`` or numpy's ``**`` in their place would differ from
+        the scalar formulas somewhere."""
+        rng = np.random.default_rng(11)
+        est = np.concatenate(
+            [rng.uniform(0.0, 3.0, 2_000), np.exp(rng.uniform(0.0, 25.0, 48_000))]
+        )
+        sizes = rng.integers(0, 5_000, len(est))
+        model = _model([((0, 0, 0, 0), (1, 1, 1, 1), 2**11 - 1, 2.0)])
+        cards = model._cardinalities(est)
+        for d in sorted(set(model.query_dims)):
+            column = cards[:, model.query_dims.index(d)]
+            expected = [buchta_skyline_size(e, d) for e in est.tolist()]
+            assert [v.hex() for v in column.tolist()] == [v.hex() for v in expected]
+        costs = model._costs(est, sizes)
+        expected = [
+            model.estimate_cost(SimpleNamespace(est_join_count=e, left_size=n, right_size=0))
+            for e, n in zip(est.tolist(), sizes.tolist())
+        ]
+        assert [v.hex() for v in costs.tolist()] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sched_bound", "commit_bound", "lookahead_bound", "journaled", "serving_burst"],
+    )
+    def test_perfbench_datasets(self, name):
+        """On every perfbench workload's first dataset, as ``open_run``
+        attaches the coarse join's surviving rows."""
+        workloads = pytest.importorskip("perfbench.workloads")
+        spec = workloads.WORKLOADS[name]
+        data = workloads.generate(spec, 20140324, 0)
+        pair = data["pair"]
+        for workload in data["workloads"].values():
+            config = workloads.engine_config()
+            if name == "serving_burst":
+                config = CAQEConfig(target_cells=workloads.SERVING_TARGET_CELLS)
+            live = CAQE(config).open_run(
+                pair.left, pair.right, workload, {q.name: c2() for q in workload}
+            )
+            live.close()
+            _assert_attached_scalars(live.rs.benefit, list(live.rs.alive.values()))

@@ -122,6 +122,33 @@ class TestWorkload:
         assert figure1_workload.output_dims == ("d1", "d2", "d3", "d4")
         assert figure1_workload.skyline_dims == ("d1", "d2", "d3", "d4")
 
+    def test_output_dims_are_computed_once(self, functions, monkeypatch):
+        """The union is fixed at construction, in first-seen order, and
+        every later read returns that same tuple without visiting the
+        queries again."""
+        extra = add("m4", "m4", "d4")
+        workload = Workload(
+            [
+                SkylineJoinQuery(
+                    "A", JoinCondition.on("jc1"), (functions[2], functions[0]),
+                    Preference.over("d3", "d1"),
+                ),
+                SkylineJoinQuery(
+                    "B", JoinCondition.on("jc1"), (functions[0], extra, functions[1]),
+                    Preference.over("d4", "d2"),
+                ),
+            ]
+        )
+        first = workload.output_dims
+        assert first == ("d3", "d1", "d4", "d2")
+
+        def visited(self):
+            raise AssertionError("output_dims visited a query after construction")
+
+        monkeypatch.setattr(SkylineJoinQuery, "output_names", property(visited))
+        assert workload.output_dims is first
+        assert workload.skyline_dims == ("d3", "d1", "d4", "d2")
+
     def test_lookup(self, figure1_workload):
         assert figure1_workload["Q3"].name == "Q3"
         with pytest.raises(QueryError):
