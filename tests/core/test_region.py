@@ -1,5 +1,6 @@
 """Tests for output regions and region dominance (Definition 8)."""
 
+import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.region import (
     OutputRegion,
     RegionDominance,
+    RegionTable,
     point_could_be_dominated_by_region,
     point_dominates_region,
     region_dominance,
@@ -52,6 +54,44 @@ class TestOutputRegion:
     def test_empty_rql_rejected(self):
         with pytest.raises(ExecutionError):
             make_region(0, [0.0], [1.0], rql=0)
+
+
+class TestMaterialise:
+    """``RegionTable.materialise`` checks its rows once, as arrays, and
+    builds objects equal to the self-validating constructor's."""
+
+    def _table(self):
+        regions = [
+            make_region(4, [0.0, 1.0], [1.0, 2.0], rql=0b11),
+            make_region(7, [2.0, 2.0], [2.0, 3.0], rql=0b10),
+            make_region(9, [5.0, 0.0], [6.0, 0.5], rql=0b01),
+        ]
+        regions[0].active_rql = 0b01
+        return regions, RegionTable.from_regions(regions)
+
+    def test_rows_equal_the_constructed_regions(self):
+        regions, table = self._table()
+        table.active_rql[2] = 0  # discarded: resets to rql, as __post_init__ does
+        built = table.materialise([2, 0, 1])
+        assert [r.region_id for r in built] == [9, 4, 7]
+        assert [r.active_rql for r in built] == [0b01, 0b01, 0b10]
+        for got, want in zip(built[1:], regions[:2]):
+            for f in dataclasses.fields(OutputRegion):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and type(a) is type(b), f.name
+            assert type(got.active_rql) is int and type(got.rql) is int
+            assert np.shares_memory(got.lower, table.lower)
+        assert built[0].cell_count == 1
+
+    def test_first_bad_row_raises_the_constructors_error(self):
+        _, table = self._table()
+        table.lower[2, 0] = 7.0  # lower above upper
+        table.rql[1] = 0
+        with pytest.raises(ExecutionError, match="#7 serves no query"):
+            table.materialise()
+        with pytest.raises(ExecutionError, match="#9: lower bound exceeds"):
+            table.materialise([0, 2, 1])
+        assert [r.region_id for r in table.materialise([0])] == [4]
 
 
 class TestExample16RegionDominance:
