@@ -39,6 +39,7 @@ from repro.core.caqe import (
     CAQEConfig,
     LiveRun,
     _restore_run_state,
+    check_output_width,
     partition_attrs,
 )
 from repro.core.executor import JoinResultStore
@@ -137,6 +138,7 @@ class ContinuousCAQE:
         missing = [q.name for q in workload if q.name not in contracts]
         if missing:
             raise ExecutionError(f"missing contracts for queries: {missing}")
+        check_output_width(workload)
         self.config = config or CAQEConfig()
         if self.config.query_time_budget is not None:
             # The virtual clock is cumulative across epochs: a budget
