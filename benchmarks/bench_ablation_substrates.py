@@ -1,12 +1,8 @@
-"""Substrate ablations: partitioning policy and shared-structure choice.
+"""Substrate ablation: the input partitioning policy.
 
-Complements ``bench_ablation.py`` with the remaining DESIGN.md §5 choices:
-
-* quad (2^d midpoint) vs k-d (binary median) input partitioning;
-* min-max cuboid vs full skycube vs compressed skycube storage footprints.
+Complements ``bench_ablation.py`` with the remaining DESIGN.md §5 choice:
+quad (2^d midpoint) vs k-d (binary median) input partitioning.
 """
-
-import numpy as np
 
 from dataclasses import replace
 
@@ -61,36 +57,3 @@ def bench_ablation_partition_split(run_once, benchmark):
     # several times the quad pipeline.
     assert outcomes["kd"].average_satisfaction > 0.0
     assert outcomes["quad"].average_satisfaction > 0.0
-
-
-def bench_ablation_shared_structure_storage(run_once, benchmark):
-    """Storage entries: full skycube vs compressed skycube on real data."""
-    from repro.skyline.csc import CompressedSkycube
-    from repro.skyline.skycube import compute_naive
-
-    rng = np.random.default_rng(20140324)
-    points = rng.random((300, 4)) * 100
-
-    def build():
-        csc = CompressedSkycube.build(points)
-        full = compute_naive(points)
-        return csc, full
-
-    csc, full = run_once(benchmark, build)
-    full_entries = CompressedSkycube.full_entries(full)
-    print()
-    print(
-        render_table(
-            ("structure", "stored (tuple, subspace) entries"),
-            [
-                ("full skycube", full_entries),
-                ("compressed skycube", csc.stored_entries),
-            ],
-            title="Ablation: shared-structure storage (300 independent 4-d points)",
-        )
-    )
-    print(f"compression ratio: {csc.compression_ratio(full):.3f}")
-    assert csc.stored_entries < full_entries
-    # Reconstruction must stay exact.
-    for sub in full.subspaces:
-        assert csc.skyline(sub) == full.skyline(sub)

@@ -1,9 +1,8 @@
 """Micro-benchmarks: the skyline algorithm suite on benchmark data.
 
-Not a paper figure — real wall-clock comparisons of the substrate
-algorithms (BNL, SFS, SaLSa, divide & conquer, BBS) across the three data
-distributions, with the comparison-count table the related-work section
-(§8) reasons about.  Unlike the figure benches these use pytest-benchmark's
+Not a paper figure — real wall-clock comparisons of the two skyline
+algorithms the engine and its baselines run (BNL, SFS) across the three
+data distributions, with their comparison-count table.  Unlike the figure benches these use pytest-benchmark's
 normal multi-round timing.
 
 The ``dominance-kernel`` group times the pairwise kernel of
@@ -36,14 +35,7 @@ import pytest
 
 from repro.bench.reporting import render_table
 from repro.datagen.distributions import generate
-from repro.skyline import (
-    ComparisonCounter,
-    bbs_skyline,
-    bnl_skyline,
-    dnc_skyline,
-    salsa_skyline,
-    sfs_skyline,
-)
+from repro.skyline import ComparisonCounter, bnl_skyline, sfs_skyline
 from repro.skyline.dominance import dominance_broadcast
 from repro.skyline.window import SkylineWindow
 
@@ -51,9 +43,6 @@ N = 1200
 ALGORITHMS = {
     "BNL": lambda pts, counter: bnl_skyline(pts, counter=counter),
     "SFS": lambda pts, counter: sfs_skyline(pts, counter=counter),
-    "SaLSa": lambda pts, counter: salsa_skyline(pts, counter=counter)[0],
-    "D&C": lambda pts, counter: dnc_skyline(pts, counter=counter),
-    "BBS": lambda pts, counter: bbs_skyline(pts, counter=counter),
 }
 
 
@@ -68,7 +57,7 @@ def bench_micro_skyline_algorithm(benchmark, dataset, algorithm):
     run = ALGORITHMS[algorithm]
     benchmark.group = f"skyline-{name}"
     result = benchmark(lambda: run(points, None))
-    # All algorithms must agree with BNL.
+    # SFS must agree with BNL.
     assert sorted(result) == bnl_skyline(points)
 
 

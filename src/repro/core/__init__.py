@@ -1,6 +1,6 @@
 """CAQE core: virtual clock, MQLA, benefit model, optimizer loop, executor."""
 
-from repro.core.benefit import BenefitModel, prog_count_exact, prog_ratio_volume
+from repro.core.benefit import BenefitModel, prog_count_exact
 from repro.core.caqe import CAQE, CAQEConfig, RunResult, run_caqe
 from repro.core.clock import CostModel, VirtualClock
 from repro.core.continuous import ContinuousCAQE, EpochResult
@@ -16,14 +16,7 @@ from repro.core.executor import (
 )
 from repro.core.feedback import update_weights
 from repro.core.output_space import DEFAULT_DIVISIONS, OutputGrid, grid_for_cells
-from repro.core.region import (
-    OutputRegion,
-    RegionDominance,
-    RegionTable,
-    point_could_be_dominated_by_region,
-    point_dominates_region,
-    region_dominance,
-)
+from repro.core.region import OutputRegion, RegionTable
 from repro.core.stats import ExecutionStats
 
 __all__ = [
@@ -41,7 +34,6 @@ __all__ = [
     "JoinResultStore",
     "OutputGrid",
     "OutputRegion",
-    "RegionDominance",
     "RegionTable",
     "RegionExecutor",
     "RegionOutcome",
@@ -56,11 +48,7 @@ __all__ = [
     "coarse_join",
     "coarse_skyline",
     "grid_for_cells",
-    "point_could_be_dominated_by_region",
-    "point_dominates_region",
     "prog_count_exact",
-    "prog_ratio_volume",
-    "region_dominance",
     "run_caqe",
     "update_weights",
 ]

@@ -16,7 +16,7 @@ For each candidate region the optimizer needs, at current virtual time
 
 Progressive cell counts are exact when the region's coordinate box is
 small (:func:`prog_count_exact`, Definition 11/Example 18 semantics) and
-fall back to a volume-ratio approximation for large boxes — estimation
+fall back to a sampled approximation for large boxes — estimation
 error is acceptable here because the optimizer re-ranks after every region
 anyway (Section 5.3's feedback-driven iteration).
 """
@@ -40,7 +40,7 @@ from repro.skyline.dominance import all_lt_broadcast, dominance_broadcast, domin
 from repro.skyline.estimate import buchta_skyline_size
 
 #: Above this many output cells the exact progressive count switches to the
-#: volume approximation.
+#: sampled approximation (:func:`prog_ratio_sampled`).
 EXACT_CELL_LIMIT = 256
 #: Above this many potential dominators the exact count is skipped too.
 EXACT_DOMINATOR_LIMIT = 16
@@ -87,39 +87,6 @@ def _exact_count(
     )
     at_risk = dominance_mask(threat_uppers, cell_lowers[:, pos]).any(axis=0)
     return int(total - int(at_risk.sum())), total
-
-
-def prog_ratio_volume(
-    region: OutputRegion,
-    dominators: "list[OutputRegion]",
-    positions: "tuple[int, ...]",
-) -> float:
-    """Volume approximation of ``ProgCount / CellCount``.
-
-    For each potential dominator, the at-risk part of the region's box is
-    the sub-box strictly above the dominator's lower corner; assuming
-    independent overlaps, the safe fraction is the product of per-dominator
-    safe fractions.  With many overlapping dominators the independence
-    assumption over-counts and the product collapses toward zero, so the
-    benefit model prefers :func:`prog_ratio_sampled`; this form is kept for
-    the cheap two-dominator cases and as the documented naive baseline.
-    """
-    pos = list(positions)
-    lo = region.lower[pos]
-    hi = region.upper[pos]
-    width = np.maximum(hi - lo, 1e-12)
-    others = [d for d in dominators if d.region_id != region.region_id]
-    if not others:
-        return 1.0
-    other_lo = np.vstack([d.lower[pos] for d in others])
-    reach = np.all(other_lo < hi, axis=1)  # can the dominator enter the box?
-    if not np.any(reach):
-        return 1.0
-    fracs = np.prod(
-        np.clip((hi - np.maximum(lo, other_lo[reach])) / width, 0.0, 1.0), axis=1
-    )
-    safe = float(np.prod(1.0 - fracs))
-    return max(safe, 0.0)
 
 
 #: Lattice resolution per dimension for the sampled progressive ratio.
@@ -191,7 +158,7 @@ def prog_ratio_sampled(
     The at-risk part of the box is the *union* of upper-orthants above the
     dominators' lower corners (the staircase of Definition 11); a fixed
     lattice of sample points estimates that union's share directly, without
-    the independence assumption that breaks the product form.
+    assuming that the dominators' orthants overlap independently.
     """
     if len(dominator_lowers) == 0:
         return 1.0
@@ -1287,6 +1254,5 @@ __all__ = [
     "cross_tenant_scores",
     "prog_count_exact",
     "prog_ratio_sampled",
-    "prog_ratio_volume",
     "rank_offers",
 ]

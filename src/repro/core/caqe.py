@@ -46,7 +46,7 @@ from repro.errors import (
     RegionFailure,
 )
 from repro.partition.quadtree import Partitioning, quadtree_partition
-from repro.plan.minmax_cuboid import build_minmax_cuboid
+from repro.plan.minmax_cuboid import MinMaxCuboid, build_minmax_cuboid
 from repro.plan.shared_plan import WorkloadPlan
 from repro.query.workload import Workload
 from repro.relation import Relation
@@ -298,6 +298,35 @@ def check_output_width(workload: Workload) -> None:
         )
 
 
+#: Queries one run serves: a region's lineage, a cuboid node's ``qserve``
+#: and the benefit model's query masks carry one bit per query in an int64
+#: (bit 63 is the sign, so query 64 has no bit).
+MAX_QUERIES = 63
+#: Cuboid nodes one shared plan holds: its admitted-bits column carries one
+#: bit per node in an int64 word.
+MAX_CUBOID_NODES = 64
+
+
+def check_workload_shape(workload: Workload) -> MinMaxCuboid:
+    """Refuse a workload wider than the engine's bitmaps, before any work,
+    and return its min-max cuboid: at most ``MAX_CODE_DIMS`` output
+    dimensions (:func:`check_output_width`), ``MAX_QUERIES`` queries and
+    ``MAX_CUBOID_NODES`` cuboid nodes."""
+    check_output_width(workload)
+    if len(workload) > MAX_QUERIES:
+        raise ExecutionError(
+            f"CAQE runs at most {MAX_QUERIES} queries at once; "
+            f"the workload has {len(workload)}"
+        )
+    cuboid = build_minmax_cuboid(workload)
+    if len(cuboid) > MAX_CUBOID_NODES:
+        raise ExecutionError(
+            f"CAQE shares at most {MAX_CUBOID_NODES} cuboid nodes; "
+            f"the workload's min-max cuboid has {len(cuboid)}"
+        )
+    return cuboid
+
+
 def partition_attrs(workload: Workload, side: str) -> "tuple[str, ...]":
     """Input attributes (per side) that feed the workload's output dims."""
     seen: dict[str, None] = {}
@@ -438,12 +467,13 @@ class CAQE:
         missing = [q.name for q in workload if q.name not in contracts]
         if missing:
             raise ExecutionError(f"missing contracts for queries: {missing}")
-        check_output_width(workload)
+        cuboid = check_workload_shape(workload)
         if stats is None:
             stats = ExecutionStats.with_cost_model(cfg.cost_model)
 
         rs = self._prepare(
-            left, right, workload, contracts, stats, build_cache=build_cache
+            left, right, workload, cuboid, contracts, stats,
+            build_cache=build_cache,
         )
         rs.budget_reason = budget_reason
 
@@ -488,6 +518,7 @@ class CAQE:
         left: Relation,
         right: Relation,
         workload: Workload,
+        cuboid: MinMaxCuboid,
         contracts: "dict[str, Contract]",
         stats: ExecutionStats,
         build_cache: "dict | None" = None,
@@ -546,14 +577,15 @@ class CAQE:
             RegionSupervisor(cfg.retry_policy) if cfg.enable_recovery else None
         )
         return self._mqla(
-            workload, contracts, stats, left, right, left_part, right_part,
-            plan, JoinResultStore(), supervisor, quarantine,
+            workload, cuboid, contracts, stats, left, right, left_part,
+            right_part, plan, JoinResultStore(), supervisor, quarantine,
             build_cache=build_cache,
         )
 
     def _mqla(
         self,
         workload: Workload,
+        cuboid: MinMaxCuboid,
         contracts: "dict[str, Contract]",
         stats: ExecutionStats,
         left: Relation,
@@ -581,10 +613,9 @@ class CAQE:
         cfg = self.config
         fault_plan = cfg.fault_plan
 
-        # -- Step 1: shared min-max cuboid -------------------------------- #
-        # The global cuboid drives the region-level machinery (coarse
-        # skyline, benefit model, reporting).
-        cuboid = build_minmax_cuboid(workload)
+        # -- Step 1, the shared min-max cuboid, came from the caller's
+        # check_workload_shape; it drives the region-level machinery
+        # (coarse skyline, benefit model, reporting).
 
         # -- Step 2: MQLA ------------------------------------------------- #
         cj = coarse_join(
@@ -1395,7 +1426,10 @@ __all__ = [
     "CAQEConfig",
     "LiveRun",
     "RunResult",
+    "MAX_CUBOID_NODES",
+    "MAX_QUERIES",
     "check_output_width",
+    "check_workload_shape",
     "partition_attrs",
     "run_caqe",
 ]

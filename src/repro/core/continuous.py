@@ -39,7 +39,7 @@ from repro.core.caqe import (
     CAQEConfig,
     LiveRun,
     _restore_run_state,
-    check_output_width,
+    check_workload_shape,
     partition_attrs,
 )
 from repro.core.executor import JoinResultStore
@@ -138,7 +138,7 @@ class ContinuousCAQE:
         missing = [q.name for q in workload if q.name not in contracts]
         if missing:
             raise ExecutionError(f"missing contracts for queries: {missing}")
-        check_output_width(workload)
+        self._cuboid = check_workload_shape(workload)
         self.config = config or CAQEConfig()
         if self.config.query_time_budget is not None:
             # The virtual clock is cumulative across epochs: a budget
@@ -258,6 +258,7 @@ class ContinuousCAQE:
         new_left, new_right = self._new_cells
         rs = self._engine._mqla(
             self.workload,
+            self._cuboid,
             self.contracts,
             self.stats,
             self._left,

@@ -18,11 +18,14 @@ corners:
   dominate some point of ``R_j`` (``l_i <=_V u_j`` with a strict dimension)
   — the condition under which the dependency graph draws an edge;
 * otherwise the regions are incomparable.
+
+The coarse skyline and the dependency graph answer both tests for every
+subspace from one comparison code per region pair
+(:func:`repro.skyline.dominance.dominance_codes`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
@@ -30,13 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.skyline.dominance import dominates
-
-
-class RegionDominance(enum.Enum):
-    DOMINATES = "dominates"
-    PARTIAL = "partial"
-    INCOMPARABLE = "incomparable"
 
 
 def _check_regions(
@@ -243,58 +239,7 @@ class RegionTable:
         )
 
 
-def region_dominance(
-    r_i: OutputRegion,
-    r_j: OutputRegion,
-    positions: "Sequence[int]",
-) -> RegionDominance:
-    """Definition 8 over the subspace given by column ``positions``."""
-    pos = list(positions)
-    if dominates(r_i.upper[pos], r_j.lower[pos]):
-        return RegionDominance.DOMINATES
-    if dominates(r_i.lower[pos], r_j.upper[pos]):
-        return RegionDominance.PARTIAL
-    return RegionDominance.INCOMPARABLE
-
-
-def point_dominates_region(
-    point: np.ndarray,
-    region: OutputRegion,
-    positions: "Sequence[int]",
-) -> bool:
-    """True iff ``point`` dominates *every* possible point of ``region``.
-
-    Used when tuple-level results discard not-yet-processed regions: a
-    confirmed result at or below the region's lower corner makes the whole
-    region unable to contribute.
-    """
-    pos = list(positions)
-    vec = np.asarray(point, dtype=float)[pos]
-    return dominates(vec, region.lower[pos])
-
-
-def point_could_be_dominated_by_region(
-    point: np.ndarray,
-    region: OutputRegion,
-    positions: "Sequence[int]",
-) -> bool:
-    """True iff some future tuple of ``region`` could dominate ``point``.
-
-    The progressive-reporting safety test (Section 6): a candidate result
-    may only be emitted once no remaining region can produce a dominating
-    tuple.  Future tuples of the region lie inside its bounds, and the most
-    dominating one is the lower corner.
-    """
-    pos = list(positions)
-    vec = np.asarray(point, dtype=float)[pos]
-    return dominates(region.lower[pos], vec)
-
-
 __all__ = [
     "OutputRegion",
-    "RegionDominance",
     "RegionTable",
-    "point_could_be_dominated_by_region",
-    "point_dominates_region",
-    "region_dominance",
 ]

@@ -1,9 +1,6 @@
 """Skyline substrate: dominance, windows, BNL/SFS, skycube, estimation."""
 
-from repro.skyline.bbs import bbs_skyline, bbs_skyline_stream
 from repro.skyline.bnl import bnl_skyline
-from repro.skyline.csc import CompressedSkycube
-from repro.skyline.dnc import dnc_skyline
 from repro.skyline.dominance import (
     ComparisonCounter,
     Dominance,
@@ -12,30 +9,17 @@ from repro.skyline.dominance import (
     dominance_mask,
     dominates,
 )
-from repro.skyline.estimate import (
-    SampledSkylineEstimator,
-    buchta_skyline_size,
-    region_cardinality,
-)
-from repro.skyline.rtree import RTree, RTreeNode
-from repro.skyline.salsa import salsa_order, salsa_skyline
-from repro.skyline.sfs import sfs_order, sfs_skyline, sfs_skyline_stream
-from repro.skyline.skyband import SkybandWindow, k_skyband
+from repro.skyline.estimate import SampledSkylineEstimator, buchta_skyline_size
+from repro.skyline.sfs import sfs_order, sfs_skyline
 from repro.skyline.skycube import Skycube, all_subspaces, compute_naive, compute_shared
 from repro.skyline.window import InsertOutcome, SkylineWindow, WindowEntry
 
 __all__ = [
     "ComparisonCounter",
-    "CompressedSkycube",
     "Dominance",
     "InsertOutcome",
-    "RTree",
-    "RTreeNode",
     "SampledSkylineEstimator",
     "Skycube",
-    "bbs_skyline",
-    "bbs_skyline_stream",
-    "SkybandWindow",
     "SkylineWindow",
     "WindowEntry",
     "all_subspaces",
@@ -44,15 +28,9 @@ __all__ = [
     "compare",
     "compute_naive",
     "compute_shared",
-    "dnc_skyline",
     "dominance_broadcast",
     "dominance_mask",
     "dominates",
-    "k_skyband",
-    "region_cardinality",
-    "salsa_order",
-    "salsa_skyline",
     "sfs_order",
     "sfs_skyline",
-    "sfs_skyline_stream",
 ]

@@ -137,14 +137,6 @@ def _all_planes(
     return acc
 
 
-def all_le_broadcast(
-    lefts: np.ndarray, rights: np.ndarray, axis: int = -1
-) -> np.ndarray:
-    """Broadcast ``all(lefts <= rights, axis)`` (``all(>=)`` with the
-    operands swapped); kernel shape of :func:`dominance_broadcast`."""
-    return _all_planes(np.less_equal, lefts, rights, axis)
-
-
 def all_lt_broadcast(
     lefts: np.ndarray, rights: np.ndarray, axis: int = -1
 ) -> np.ndarray:
@@ -315,36 +307,10 @@ def dominance_mask(dominators: np.ndarray, candidates: np.ndarray) -> np.ndarray
     )
 
 
-def dominates_matrix(
-    points: np.ndarray,
-    candidate: np.ndarray,
-    dims: "Sequence[int] | None" = None,
-    counter: "ComparisonCounter | None" = None,
-) -> bool:
-    """True iff any row of ``points`` dominates ``candidate``.
-
-    Vectorised helper used by the reference evaluator; charges one
-    comparison per row actually examined (all of them — the vectorised form
-    cannot short-circuit, matching a worst-case BNL pass).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return False
-    if dims is not None:
-        pts = pts[:, dims_index(dims)]
-        candidate = _subspace(candidate, dims)
-    if counter is not None:
-        counter.record(len(pts))
-    le = np.all(pts <= candidate, axis=1)
-    lt = np.any(pts < candidate, axis=1)
-    return bool(np.any(le & lt))
-
-
 __all__ = [
     "ComparisonCounter",
     "Dominance",
     "MAX_CODE_DIMS",
-    "all_le_broadcast",
     "all_lt_broadcast",
     "compare",
     "dims_index",
@@ -352,7 +318,6 @@ __all__ = [
     "dominance_codes",
     "dominance_mask",
     "dominates",
-    "dominates_matrix",
     "subspace_matrix",
     "subspace_table",
     "subspace_union",

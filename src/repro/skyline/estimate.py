@@ -32,25 +32,6 @@ def buchta_skyline_size(n: float, d: int) -> float:
     return math.log(n) ** (d - 1) / math.factorial(d - 1)
 
 
-def region_cardinality(
-    selectivity: float,
-    left_count: int,
-    right_count: int,
-    d: int,
-) -> float:
-    """Equation 9: estimated skyline results a region can produce.
-
-    ``left_count`` / ``right_count`` are the cardinalities of the input
-    cells feeding the region; ``d`` is the query's skyline dimensionality.
-    """
-    if left_count < 0 or right_count < 0:
-        raise ReproError("cell cardinalities must be non-negative")
-    if not 0.0 <= selectivity <= 1.0:
-        raise ReproError(f"selectivity must be in [0, 1], got {selectivity}")
-    join_estimate = selectivity * left_count * right_count
-    return buchta_skyline_size(join_estimate, d)
-
-
 class SampledSkylineEstimator:
     """Log-sampling skyline-cardinality model (after Chaudhuri et al. [5]).
 
@@ -122,5 +103,4 @@ class SampledSkylineEstimator:
 __all__ = [
     "SampledSkylineEstimator",
     "buchta_skyline_size",
-    "region_cardinality",
 ]

@@ -9,7 +9,7 @@ sort-based progressive baselines such as SSMJ.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,23 +43,4 @@ def sfs_skyline(
     return sorted(window.keys)
 
 
-def sfs_skyline_stream(
-    points: np.ndarray,
-    dims: "Sequence[int] | None" = None,
-    counter: "ComparisonCounter | None" = None,
-) -> "Iterator[int]":
-    """Yield skyline row-indices in SFS emission order (progressive form).
-
-    Because the presort guarantees admitted points are final, each yielded
-    index is immediately a confirmed skyline member — progressive baselines
-    report results as this generator produces them.
-    """
-    matrix = np.asarray(points, dtype=float)
-    window = SkylineWindow(dims=dims, counter=counter)
-    for row_index in sfs_order(matrix, dims):
-        outcome = window.insert(int(row_index), matrix[row_index])
-        if outcome.admitted:
-            yield int(row_index)
-
-
-__all__ = ["sfs_order", "sfs_skyline", "sfs_skyline_stream"]
+__all__ = ["sfs_order", "sfs_skyline"]

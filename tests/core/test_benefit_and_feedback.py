@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.contracts import c1, c2, c4
-from repro.core.benefit import (
-    BenefitModel,
-    prog_count_exact,
-    prog_ratio_volume,
-)
+from repro.core.benefit import BenefitModel, prog_count_exact
 from repro.core.clock import CostModel
 from repro.core.feedback import update_weights
 from repro.core.output_space import OutputGrid
@@ -68,36 +64,6 @@ class TestProgCountExact:
         dominator = region(2, [0.0] * 4, [1.0] * 4, (0,) * 4, (0,) * 4)
         safe, total = prog_count_exact(target, [dominator], (0, 1, 2, 3), grid)
         assert safe == 0 and total == 1
-
-
-class TestProgRatioVolume:
-    def test_no_dominators(self):
-        target = region(1, [0.0, 0.0], [4.0, 4.0], (0, 0), (3, 3))
-        assert prog_ratio_volume(target, [], (0, 1)) == 1.0
-
-    def test_quarter_coverage(self):
-        target = region(1, [0.0, 0.0], [4.0, 4.0], (0, 0), (3, 3))
-        dominator = region(2, [2.0, 2.0], [3.0, 3.0], (2, 2), (2, 2))
-        # Dominated sub-box = (2..4)x(2..4) = quarter of the target's box.
-        assert prog_ratio_volume(target, [dominator], (0, 1)) == pytest.approx(0.75)
-
-    def test_unreachable_dominator(self):
-        target = region(1, [0.0, 0.0], [2.0, 2.0], (0, 0), (1, 1))
-        dominator = region(2, [5.0, 5.0], [6.0, 6.0], (5, 5), (5, 5))
-        assert prog_ratio_volume(target, [dominator], (0, 1)) == 1.0
-
-    def test_full_coverage(self):
-        target = region(1, [2.0, 2.0], [4.0, 4.0], (2, 2), (3, 3))
-        dominator = region(2, [0.0, 0.0], [1.0, 1.0], (0, 0), (0, 0))
-        assert prog_ratio_volume(target, [dominator], (0, 1)) == 0.0
-
-    def test_ratio_decreases_with_more_dominators(self):
-        target = region(1, [0.0, 0.0], [4.0, 4.0], (0, 0), (3, 3))
-        d1 = region(2, [2.0, 2.0], [3.0, 3.0], (2, 2), (2, 2))
-        d2 = region(3, [1.0, 1.0], [2.0, 2.0], (1, 1), (1, 1))
-        one = prog_ratio_volume(target, [d1], (0, 1))
-        two = prog_ratio_volume(target, [d1, d2], (0, 1))
-        assert two < one
 
 
 class TestBenefitModel:

@@ -1,5 +1,7 @@
 """Edge-case and failure-injection tests for the CAQE driver internals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,79 @@ class TestOutputWidth:
         )
         reference = reference_evaluate(query, pair.left, pair.right)
         assert result.reported[query.name] == reference.skyline_pairs
+
+
+class TestWorkloadShape:
+    """Lineages, ``qserve`` and the shared plan's admitted bits are int64
+    bitmaps: a workload with more queries or cuboid nodes than they hold
+    is refused before any work, batch or continuous; the widest accepted
+    workload of each kind still answers as the reference does."""
+
+    KD = CAQEConfig(partition_split="kd", target_cells=32)
+
+    @staticmethod
+    def three_dim_prefix(k):
+        """The first ``k`` of the 56 three-dimension subspaces of eight
+        output dims: 32 of them make a 64-node cuboid, all 56 make 92."""
+        return Workload(
+            list(subspace_workload(8, min_size=3, max_size=3).queries[:k])
+        )
+
+    @staticmethod
+    def assert_refused(workload, match):
+        from repro.core.continuous import ContinuousCAQE
+
+        pair = generate_pair("independent", 20, 8, seed=3)
+        contracts = {q.name: c2(scale=10.0) for q in workload}
+        with pytest.raises(ExecutionError, match=match):
+            CAQE(CAQEConfig()).open_run(pair.left, pair.right, workload, contracts)
+        with pytest.raises(ExecutionError, match=match):
+            ContinuousCAQE(workload, contracts)
+
+    @staticmethod
+    def assert_matches_reference(workload, pair, config):
+        contracts = {q.name: c2(scale=1000.0) for q in workload}
+        result = CAQE(config).run(pair.left, pair.right, workload, contracts)
+        for query in workload:
+            reference = reference_evaluate(query, pair.left, pair.right)
+            assert result.reported[query.name] == reference.skyline_pairs, query.name
+
+    def test_sixty_four_queries_are_refused(self):
+        workload = Workload(list(subspace_workload(7, min_size=1).queries[:64]))
+        self.assert_refused(
+            workload, "at most 63 queries at once; the workload has 64"
+        )
+
+    def test_sixty_three_queries_match_the_reference(self):
+        workload = subspace_workload(6, min_size=1)
+        assert len(workload) == 63
+        pair = generate_pair("independent", 60, 6, selectivity=0.05, seed=67)
+        self.assert_matches_reference(workload, pair, self.KD)
+
+    def test_a_wider_cuboid_is_refused(self):
+        self.assert_refused(
+            self.three_dim_prefix(56),
+            "at most 64 cuboid nodes; the workload's min-max cuboid has 92",
+        )
+        # One two-dimension subspace more than the 64-node prefix adds
+        # exactly one node.
+        extra = next(
+            q for q in subspace_workload(8, min_size=2, max_size=2).queries
+            if q.preference.dims == ("d5", "d8")
+        )
+        extra = dataclasses.replace(extra, name="extra")
+        self.assert_refused(
+            Workload(list(self.three_dim_prefix(32).queries) + [extra]),
+            "the workload's min-max cuboid has 65",
+        )
+
+    def test_a_sixty_four_node_cuboid_matches_the_reference(self):
+        from repro.plan import build_minmax_cuboid
+
+        workload = self.three_dim_prefix(32)
+        assert len(build_minmax_cuboid(workload)) == 64
+        pair = generate_pair("independent", 60, 8, selectivity=0.05, seed=67)
+        self.assert_matches_reference(workload, pair, self.KD)
 
 
 class TestEmptyAndDegenerateJoins:

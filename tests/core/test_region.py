@@ -1,4 +1,9 @@
-"""Tests for output regions and region dominance (Definition 8)."""
+"""Tests for output regions and region dominance (Definition 8).
+
+Region dominance is checked as the engine answers it: one comparison code
+per corner pair, looked up in the subspace table of the examined
+positions (the coarse skyline, the dependency graph and the discard step
+all read it this way)."""
 
 import dataclasses
 import numpy as np
@@ -6,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.region import (
-    OutputRegion,
-    RegionDominance,
-    RegionTable,
-    point_could_be_dominated_by_region,
-    point_dominates_region,
-    region_dominance,
-)
+from repro.core.region import OutputRegion, RegionTable
 from repro.errors import ExecutionError
+from repro.skyline.dominance import subspace_matrix, subspace_table
+
+DOMINATES, PARTIAL, INCOMPARABLE = "dominates", "partial", "incomparable"
 
 
 def make_region(region_id, lower, upper, rql=0b1):
@@ -30,6 +31,33 @@ def make_region(region_id, lower, upper, rql=0b1):
         coord_hi=(0,) * len(lower),
         est_join_count=1.0,
     )
+
+
+def dominates_on(a, b, positions):
+    """Definition 1 for one pair of corners, through the code kernel."""
+    mask = sum(1 << p for p in positions)
+    word = subspace_table(len(a), [mask])[0]
+    return bool(subspace_matrix(np.atleast_2d(a), np.atleast_2d(b), word)[0, 0])
+
+
+def region_relation(r_i, r_j, positions):
+    """Definition 8 over the subspace given by column ``positions``."""
+    if dominates_on(r_i.upper, r_j.lower, positions):
+        return DOMINATES
+    if dominates_on(r_i.lower, r_j.upper, positions):
+        return PARTIAL
+    return INCOMPARABLE
+
+
+def point_discards_region(point, region, positions):
+    """A result at or below the region's lower corner discards it."""
+    return dominates_on(point, region.lower, positions)
+
+
+def region_could_dominate_point(point, region, positions):
+    """The reporting safety test: the region's most dominating possible
+    tuple is its lower corner."""
+    return dominates_on(region.lower, point, positions)
 
 
 class TestOutputRegion:
@@ -103,70 +131,70 @@ class TestExample16RegionDominance:
 
     def test_r1_nondominated_on_d1(self):
         """R1 has the best d1 range: nobody dominates it there."""
-        assert region_dominance(self.R2, self.R1, (0,)) is not RegionDominance.DOMINATES
-        assert region_dominance(self.R3, self.R1, (0,)) is not RegionDominance.DOMINATES
+        assert region_relation(self.R2, self.R1, (0,)) != DOMINATES
+        assert region_relation(self.R3, self.R1, (0,)) != DOMINATES
 
     def test_r3_dominates_r1_on_d3(self):
         """R3's d3 upper bound (6) <= R1's lower (8): full dominance."""
-        assert region_dominance(self.R3, self.R1, (2,)) is RegionDominance.DOMINATES
+        assert region_relation(self.R3, self.R1, (2,)) == DOMINATES
 
     def test_r3_r1_boundary_tie_on_d4_is_not_full_dominance(self):
         """R3's d4 upper bound (4) equals R1's lower bound (4): without a
         strictly better dimension this is only partial dominance."""
-        assert region_dominance(self.R3, self.R1, (3,)) is RegionDominance.PARTIAL
+        assert region_relation(self.R3, self.R1, (3,)) == PARTIAL
 
     def test_r3_dominates_r2_on_d4(self):
-        assert region_dominance(self.R3, self.R2, (3,)) is RegionDominance.DOMINATES
+        assert region_relation(self.R3, self.R2, (3,)) == DOMINATES
 
     def test_r1_r3_partial_on_d1d2(self):
         """Over {d1,d2} both survive in the example's SKY computation."""
-        assert region_dominance(self.R3, self.R1, (0, 1)) is not RegionDominance.DOMINATES
-        assert region_dominance(self.R1, self.R3, (0, 1)) is not RegionDominance.DOMINATES
+        assert region_relation(self.R3, self.R1, (0, 1)) != DOMINATES
+        assert region_relation(self.R1, self.R3, (0, 1)) != DOMINATES
 
     def test_r3_dominates_r1_on_d3d4(self):
         """Example 16: SKY(d3,d4) = {R3} — R1 and R2 are dominated."""
-        assert region_dominance(self.R3, self.R1, (2, 3)) is RegionDominance.DOMINATES
-        assert region_dominance(self.R3, self.R2, (2, 3)) is RegionDominance.DOMINATES
+        assert region_relation(self.R3, self.R1, (2, 3)) == DOMINATES
+        assert region_relation(self.R3, self.R2, (2, 3)) == DOMINATES
 
 
 class TestDominanceKinds:
     def test_full(self):
         a = make_region(0, [0, 0], [1, 1])
         b = make_region(1, [2, 2], [3, 3])
-        assert region_dominance(a, b, (0, 1)) is RegionDominance.DOMINATES
+        assert region_relation(a, b, (0, 1)) == DOMINATES
 
     def test_partial_on_overlap(self):
         a = make_region(0, [0, 0], [5, 5])
         b = make_region(1, [2, 2], [7, 7])
-        assert region_dominance(a, b, (0, 1)) is RegionDominance.PARTIAL
+        assert region_relation(a, b, (0, 1)) == PARTIAL
 
     def test_incomparable(self):
         a = make_region(0, [5, 5], [6, 6])
         b = make_region(1, [0, 0], [1, 1])
-        assert region_dominance(a, b, (0, 1)) is RegionDominance.INCOMPARABLE
+        assert region_relation(a, b, (0, 1)) == INCOMPARABLE
 
     def test_subspace_changes_relation(self):
         a = make_region(0, [0, 9], [1, 10])
         b = make_region(1, [5, 0], [6, 1])
-        assert region_dominance(a, b, (0,)) is RegionDominance.DOMINATES
-        assert region_dominance(a, b, (1,)) is RegionDominance.INCOMPARABLE
+        assert region_relation(a, b, (0,)) == DOMINATES
+        assert region_relation(a, b, (1,)) == INCOMPARABLE
 
 
 class TestPointRegionTests:
     def test_point_dominates_region(self):
         region = make_region(0, [5, 5], [9, 9])
-        assert point_dominates_region(np.array([1.0, 1.0]), region, (0, 1))
-        assert not point_dominates_region(np.array([6.0, 1.0]), region, (0, 1))
+        assert point_discards_region(np.array([1.0, 1.0]), region, (0, 1))
+        assert not point_discards_region(np.array([6.0, 1.0]), region, (0, 1))
 
     def test_point_on_boundary_does_not_dominate(self):
         region = make_region(0, [5, 5], [9, 9])
-        assert not point_dominates_region(np.array([5.0, 5.0]), region, (0, 1))
+        assert not point_discards_region(np.array([5.0, 5.0]), region, (0, 1))
 
     def test_point_could_be_dominated(self):
         region = make_region(0, [2, 2], [4, 4])
-        assert point_could_be_dominated_by_region(np.array([3.0, 3.0]), region, (0, 1))
-        assert point_could_be_dominated_by_region(np.array([9.0, 9.0]), region, (0, 1))
-        assert not point_could_be_dominated_by_region(
+        assert region_could_dominate_point(np.array([3.0, 3.0]), region, (0, 1))
+        assert region_could_dominate_point(np.array([9.0, 9.0]), region, (0, 1))
+        assert not region_could_dominate_point(
             np.array([1.0, 1.0]), region, (0, 1)
         )
 
@@ -176,7 +204,7 @@ class TestPointRegionTests:
         region = make_region(0, [2, 2], [4, 4])
         for _ in range(200):
             point = rng.random(2) * 6
-            if not point_could_be_dominated_by_region(point, region, (0, 1)):
+            if not region_could_dominate_point(point, region, (0, 1)):
                 samples = region.lower + rng.random((50, 2)) * (
                     region.upper - region.lower
                 )
@@ -194,5 +222,5 @@ class TestPointRegionTests:
 def test_property_full_dominance_is_asymmetric(lo_a, w_a, lo_b, w_b):
     a = make_region(0, lo_a, [l + w for l, w in zip(lo_a, w_a)])
     b = make_region(1, lo_b, [l + w for l, w in zip(lo_b, w_b)])
-    if region_dominance(a, b, (0, 1)) is RegionDominance.DOMINATES:
-        assert region_dominance(b, a, (0, 1)) is not RegionDominance.DOMINATES
+    if region_relation(a, b, (0, 1)) == DOMINATES:
+        assert region_relation(b, a, (0, 1)) != DOMINATES

@@ -59,7 +59,7 @@ class TestKdSplit:
     def test_unknown_split_rejected(self, table, conditions):
         with pytest.raises(PartitionError, match="split"):
             quadtree_partition(
-                table, ("m1",), conditions, "left", split="rtree"
+                table, ("m1",), conditions, "left", split="grid"
             )
 
     def test_constant_data_single_leaf(self, conditions):

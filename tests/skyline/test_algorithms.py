@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.dominance import ComparisonCounter, dominates
-from repro.skyline.sfs import sfs_order, sfs_skyline, sfs_skyline_stream
+from repro.skyline.sfs import sfs_order, sfs_skyline
 
 
 SIMPLE = np.array(
@@ -52,14 +52,6 @@ class TestSFS:
         order = sfs_order(SIMPLE)
         sums = SIMPLE.sum(axis=1)[order]
         assert np.all(np.diff(sums) >= 0)
-
-    def test_stream_yields_confirmed_results(self):
-        yielded = list(sfs_skyline_stream(SIMPLE))
-        assert sorted(yielded) == [0, 1, 2]
-
-    def test_stream_first_result_is_min_sum(self):
-        first = next(sfs_skyline_stream(SIMPLE))
-        assert first == int(np.argmin(SIMPLE.sum(axis=1)))
 
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError):

@@ -10,14 +10,12 @@ from repro.skyline.dominance import (
     MAX_CODE_DIMS,
     ComparisonCounter,
     Dominance,
-    all_le_broadcast,
     all_lt_broadcast,
     compare,
     dominance_broadcast,
     dominance_codes,
     dominance_mask,
     dominates,
-    dominates_matrix,
     subspace_matrix,
     subspace_table,
     subspace_union,
@@ -88,11 +86,6 @@ class TestCounter:
         compare(H1, H3, counter=counter)
         assert counter.comparisons == 2
 
-    def test_matrix_counts_rows(self):
-        counter = ComparisonCounter()
-        dominates_matrix(np.vstack([H1, H2, H3]), H2, counter=counter)
-        assert counter.comparisons == 3
-
     def test_on_increment_callback(self):
         seen = []
         counter = ComparisonCounter(on_increment=seen.append)
@@ -100,19 +93,6 @@ class TestCounter:
         counter.record()
         assert counter.comparisons == 4
         assert seen == [3, 1]
-
-
-class TestDominatesMatrix:
-    def test_empty_matrix(self):
-        assert not dominates_matrix(np.empty((0, 2)), np.array([1.0, 1.0]))
-
-    def test_detects_dominator(self):
-        pts = np.array([[5.0, 5.0], [1.0, 1.0]])
-        assert dominates_matrix(pts, np.array([2.0, 2.0]))
-
-    def test_subspace(self):
-        pts = np.array([[5.0, 0.0]])
-        assert dominates_matrix(pts, np.array([1.0, 3.0]), dims=[1])
 
 
 points = arrays(np.float64, 3, elements=st.floats(0, 100, allow_nan=False))
@@ -196,12 +176,6 @@ def _assert_kernels_match(a, b, axis):
     assert got.dtype == np.bool_ and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(
-        all_le_broadcast(a, b, axis=axis), literal_all(np.less_equal, a, b, axis)
-    )
-    np.testing.assert_array_equal(
-        all_le_broadcast(b, a, axis=axis), literal_all(np.greater_equal, a, b, axis)
-    )
-    np.testing.assert_array_equal(
         all_lt_broadcast(a, b, axis=axis), literal_all(np.less, a, b, axis)
     )
 
@@ -253,7 +227,6 @@ class TestKernelEdges:
         a, b = np.empty((3, 1, 0)), np.empty((1, 4, 0))
         got = dominance_broadcast(a, b, axis=2)
         assert got.shape == (3, 4) and got.dtype == np.bool_ and not got.any()
-        assert all_le_broadcast(a, b, axis=2).all()
         assert all_lt_broadcast(a, b, axis=2).shape == (3, 4)
         assert dominance_mask(np.empty((0, 0)), np.empty((2, 0))).shape == (0, 2)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.skyline.bnl import bnl_skyline
-from repro.skyline.estimate import buchta_skyline_size, region_cardinality
+from repro.skyline.estimate import buchta_skyline_size
 
 
 class TestBuchtaFormula:
@@ -49,24 +49,6 @@ class TestBuchtaFormula:
         actual = len(bnl_skyline(pts))
         estimate = buchta_skyline_size(n, d)
         assert estimate / 4 <= actual <= estimate * 4
-
-
-class TestRegionCardinality:
-    def test_applies_selectivity(self):
-        full = region_cardinality(1.0, 100, 100, 2)
-        tenth = region_cardinality(0.1, 100, 100, 2)
-        assert tenth < full
-
-    def test_zero_cells(self):
-        assert region_cardinality(0.5, 0, 10, 3) == 0.0
-
-    def test_invalid_selectivity(self):
-        with pytest.raises(ReproError):
-            region_cardinality(1.5, 10, 10, 2)
-
-    def test_negative_counts(self):
-        with pytest.raises(ReproError):
-            region_cardinality(0.5, -1, 10, 2)
 
 
 @given(

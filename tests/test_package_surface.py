@@ -1,4 +1,7 @@
-"""Tests for the top-level package surface, errors, rng helpers, and CLI."""
+"""Tests for the package surfaces, errors, rng helpers, and CLI."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -7,11 +10,23 @@ import repro
 from repro import errors
 from repro.rng import DEFAULT_SEED, ensure_rng, spawn
 
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+)
+
 
 class TestPublicApi:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        """Every package's ``__all__`` names only what the package has, so
+        a re-export left behind by a deleted module fails here."""
+        assert len(PACKAGES) > 1
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            assert module.__all__, package
+            for name in module.__all__:
+                assert hasattr(module, name), f"{package}.{name}"
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

@@ -196,15 +196,15 @@ class TestCQ002:
             """\
             import numpy as np
 
-            from repro.skyline.dominance import all_le_broadcast, dominance_mask
+            from repro.skyline.dominance import all_lt_broadcast, dominance_mask
 
 
             def masks(a, b, vec):
-                le = all_le_broadcast(a[:, None, :], b[None, :, :], axis=2)
+                lt = all_lt_broadcast(a[:, None, :], b[None, :, :], axis=2)
                 hit = dominance_mask(a, b).any(axis=0)
                 row = np.all(a <= vec, axis=1)
                 bits = (a[:, None] < b[None, :]).sum(axis=1)
-                return le, hit, row, bits
+                return lt, hit, row, bits
             """,
             select="CQ002",
         )

@@ -1,7 +1,7 @@
 """Command-line front end: ``python -m tools.caqe_check [paths...]``.
 
 Default run lints the given paths (``src/repro`` when omitted) with
-CQ001–CQ012 and exits 1 on any violation.  The two companion gates ride
+CQ001–CQ009 and CQ011–CQ013 and exits 1 on any violation.  The two companion gates ride
 on the same entry point:
 
 * ``--mypy`` — run ``mypy --strict`` over the typed packages (config in
@@ -19,8 +19,10 @@ Whole-program options:
   the CQ011/CQ012 analysis (default: ``.caqe-check-cache/`` under the
   repo root; the key hashes every scanned source *and* the analysis
   code, so stale hits are impossible);
-* ``--dump-summaries PATH`` — write the effect/call-graph summaries as
-  deterministic JSON (``-`` for stdout); two runs are byte-identical;
+* ``--dump-summaries PATH`` — write the whole-program summaries (each
+  function's determinism taint, each module's import edges, the taint
+  sink hits) as deterministic JSON (``-`` for stdout); two runs are
+  byte-identical;
 * ``--max-seconds N`` — fail if the lint pass exceeds the budget (CI
   uses 60 s to keep the whole-program pass honest);
 * ``--allow-syntax-errors`` — demote CQ000 (unparseable file) to a
@@ -90,7 +92,7 @@ def dump_summaries(paths: "list[str]", destination: str) -> int:
         print(rendered)
     else:
         Path(destination).write_text(rendered + "\n", encoding="utf-8")
-        print(f"caqe-check: wrote effect summaries to {destination}")
+        print(f"caqe-check: wrote analysis summaries to {destination}")
     return 0
 
 
@@ -153,19 +155,20 @@ def main(argv: "list[str] | None" = None) -> int:
         "--cache-dir",
         type=Path,
         default=REPO_ROOT / DEFAULT_CACHE_DIR,
-        help="effect-summary cache directory "
+        help="analysis-summary cache directory "
         f"(default: <repo>/{DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the effect-summary disk cache",
+        help="disable the analysis-summary disk cache",
     )
     parser.add_argument(
         "--dump-summaries",
         metavar="PATH",
         default=None,
-        help="write whole-program effect summaries as JSON ('-' = stdout)",
+        help="write the whole-program taint and import summaries as JSON "
+        "('-' = stdout)",
     )
     parser.add_argument(
         "--max-seconds",

@@ -14,16 +14,15 @@ we can defend:
   constructor in the same function (local type inference);
 * ``Class.method()`` on an imported or local class;
 * dotted chains rooted at an imported external module (``np.random.x``
-  → ``numpy.random.x``) — kept as *external* targets for the effect
-  knowledge base;
+  → ``numpy.random.x``) — kept as *external* targets;
 * a unique-method fallback: an unresolved ``obj.m()`` resolves to
   ``Cls.m`` when exactly one scanned class defines ``m`` and ``m`` is not
   a common container-protocol name.
 
-Everything else is an *unknown* call and — deliberately — carries no
-effects: the analysis is optimistic on dynamic dispatch it cannot see,
-and exact on everything it can.  The docs (ARCHITECTURE §12) spell out
-this contract.
+Everything else is an *unknown* call.  The taint pass treats external
+and unknown calls alike, passing their arguments' taint through; it is
+exact on everything it can resolve.  The docs (ARCHITECTURE §12) spell
+out this contract.
 """
 
 from __future__ import annotations
@@ -440,56 +439,6 @@ class ProgramGraph:
         methods = self.modules[class_module].classes.get(class_name, {})
         fn = methods.get(method)
         return fn.qualname if fn is not None else None
-
-    # -------------------------------------------------------------- #
-    # Queries
-    # -------------------------------------------------------------- #
-    def local_callees(self, qualname: str) -> "list[str]":
-        """Sorted unique scanned-function callees of ``qualname``."""
-        return sorted(
-            {
-                site.target
-                for site in self.calls.get(qualname, [])
-                if site.kind == "local"
-            }
-        )
-
-    def reachable_from(self, roots: "list[str]") -> "list[str]":
-        """Deterministic BFS closure over local call edges."""
-        seen: "set[str]" = set()
-        frontier = sorted(r for r in roots if r in self.functions)
-        order: "list[str]" = []
-        while frontier:
-            next_frontier: "list[str]" = []
-            for qualname in frontier:
-                if qualname in seen:
-                    continue
-                seen.add(qualname)
-                order.append(qualname)
-                next_frontier.extend(self.local_callees(qualname))
-            frontier = sorted(set(next_frontier) - seen)
-        return order
-
-    def witness_path(self, roots: "list[str]", target: str) -> "list[str]":
-        """Shortest deterministic call chain root → ... → target."""
-        parents: "dict[str, str | None]" = {
-            r: None for r in sorted(roots) if r in self.functions
-        }
-        frontier = sorted(parents)
-        while frontier:
-            next_frontier = []
-            for qualname in frontier:
-                if qualname == target:
-                    path = [qualname]
-                    while parents[path[-1]] is not None:
-                        path.append(parents[path[-1]])  # type: ignore[arg-type]
-                    return list(reversed(path))
-                for callee in self.local_callees(qualname):
-                    if callee not in parents:
-                        parents[callee] = qualname
-                        next_frontier.append(callee)
-            frontier = sorted(next_frontier)
-        return [target]
 
 
 def _all_args(node: "ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda"):

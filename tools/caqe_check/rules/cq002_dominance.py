@@ -164,7 +164,7 @@ def check(file: CheckedFile) -> "list[Violation]":
                     CODE,
                     "pairwise broadcast comparison reduced over the attribute "
                     "axis; call repro.skyline.dominance (dominance_broadcast / "
-                    "all_le_broadcast / all_lt_broadcast) instead",
+                    "all_lt_broadcast / dominance_codes) instead",
                 )
                 if violation is not None:
                     violations.append(violation)
