@@ -568,8 +568,7 @@ class CAQE:
         # Tuple-level skyline state is grouped by (join condition,
         # selections) — see WorkloadPlan.
         plan = WorkloadPlan(
-            workload,
-            workload.output_dims,
+            cuboid,
             counter=stats.comparison_counter,
             assume_dva=cfg.assume_dva,
         )

@@ -15,9 +15,9 @@ node as a whole, so each group is compared once for every node: one
 comparison code per region pair (:func:`~repro.skyline.dominance.dominance_codes`)
 and one subspace-table lookup give the nodes at which the pair is a
 dominance (:func:`dominated_subspaces`).  The work tracks the survivors:
-the strongest regions (smallest upper-corner sums) probe the rest in
-growing blocks, and the regions still open at some node settle among
-themselves in one all-pairs pass, the backstop that keeps every node's
+the strongest regions (smallest upper-corner sums) probe the rest in one
+block, and the regions still open at some node settle among themselves
+in one all-pairs pass, the backstop that keeps every node's
 result exact.  The comparison count *charged* is the one the sequential
 pass would have performed at each node (each unseeded candidate compares
 against the surviving regions that precede it in ascending upper-corner
@@ -43,13 +43,11 @@ from repro.plan.minmax_cuboid import MinMaxCuboid
 from repro.query.workload import Workload
 from repro.skyline.dominance import subspace_table, subspace_union
 
-#: Probe positions stop here: past the ``_CHUNK`` strongest regions of a
-#: lineage group the survivors settle among themselves in one all-pairs
-#: pass.  Groups of up to ``2 * _CHUNK`` regions go all-pairs at once.
-_CHUNK = 512
-#: Size of the first probe block; each next block is ``_GROWTH`` x larger.
-_FIRST_PROBES = 16
-_GROWTH = 4
+#: Lineage groups of up to this many regions code every pair at once.
+_ALL_PAIRS_MAX = 1024
+#: Above it, this many regions of smallest upper-corner sum probe every
+#: region first.
+_PROBES = 16
 
 
 @dataclass
@@ -92,33 +90,23 @@ def dominated_subspaces(
     fully dominates region ``j`` (``U_i`` dominates ``L_j``), exact for
     every bit of ``full`` — the subspaces the caller reads.
 
-    Up to ``2 * _CHUNK`` regions, every region is coded against every
-    other.  Above that, the regions are visited in ascending full-space
-    upper-corner sum order: the still-open ones (not yet dominated on
-    every subspace of ``full``) at sorted positions ``[start, stop)``
-    probe every open region, in blocks of 16, 64, 256, ... up to position
-    ``_CHUNK``; on correlated data the first block already closes nearly
-    every region.  The open regions then code each other all-pairs.  On
-    each subspace full dominance is transitive (``U_i <= L_j <= U_j <=
-    L_k``) and irreflexive, so a region dominated there has a dominator
-    undominated there, which is never closed and so is in the final pass:
-    the result is exact whatever the probes resolved, and the probe order
-    is only a heuristic.
+    Up to ``_ALL_PAIRS_MAX`` regions, every region is coded against every
+    other.  Above that, the ``_PROBES`` regions of smallest full-space
+    upper-corner sum probe every region first — on correlated data they
+    already close nearly every region (dominated on every subspace of
+    ``full``) — and the regions still open then code each other
+    all-pairs.  On each subspace full dominance is transitive (``U_i <=
+    L_j <= U_j <= L_k``) and irreflexive, so a region dominated there has
+    a dominator undominated there, which is never closed and so is in the
+    final pass: the result is exact whatever the probes resolved, and the
+    probe set is only a heuristic.
     """
     n = len(lower)
     bits = np.zeros(n, dtype=table_word.dtype)
     full_bits = table_word.dtype.type(full)
-    if n > 2 * _CHUNK:
-        order = np.argsort(upper.sum(axis=1), kind="stable")
-        start, size = 0, _FIRST_PROBES
-        while start < _CHUNK:
-            stop = min(start + size, _CHUNK)
-            open_ = (bits & full_bits) != full_bits
-            probes = order[start:stop]
-            probes = probes[open_[probes]]
-            targets = np.flatnonzero(open_)
-            bits[targets] |= subspace_union(upper[probes], lower[targets], table_word)
-            start, size = stop, size * _GROWTH
+    if n > _ALL_PAIRS_MAX:
+        probes = np.argsort(upper.sum(axis=1), kind="stable")[:_PROBES]
+        bits |= subspace_union(upper[probes], lower, table_word)
     open_ = np.flatnonzero((bits & full_bits) != full_bits)
     bits[open_] |= subspace_union(upper[open_], lower[open_], table_word)
     return bits

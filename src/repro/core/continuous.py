@@ -151,8 +151,7 @@ class ContinuousCAQE:
         self._engine = CAQE(self.config)
         self.stats = ExecutionStats.with_cost_model(self.config.cost_model)
         self.plan = WorkloadPlan(
-            workload,
-            workload.output_dims,
+            self._cuboid,
             counter=self.stats.comparison_counter,
             assume_dva=self.config.assume_dva,
         )

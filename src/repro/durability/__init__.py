@@ -18,8 +18,8 @@ far* the run got, not what it computed:
   cadence).
 
 See docs/ARCHITECTURE.md §10 for the formats and the recovery protocol,
-and ``tools/kill_resume_audit.py`` for the SIGKILL harness that proves
-the guarantee end to end.
+and ``tools/replay_audit.py`` for the SIGKILL/resume audit that checks
+the guarantee end to end in child interpreters.
 """
 
 from repro.durability.checkpoint import (

@@ -6,7 +6,6 @@ from repro.partition.quadtree import (
     DEFAULT_CAPACITY,
     Partitioning,
     QuadTreeNode,
-    grid_partition,
     quadtree_partition,
 )
 from repro.partition.signatures import (
@@ -21,7 +20,6 @@ __all__ = [
     "LeafCell",
     "Partitioning",
     "QuadTreeNode",
-    "grid_partition",
     "make_leaf",
     "quadtree_partition",
     "signature_of",

@@ -5,9 +5,6 @@ quad tree": starting from the table's bounding box, any node holding more
 than ``capacity`` tuples is split into its ``2^d`` midpoint quadrants until
 every leaf fits (or ``max_depth`` is hit).  The resulting leaves become the
 :class:`~repro.partition.cells.LeafCell` units of coarse processing.
-
-A uniform :func:`grid_partition` is provided as a simpler alternative used
-by ablation benches to study partitioning sensitivity.
 """
 
 from __future__ import annotations
@@ -198,40 +195,10 @@ def quadtree_partition(
     return Partitioning(relation.name, leaves, tuple(measure_attrs), depth=depth)
 
 
-def grid_partition(
-    relation: Relation,
-    measure_attrs: "tuple[str, ...]",
-    conditions: "tuple[JoinCondition, ...]",
-    side: str,
-    *,
-    divisions: int = 4,
-) -> Partitioning:
-    """Equi-width grid partitioning (ablation alternative to the quad-tree)."""
-    if divisions < 1:
-        raise PartitionError(f"divisions must be >= 1, got {divisions}")
-    if relation.cardinality == 0:
-        return Partitioning(relation.name, (), tuple(measure_attrs), depth=0)
-    matrix = np.column_stack([relation.column(a) for a in measure_attrs]).astype(float)
-    lows = matrix.min(axis=0)
-    highs = matrix.max(axis=0)
-    spans = np.where(highs > lows, highs - lows, 1.0)
-    coords = np.floor((matrix - lows) / spans * divisions).astype(int)
-    coords = np.minimum(coords, divisions - 1)
-    buckets: dict[tuple, list[int]] = {}
-    for row, coord in enumerate(map(tuple, coords)):
-        buckets.setdefault(coord, []).append(row)
-    leaves = tuple(
-        make_leaf(i, relation, np.asarray(rows), measure_attrs, conditions, side)
-        for i, (_, rows) in enumerate(sorted(buckets.items()))
-    )
-    return Partitioning(relation.name, leaves, tuple(measure_attrs), depth=1)
-
-
 __all__ = [
     "DEFAULT_CAPACITY",
     "MAX_TREE_DIMENSIONS",
     "Partitioning",
     "QuadTreeNode",
-    "grid_partition",
     "quadtree_partition",
 ]

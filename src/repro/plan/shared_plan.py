@@ -27,7 +27,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.errors import PlanError
-from repro.plan.minmax_cuboid import MinMaxCuboid
+from repro.plan.minmax_cuboid import MinMaxCuboid, build_minmax_cuboid
 from repro.skyline.dominance import ComparisonCounter
 from repro.skyline.window import SkylineWindow
 
@@ -224,14 +224,12 @@ class WorkloadPlan:
 
     def __init__(
         self,
-        workload: Workload,
-        attribute_order: "Sequence[str]",
+        cuboid: MinMaxCuboid,
         counter: "ComparisonCounter | None" = None,
         *,
         assume_dva: bool = True,
     ) -> None:
-        from repro.plan.minmax_cuboid import build_minmax_cuboid
-
+        workload = cuboid.workload
         self.workload = workload
         self.query_bits = {q.name: i for i, q in enumerate(workload)}
         groups: dict[tuple, list[str]] = {}
@@ -245,11 +243,16 @@ class WorkloadPlan:
         self._groups: list[dict] = []
         self._group_of: dict[str, dict] = {}
         for names in groups.values():
-            sub = workload.subset(names)
-            cuboid = build_minmax_cuboid(sub)
+            # One group holds every query in workload order: its cuboid is
+            # the run's own.
+            sub_cuboid = (
+                cuboid
+                if len(groups) == 1
+                else build_minmax_cuboid(workload.subset(names))
+            )
             plan = SharedCuboidPlan(
-                cuboid,
-                attribute_order,
+                sub_cuboid,
+                workload.output_dims,
                 counter=counter,
                 assume_dva=assume_dva,
             )

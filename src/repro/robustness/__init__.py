@@ -11,8 +11,9 @@ Three cooperating pieces, all default-off and bit-identical when disabled:
   backoff, quarantine of repeatedly-failing regions, and contract-aware
   graceful degradation from coarse MQLA bounds.
 
-``python -m repro.robustness.chaos --smoke`` runs the fault-matrix smoke
-suite CI uses.
+``tests/robustness/test_chaos_engine.py`` holds the fault-matrix
+invariants, journaled and plain; ``python -m tools.replay_audit`` checks
+the faulted, journaled run across SIGKILL/resume.
 """
 
 from repro.robustness.faults import (

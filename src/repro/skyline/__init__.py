@@ -9,7 +9,7 @@ from repro.skyline.dominance import (
     dominance_mask,
     dominates,
 )
-from repro.skyline.estimate import SampledSkylineEstimator, buchta_skyline_size
+from repro.skyline.estimate import buchta_skyline_size
 from repro.skyline.sfs import sfs_order, sfs_skyline
 from repro.skyline.skycube import Skycube, all_subspaces, compute_naive, compute_shared
 from repro.skyline.window import InsertOutcome, SkylineWindow, WindowEntry
@@ -18,7 +18,6 @@ __all__ = [
     "ComparisonCounter",
     "Dominance",
     "InsertOutcome",
-    "SampledSkylineEstimator",
     "Skycube",
     "SkylineWindow",
     "WindowEntry",

@@ -105,9 +105,9 @@ class TestDominatedFlags:
 
     def test_survivors_pass_catches_rounded_sums(self):
         """A dominator whose upper-corner sum rounds equal to its victim's
-        sorts after it: the victim closes the first probe block and the
-        dominator opens the second, so only the survivors pass can flag
-        the victim."""
+        sorts after it: the victim closes the probe block and the dominator
+        falls just outside it, so only the survivors pass can flag the
+        victim."""
         victim = [1e16, 1.0]
         dominator = [1e16, 0.0]
         assert sum(victim) == sum(dominator)

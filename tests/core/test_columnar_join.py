@@ -168,7 +168,7 @@ def test_executor_replays_the_bucket_loop_on_nan_keys(nan_side):
     right) both yield ``bucket_join``'s pairs, cached build included."""
     from repro.core.executor import JoinResultStore, RegionExecutor
     from repro.partition.quadtree import quadtree_partition
-    from repro.plan import WorkloadPlan
+    from repro.plan import WorkloadPlan, build_minmax_cuboid
     from repro.query import Preference, SkylineJoinQuery, Workload, add
     from repro.query.predicates import JoinCondition
     from repro.relation.relation import Relation
@@ -198,7 +198,7 @@ def test_executor_replays_the_bucket_loop_on_nan_keys(nan_side):
     stats = ExecutionStats()
     executor = RegionExecutor(
         workload, left, right,
-        WorkloadPlan(workload, workload.output_dims), JoinResultStore(), stats,
+        WorkloadPlan(build_minmax_cuboid(workload)), JoinResultStore(), stats,
     )
     lv = condition.left_values(left)[lc.indices]
     rv = condition.right_values(right)[rc.indices]

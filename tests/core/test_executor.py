@@ -13,7 +13,7 @@ from repro.core.executor import (
 from repro.core.stats import ExecutionStats
 from repro.errors import ExecutionError
 from repro.partition import quadtree_partition
-from repro.plan import WorkloadPlan
+from repro.plan import WorkloadPlan, build_minmax_cuboid
 from repro.query import hash_join
 
 
@@ -29,7 +29,7 @@ def setup(eleven_query_workload, small_pair):
     )
     stats = ExecutionStats()
     cj = coarse_join(wl, lp, rp, stats)
-    plan = WorkloadPlan(wl, wl.output_dims, counter=stats.comparison_counter)
+    plan = WorkloadPlan(build_minmax_cuboid(wl), counter=stats.comparison_counter)
     executor = RegionExecutor(
         wl, small_pair.left, small_pair.right, plan, JoinResultStore(), stats
     )

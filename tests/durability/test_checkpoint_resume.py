@@ -2,7 +2,7 @@
 
 Crashes are driven two ways here: a counting cancel token stops the run
 at an exact region boundary in-process (fast, deterministic), and
-``tools/kill_resume_audit.py`` delivers real ``SIGKILL``s in CI.  Both
+``tools/replay_audit.py`` delivers real ``SIGKILL``s in CI.  Both
 leave the same on-disk artefact — an fsync'd journal prefix plus the
 snapshots written before the cut — which is what resume consumes.
 """

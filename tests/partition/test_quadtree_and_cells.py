@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.datagen import generate_table
 from repro.errors import PartitionError
 from repro.partition import (
-    grid_partition,
     make_leaf,
     quadtree_partition,
     signatures_intersect,
@@ -99,20 +98,6 @@ class TestQuadtreePartition:
 
     def test_total_tuples(self, partitioning, table):
         assert partitioning.total_tuples() == table.cardinality
-
-
-class TestGridPartition:
-    def test_covers_all_tuples(self, table, conditions):
-        part = grid_partition(table, ("m1", "m2"), conditions, "left", divisions=3)
-        assert part.total_tuples() == table.cardinality
-
-    def test_divisions_bound_cell_count(self, table, conditions):
-        part = grid_partition(table, ("m1", "m2"), conditions, "left", divisions=3)
-        assert part.cell_count <= 9
-
-    def test_invalid_divisions(self, table, conditions):
-        with pytest.raises(PartitionError):
-            grid_partition(table, ("m1",), conditions, "left", divisions=0)
 
 
 class TestLeafCell:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.plan import WorkloadPlan
+from repro.plan import WorkloadPlan, build_minmax_cuboid
 from repro.query import (
     AttributeFilter,
     JoinCondition,
@@ -47,7 +47,7 @@ class TestGrouping:
                 _q("b", "jc1", ("d2", "d3"), fns),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         assert plan.group_count == 1
 
     def test_conditions_split_groups(self, fns):
@@ -57,7 +57,7 @@ class TestGrouping:
                 _q("b", "jc2", ("d1", "d2"), fns),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         assert plan.group_count == 2
 
     def test_filters_split_groups(self, fns):
@@ -69,7 +69,7 @@ class TestGrouping:
                 _q("c", "jc1", ("d2", "d3"), fns, left_filters=filt),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         assert plan.group_count == 2  # {a} and {b, c}
 
 
@@ -83,7 +83,7 @@ class TestLineageIsolation:
                 _q("narrow", "jc2", ("d1", "d2"), fns),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         # Key 0: a JC2 join result (serves only 'narrow', bit 1).
         insert(plan, 0, [5.0, 5.0, 5.0], serve_mask=0b10)
         assert plan.is_candidate("narrow", 0)
@@ -100,7 +100,7 @@ class TestLineageIsolation:
                 _q("b", "jc1", ("d2", "d3"), fns),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         insert(plan, 0, [1.0, 9.0, 1.0])  # in a's and b's skylines
         admitted, evicted = insert(plan, 1, [0.5, 0.5, 0.5])  # dominates all
         assert admitted == {"a", "b"}
@@ -109,7 +109,7 @@ class TestLineageIsolation:
 
     def test_serve_mask_none_means_everyone(self, fns):
         wl = Workload([_q("a", "jc1", ("d1", "d2"), fns)])
-        plan = WorkloadPlan(wl, wl.output_dims)
+        plan = WorkloadPlan(build_minmax_cuboid(wl))
         admitted, _ = insert(plan, 0, [1.0, 1.0, 1.0])
         assert admitted == {"a"}
 
@@ -121,7 +121,7 @@ class TestLineageIsolation:
                 _q("b", "jc2", ("d1", "d2"), fns),
             ]
         )
-        plan = WorkloadPlan(wl, wl.output_dims, counter=counter)
+        plan = WorkloadPlan(build_minmax_cuboid(wl), counter=counter)
         insert(plan, 0, [1.0, 1.0, 1.0])
         insert(plan, 1, [2.0, 2.0, 2.0])
         assert counter.comparisons > 0
@@ -131,8 +131,6 @@ class TestLineageIsolation:
     ):
         """Global lineage bits are translated per group: each group's plan
         sees exactly the tuples (and local masks) its own walk would."""
-        from repro.plan import build_minmax_cuboid
-
         wl = Workload(
             [
                 _q("a", "jc1", ("d1", "d2"), fns),
@@ -141,7 +139,7 @@ class TestLineageIsolation:
             ]
         )
         counter, walked = ComparisonCounter(), ComparisonCounter()
-        plan = WorkloadPlan(wl, wl.output_dims, counter=counter)
+        plan = WorkloadPlan(build_minmax_cuboid(wl), counter=counter)
         # Groups in first-seen order: {a, c} (global bits 0, 2) and {b}.
         groups = [(("a", "c"), (0, 2)), (("b",), (1,))]
         walks = [

@@ -11,7 +11,9 @@ The robustness contract under test (docs/ARCHITECTURE.md §9):
 * progressive report streams never repeat an identity, even across
   retried regions;
 * quarantining a region promotes its dependents instead of stranding
-  them.
+  them;
+* every fault corner runs bit-identically under the write-ahead region
+  journal.
 """
 
 import pytest
@@ -31,6 +33,11 @@ from repro.robustness.recovery import (
     RetryPolicy,
 )
 from repro.robustness.sanitize import sanitize_relation
+
+
+#: Data and fault seeds, and rows per table, of the journaled fault matrix.
+MATRIX_SEEDS = (11, 23, 47)
+MATRIX_ROWS = 80
 
 
 def make_inputs(seed, cardinality=60):
@@ -246,3 +253,59 @@ class TestCorruptionAbsorption:
         for query in workload:
             reference = reference_evaluate(query, clean_left, clean_right)
             assert result.reported[query.name] == reference.skyline_pairs
+
+
+def matrix_corner(corner, seed):
+    """Config overrides of one fault corner at ``MATRIX_ROWS`` rows."""
+    if corner == "noop":
+        return dict(enable_sanitize=True, enable_recovery=True)
+    if corner == "corrupt":
+        plan = FaultConfig(seed=seed, corrupt_fraction=0.05)
+        return dict(enable_sanitize=True, fault_plan=FaultPlan(plan))
+    if corner == "failures":
+        plan = FaultConfig(
+            seed=seed, region_failure_rate=0.15, persistent_failure_rate=0.05
+        )
+        return dict(
+            enable_recovery=True,
+            retry_policy=RetryPolicy(max_attempts=3),
+            fault_plan=FaultPlan(plan),
+        )
+    if corner == "budget":
+        plan = FaultConfig(seed=seed, straggler_rate=0.3, straggler_factor=6.0)
+        return dict(
+            enable_recovery=True,
+            fault_plan=FaultPlan(plan),
+            query_time_budget=MATRIX_ROWS * 150.0,
+        )
+    plan = FaultConfig(
+        seed=seed,
+        corrupt_fraction=0.04,
+        region_failure_rate=0.1,
+        persistent_failure_rate=0.04,
+        straggler_rate=0.2,
+        straggler_factor=4.0,
+    )
+    return dict(
+        enable_sanitize=True,
+        enable_recovery=True,
+        fault_plan=FaultPlan(plan),
+        query_time_budget=MATRIX_ROWS * 400.0,
+    )
+
+
+@pytest.mark.parametrize("seed", MATRIX_SEEDS)
+@pytest.mark.parametrize(
+    "corner", ["noop", "corrupt", "failures", "budget", "everything"]
+)
+def test_journaled_fault_corner_equals_plain(tmp_path, corner, seed):
+    pair, workload, contracts = make_inputs(seed, cardinality=MATRIX_ROWS)
+    overrides = matrix_corner(corner, seed)
+    plain = run(pair, workload, contracts, **overrides)
+    journaled = run(
+        pair, workload, contracts,
+        enable_journal=True, journal_dir=str(tmp_path), **overrides,
+    )
+    assert observables(journaled) == observables(plain)
+    if corner == "failures":
+        assert plain.stats.region_retries > 0

@@ -1,5 +1,6 @@
 """Repo-native developer tooling (not shipped with the ``repro`` package).
 
-``tools.caqe_check``        — the CAQE invariant linter (CQ001–CQ005).
-``tools.determinism_audit`` — cross-``PYTHONHASHSEED`` regression gate.
+``tools.caqe_check``   — the CAQE invariant linter (CQ001–CQ009, CQ011–CQ013).
+``tools.bench_gate``   — perf-regression gate against ``BENCH_history.jsonl``.
+``tools.replay_audit`` — cross-``PYTHONHASHSEED`` and SIGKILL/resume audit.
 """

@@ -1,15 +1,13 @@
 """Command-line front end: ``python -m tools.caqe_check [paths...]``.
 
 Default run lints the given paths (``src/repro`` when omitted) with
-CQ001–CQ009 and CQ011–CQ013 and exits 1 on any violation.  The two companion gates ride
-on the same entry point:
+CQ001–CQ009 and CQ011–CQ013 and exits 1 on any violation.  The typing
+gate rides on the same entry point:
 
 * ``--mypy`` — run ``mypy --strict`` over the typed packages (config in
   ``pyproject.toml``); skipped with a notice when mypy is not installed,
   so offline environments stay green;
-* ``--determinism`` — run :mod:`tools.determinism_audit` (two child
-  interpreters under different ``PYTHONHASHSEED`` values);
-* ``--all`` — lint + both gates, the CI configuration.
+* ``--all`` — lint + the typing gate, the CI configuration.
 
 Whole-program options:
 
@@ -110,16 +108,10 @@ def run_mypy_gate() -> int:
     return result.returncode
 
 
-def run_determinism_gate() -> int:
-    from tools.determinism_audit import main as audit_main
-
-    return audit_main([])
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="caqe-check",
-        description="CAQE invariant linter + typing & determinism gates",
+        description="CAQE invariant linter + typing gate",
     )
     parser.add_argument(
         "paths",
@@ -181,14 +173,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--mypy", action="store_true", help="also run the mypy --strict gate"
     )
     parser.add_argument(
-        "--determinism",
-        action="store_true",
-        help="also run the PYTHONHASHSEED determinism audit",
-    )
-    parser.add_argument(
         "--all",
         action="store_true",
-        help="lint + mypy gate + determinism audit (CI configuration)",
+        help="lint + mypy gate (CI configuration)",
     )
     args = parser.parse_args(argv)
 
@@ -220,8 +207,6 @@ def main(argv: "list[str] | None" = None) -> int:
         status = max(status, 1)
     if args.mypy or args.all:
         status = max(status, run_mypy_gate())
-    if args.determinism or args.all:
-        status = max(status, run_determinism_gate())
     return status
 
 

@@ -16,7 +16,7 @@ Layer order (bottom → top)::
     durability   durability           (journals *around* core)
     baselines    baselines
     serving      serving
-    drivers      bench, CLI __main__ modules, chaos harness, repro.__init__
+    drivers      bench, CLI __main__ modules, repro.__init__
 
 Rules derived from the table:
 
@@ -32,8 +32,8 @@ Rules derived from the table:
 
 Assignment is by longest package prefix, with exact-module overrides for
 the handful of driver modules that live inside lower-layer packages
-(``repro.robustness.chaos`` drives ``core``; ``repro.serving.__main__``
-wires a demo; ``repro.__init__`` re-exports the world).
+(``repro.serving.__main__`` wires a demo; ``repro.__init__`` re-exports
+the world).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ LAYERS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
 MODULE_OVERRIDES: "dict[str, str]" = {
     "repro": "drivers",            # package __init__ re-exports the stack
     "repro.__main__": "drivers",
-    "repro.robustness.chaos": "drivers",   # chaos CLI drives core
     "repro.serving.__main__": "drivers",
 }
 
