@@ -208,6 +208,10 @@ REPLAY_DIMS = (2, 3, 4)
 #: the larger targets, the cell then reports the live size it got.
 REPLAY_WARMUP_CAP = 16_384
 REPLAY_ROUNDS = 25
+#: (live window, batch) of the wholly dominated cell, ``commit_bound``'s
+#: shape: the window's head dominates the batch's lower corner, so the
+#: whole batch is rejected at position 0 (ARCHITECTURE §14.1).
+REPLAY_DOMINATED = (40, 720)
 
 
 def _replay_implementations():
@@ -304,6 +308,19 @@ def bench_micro_window_replay(run_once, benchmark, dataset, dims):
                             *(f"{medians[label]:.0f}" for label in implementations),
                         )
                     )
+        target, size = REPLAY_DOMINATED
+        entries = _replay_window(warm, target)
+        keys = [("b", i) for i in range(size)]
+        # The presorted sample, shifted to sit strictly above the head.
+        sample = presorted[:: len(presorted) // size][:size]
+        batch = np.asarray(entries[1][0]) + 0.01 + (sample - sample.min(axis=0))
+        medians, admitted = _replay_cell(implementations, entries, keys, batch, rounds)
+        rows.append(
+            (
+                len(entries[0]), size, "dominated", f"{admitted / size:.3f}",
+                *(f"{medians[label]:.0f}" for label in implementations),
+            )
+        )
         return rows
 
     rows = run_once(benchmark, grid)

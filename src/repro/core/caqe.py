@@ -1140,7 +1140,8 @@ class LiveRun:
         regions; per query, the benefit model's serving set is exactly the
         alive regions serving it; the reporting state's two threat indexes
         mirror each other, hold no empty bucket, name only regions in that
-        serving set, and no candidate is both pending and reported.  A
+        serving set, and no candidate is both pending and reported; every
+        cuboid window passes :meth:`SkylineWindow.check_invariants`.  A
         test-side check.
         """
 
@@ -1150,6 +1151,8 @@ class LiveRun:
 
         rs = self.rs
         rs.graph.check_invariants()
+        for window in rs.plan.windows():
+            window.check_invariants()
         expect(rs.graph.nodes == rs.alive.keys(), "graph nodes != alive set")
         for qi, query in enumerate(rs.workload):
             name = query.name

@@ -22,7 +22,7 @@ reported so executors know which earlier candidates became invalid.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,25 +146,23 @@ class SharedCuboidPlan:
         )
         dva = self.assume_dva
         for mask, window, qserve, child_bits, posbit in self._walk:
-            if serve is None:
-                idx = None
-                sub_keys, sub_vecs = keys_arr, vecs
-                known = (
-                    (admitted_bits & child_bits) != 0
-                    if dva and child_bits
-                    else None
-                )
-            else:
+            # ``idx`` lists the served rows; ``None`` when the node serves
+            # the whole batch, which then goes in as it is, uncopied.
+            idx = None
+            sub_keys, sub_vecs, sub_bits = keys_arr, vecs, admitted_bits
+            if serve is not None:
                 idx = np.flatnonzero((serve & qserve) != 0)
                 if idx.size == 0:
                     continue
-                sub_keys = keys_arr[idx]
-                sub_vecs = vecs[idx]
-                known = (
-                    (admitted_bits[idx] & child_bits) != 0
-                    if dva and child_bits
-                    else None
-                )
+                if idx.size == n:
+                    idx = None
+                else:
+                    sub_keys = keys_arr[idx]
+                    sub_vecs = vecs[idx]
+                    sub_bits = admitted_bits[idx]
+            known = (
+                (sub_bits & child_bits) != 0 if dva and child_bits else None
+            )
             outcome = window.insert_batch(sub_keys, sub_vecs, known_member=known)
             admitted = outcome.admitted
             if idx is None:
@@ -279,6 +277,13 @@ class WorkloadPlan:
     @property
     def group_count(self) -> int:
         return len(self._groups)
+
+    def windows(self) -> "Iterator[SkylineWindow]":
+        """Every cuboid window of every group, in group then mask order."""
+        for group in self._groups:
+            plan: SharedCuboidPlan = group["plan"]
+            for mask in plan.cuboid.masks:
+                yield plan.window(mask)
 
     def insert_batch_columnar(
         self,

@@ -27,6 +27,14 @@ the window's entries in admission order at all times — every public view
 sequence, so the layout is invisible to observables: charged comparison
 counts, admissions, evictions and duplicate flags are bit-identical to a
 naive entry-list implementation.
+
+:meth:`SkylineWindow.insert_batch` skips work whose answer is known
+before any scan: when the first live entry dominates the batch's lower
+corner, it dominates every point (Theorem 1), so the batch is rejected
+whole at the charge sequential BNL records — one comparison per plain
+insert, the live window per known member — and the window is untouched.
+:meth:`SkylineWindow.check_invariants` states the storage invariants and
+the transitivity this shortcut and the batch replay rely on.
 """
 
 from __future__ import annotations
@@ -397,6 +405,9 @@ class SkylineWindow:
         work sequential BNL is charged for, not a ``(window × batch)``
         plane (docs/ARCHITECTURE.md §14.1):
 
+        * a batch whose lower corner the first live entry dominates is
+          rejected whole, before any scan: every point stops at position
+          0, so the charge is ``m + (n_live - 1) * #known_member``;
         * the batch runs against the *live* rows only, addressed by their
           position in window order — the unit a charge is stated in;
         * per point, :func:`_first_dominators` finds the position of its
@@ -441,9 +452,28 @@ class SkylineWindow:
             None if known_member is None
             else np.asarray(known_member, dtype=bool)
         )
+        n_old = self._live_count
+        if n_old:
+            # Whole-batch rejection: a head entry dominating the batch's
+            # lower corner dominates every point (Theorem 1), so a plain
+            # insert stops at position 0 and a known member pays the live
+            # window; nothing is admitted, the window is untouched.  A NaN
+            # corner compares False and falls through.
+            head = self._store[
+                0 if n_old == self._size
+                else int(np.argmax(self._live[: self._size]))
+            ]
+            # Reduced column-major: over a C-ordered (m, d) batch the
+            # reduction runs a d-long inner loop per row, ~6x slower at
+            # m = 800.
+            corner = np.asfortranarray(mat).min(axis=0)
+            if (head <= corner).all() and (head < corner).any():
+                if self.counter is not None:
+                    n_known = 0 if known is None else int(known.sum())
+                    self.counter.record(m + (n_old - 1) * n_known)
+                return BatchInsertOutcome(admitted, evicted, duplicate)
         # Surviving initial entries in window order; ``live_rows`` maps a
         # position to its physical row (``None``: they coincide).
-        n_old = self._live_count
         live_rows = None if n_old == self._size else self._live_index()
         if n_old:
             window = (
@@ -679,6 +709,52 @@ class SkylineWindow:
         if self._size == 0:
             return 0.0
         return (self._size - self._live_count) / self._size
+
+    def check_invariants(self) -> None:
+        """Check the columns against the entry sequence they encode;
+        raises ``AssertionError`` on the first disagreement.
+
+        * ``_live_count`` is the number of live rows, and no row at or
+          past ``_size`` is live;
+        * ``_keyset`` is exactly the live keys, and those are unique;
+        * ``_key_hash`` holds ``hash(key)`` at every live row;
+        * no live row dominates another over the window's dims.
+
+        Batch replay (a dominator that dies is covered by its evictor)
+        and the whole-batch rejection (the head dominates the lower
+        corner, so it dominates every point) both assume that full
+        dominance is transitive.  k-dominance is not (Awasthi et al.,
+        PAPERS.md): a window kept under it could use neither shortcut.
+        A test-side check, quadratic in the live rows.
+        """
+
+        def expect(condition: bool, message: str) -> None:
+            if not condition:
+                raise AssertionError(f"SkylineWindow{self.dims}: {message}")
+
+        if self._store is None:
+            expect(self._size == self._live_count == 0, "rows without storage")
+            expect(not self._keyset, "keys without storage")
+            return
+        expect(
+            int(np.count_nonzero(self._live[: self._size])) == self._live_count,
+            "_live_count != number of live rows",
+        )
+        expect(not self._live[self._size :].any(), "a live row past _size")
+        expect(len(self._key_list) == self._size, "key side table != _size")
+        live_idx = self._live_index()
+        # caqe-check: disable=CQ009
+        live_keys = [self._key_list[i] for i in live_idx.tolist()]
+        expect(len(set(live_keys)) == len(live_keys), "duplicate live keys")
+        expect(self._keyset == set(live_keys), "_keyset != live keys")
+        expect(
+            self._key_hash[live_idx].tolist() == [hash(k) for k in live_keys],
+            "_key_hash != hash(key) on a live row",
+        )
+        rows = self._store[live_idx]
+        a, b = rows[:, None, :], rows[None, :, :]
+        dominates = (a <= b).all(axis=2) & (a < b).any(axis=2)
+        expect(not dominates.any(), "a live row dominates another")
 
     def __len__(self) -> int:
         return self._live_count

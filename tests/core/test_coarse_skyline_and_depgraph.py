@@ -16,7 +16,6 @@ from repro.core.coarse_skyline import (
 )
 from repro.core.depgraph import DependencyGraph, build_dependency_graph
 from repro.core.output_space import OutputGrid
-from repro.core.region import OutputRegion
 from repro.core.stats import ExecutionStats
 from repro.partition import quadtree_partition
 from repro.plan import build_minmax_cuboid
@@ -505,23 +504,24 @@ def _naive_coarse_skyline(workload, cuboid, regions):
         members = [r for r in regions if r.active_rql & node.qserve]
         for lineage in sorted({r.active_rql for r in members}):
             group = [r for r in members if r.active_rql == lineage]
+            upper = np.array([r.upper[pos] for r in group])
+            lower = np.array([r.lower[pos] for r in group])
+            # The kept regions' upper corners, in keep order.
+            kept = np.empty_like(upper)
+            n_kept = count = 0
             # Ascending upper-corner sum, ties in region order.
-            sums = np.array([r.upper[pos] for r in group]).sum(axis=1)
-            kept: "list[OutputRegion]" = []
-            count = 0
-            for k in np.argsort(sums, kind="stable").tolist():
-                cand = group[k]
-                if cand.region_id not in seeded:
-                    count += len(kept)
-                dominated = any(
-                    all(u <= l for u, l in zip(s.upper[pos], cand.lower[pos]))
-                    and any(u < l for u, l in zip(s.upper[pos], cand.lower[pos]))
-                    for s in kept
-                )
-                if cand.region_id in seeded or not dominated:
-                    kept.append(cand)
+            for k in np.argsort(upper.sum(axis=1), kind="stable").tolist():
+                rid = group[k].region_id
+                if rid not in seeded:
+                    count += n_kept
+                # Does a kept upper corner dominate this lower corner?
+                ups, low = kept[:n_kept], lower[k]
+                dominated = ((ups <= low).all(axis=1) & (ups < low).any(axis=1)).any()
+                if rid in seeded or not dominated:
+                    kept[n_kept] = upper[k]
+                    n_kept += 1
+                    survivors.add(rid)
             charged.append(count)
-            survivors |= {r.region_id for r in kept}
         nondominated[mask] = survivors
     reg = {}
     for qi, query in enumerate(workload):

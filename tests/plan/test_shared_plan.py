@@ -174,16 +174,26 @@ def test_property_shared_plan_matches_bnl(figure1_workload, seed, n):
     cuts=st.lists(st.integers(0, 60), max_size=3),
     lineage=st.booleans(),
     assume_dva=st.booleans(),
+    lift=st.none() | st.integers(0, 15),
 )
 @settings(max_examples=60, deadline=None)
 def test_property_batch_walk_replays_the_tuple_at_a_time_walk(
-    figure1_workload, cuboid_walk, seed, n, cuts, lineage, assume_dva
+    figure1_workload, cuboid_walk, seed, n, cuts, lineage, assume_dva, lift
 ):
     """Grid-valued tuples (ties break DVA), arbitrary batch boundaries and
     per-tuple query lineage: admitted bits, evictions, every window's entry
-    order and the charged comparisons equal the oracle walk's."""
+    order and the charged comparisons equal the oracle walk's.
+
+    With ``lift`` set, every tuple after the first is an offset >= 0 from
+    it, raised by 1 on the dimensions in the ``lift`` bits: the first tuple
+    heads every window it entered, and later batches meet windows whose
+    head dominates their lower corner on the nodes over a lifted dimension
+    (the whole-batch rejection) and ties it on the others."""
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 5, size=(n, 4)).astype(float)
+    if lift is not None:
+        pts[1:] = pts[0] + rng.integers(0, 3, size=(n - 1, 4))
+        pts[1:, [d for d in range(4) if lift >> d & 1]] += 1.0
     serve = rng.integers(1, 16, size=n) if lineage else None
     cuboid = build_minmax_cuboid(figure1_workload)
     counter, walked = ComparisonCounter(), ComparisonCounter()

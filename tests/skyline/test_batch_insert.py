@@ -105,6 +105,7 @@ def _run_window(points, known, cuts, batched, dims=None):
                 )
                 for i in range(lo, hi)
             ]
+        window.check_invariants()
         outcomes.extend(results)
     return window, counter, outcomes
 
@@ -334,3 +335,156 @@ def test_property_only_admitted_points_tie(case):
     for drive in ((cuts, batched), ([], [False]), ([], [True])):
         _, _, outcomes = _run_window(points, known, *drive)
         assert not any(o.duplicate and not o.admitted for o in outcomes)
+
+
+# --------------------------------------------------------------------- #
+# Whole-batch rejection (ARCHITECTURE §14.1): a first live entry that
+# dominates the batch's lower corner rejects every point at position 0,
+# before any scan.
+# --------------------------------------------------------------------- #
+def _anti_chain_window(rows, tombstone_head):
+    """Window over the 2-d anti-chain ``(i, 10 - i)``, ``i < rows``, with
+    its physical row 0 optionally tombstoned (no compaction: one dead row
+    of ``rows``)."""
+    counter = ComparisonCounter()
+    window = SkylineWindow(counter=counter)
+    for i in range(rows):
+        window.insert(("w", i), np.array([float(i), 10.0 - i]))
+    if tombstone_head:
+        assert window.remove_key(("w", 0))
+        assert 0.0 < window.dead_fraction < 0.5
+    counter.comparisons = 0
+    return window, counter
+
+
+def _oracle_of(window):
+    oracle = ListBNL()
+    oracle.entries = [
+        (key, tuple(vec)) for key, vec in zip(window.keys, window.vectors.tolist())
+    ]
+    return oracle
+
+
+def _insert_spied(window, points, known=None):
+    scan = mock.Mock(wraps=window_module._first_dominators)
+    with mock.patch.object(window_module, "_first_dominators", scan):
+        batch = window.insert_batch(
+            [("b", i) for i in range(len(points))],
+            np.asarray(points, dtype=float),
+            known_member=known,
+        )
+    return batch, scan.call_count
+
+
+@pytest.mark.parametrize("tombstone_head", [False, True])
+def test_head_dominating_the_corner_rejects_the_batch_unscanned(tombstone_head):
+    window, counter = _anti_chain_window(6, tombstone_head)
+    head = window.vectors[0]
+    before = (window.keys, window.vectors, window.dead_fraction)
+    # Every point sits above the head; the batch's corner is head + (0, .5),
+    # which a tombstoned row 0 at (0, 10) does not dominate.
+    offsets = ([0, 0.5], [3, 0.5], [0, 0.75], [2, 0.5])
+    points = [head + np.asarray(offset) for offset in offsets]
+    known = np.array([True, False, True, False])
+    oracle = _oracle_of(window)
+    batch, scans = _insert_spied(window, points, known)
+    assert scans == 0
+    assert not batch.admitted.any() and not batch.duplicate.any()
+    assert batch.evicted == [[]] * len(points)
+    after = (window.keys, window.vectors, window.dead_fraction)
+    assert after[0] == before[0] and after[2] == before[2]
+    np.testing.assert_array_equal(after[1], before[1])
+    n_live = len(window)
+    assert counter.comparisons == len(points) + (n_live - 1) * int(known.sum())
+    for i, point in enumerate(points):
+        assert oracle.insert(("b", i), point, known[i])[0] is False
+    assert counter.comparisons == oracle.comparisons
+    window.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "case, offsets",
+    [
+        # The head ties the corner on every dimension: not strict.
+        ("tie", [[0, 1], [1, 0], [2, 2]]),
+        # A NaN corner compares False everywhere.
+        ("nan", [[1, 1], [np.nan, 2]]),
+        # The tombstoned row 0 at (0, 10) would dominate (0.5, 10); the
+        # first live entry (1, 9) does not, and nothing live does.
+        ("dead_row_0", [[-0.5, 1]]),
+    ],
+)
+def test_a_corner_the_head_does_not_dominate_takes_the_full_path(case, offsets):
+    window, counter = _anti_chain_window(6, tombstone_head=True)
+    head = window.vectors[0]
+    points = [head + np.asarray(offset, dtype=float) for offset in offsets]
+    oracle = _oracle_of(window)
+    batch, scans = _insert_spied(window, points)
+    assert scans == 1
+    for i, point in enumerate(points):
+        admitted, evicted, duplicate = oracle.insert(("b", i), point)
+        got = batch.outcome(i)
+        assert (got.admitted, got.duplicate) == (admitted, duplicate)
+        assert [e.key for e in got.evicted] == evicted
+    assert window.keys == [k for k, _ in oracle.entries]
+    assert counter.comparisons == oracle.comparisons
+    window.check_invariants()
+
+
+def test_an_empty_window_admits_the_batch_head():
+    counter = ComparisonCounter()
+    window = SkylineWindow(counter=counter)
+    batch = window.insert_batch(["a", "b"], np.array([[1.0, 2.0], [2.0, 3.0]]))
+    assert batch.admitted.tolist() == [True, False]
+    assert window.keys == ["a"] and counter.comparisons == 1
+
+
+@st.composite
+def head_offset_cases(draw):
+    """A seeded window, then a batch drawn as offsets >= 0 from its head:
+    one dimension lifted by 1 on every point makes the corner strict (the
+    whole-batch rejection), no lift leaves ties (the full path).  The head
+    row is optionally tombstoned first."""
+    width = draw(st.integers(1, 3))
+
+    def row(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=width, max_size=width))
+
+    seed = [np.array(row(0, 4), dtype=float) for _ in range(draw(st.integers(1, 12)))]
+    offsets = np.array(
+        [row(0, 3) for _ in range(draw(st.integers(1, 20)))], dtype=float
+    )
+    lift = draw(st.none() | st.integers(0, width - 1))
+    if lift is not None:
+        offsets[:, lift] += 1.0
+    known = np.array([draw(st.booleans()) for _ in offsets], dtype=bool)
+    return seed, offsets, known, draw(st.booleans())
+
+
+@given(case=head_offset_cases())
+@settings(max_examples=120, deadline=None)
+def test_property_batches_above_the_head_replay_bnl(case):
+    seed, offsets, known, tombstone_head = case
+    counter = ComparisonCounter()
+    window = SkylineWindow(counter=counter)
+    for i, point in enumerate(seed):
+        window.insert(("s", i), point)
+    if tombstone_head and len(window) > 1:
+        window.remove_key(window.keys[0])
+    counter.comparisons = 0
+    oracle = _oracle_of(window)
+    points = window.vectors[0] + offsets
+    batch = window.insert_batch(
+        [("b", i) for i in range(len(points))], points, known_member=known
+    )
+    window.check_invariants()
+    for i, point in enumerate(points):
+        admitted, evicted, duplicate = oracle.insert(("b", i), point, known[i])
+        got = batch.outcome(i)
+        assert (got.admitted, got.duplicate) == (admitted, duplicate), i
+        assert [e.key for e in got.evicted] == evicted, i
+    assert window.keys == [k for k, _ in oracle.entries]
+    assert [tuple(v) for v in window.vectors.tolist()] == [
+        w for _, w in oracle.entries
+    ]
+    assert counter.comparisons == oracle.comparisons
