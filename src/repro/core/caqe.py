@@ -369,8 +369,9 @@ class _RunState:
     supervisor: "RegionSupervisor | None"
     degraded: "dict[str, list[DegradedReport]]"
     degraded_queries: "set[int]"
-    cells_left: "dict[int, LeafCell]"
-    cells_right: "dict[int, LeafCell]"
+    #: The two sides' leaves; the executor reads a region's cells here.
+    left_part: Partitioning
+    right_part: Partitioning
     quarantine: "dict[str, QuarantineReport]"
     fault_plan: "FaultPlan | None"
     executor: "RegionExecutor | None" = None
@@ -671,8 +672,8 @@ class CAQE:
             supervisor=supervisor,
             degraded={q.name: [] for q in workload},
             degraded_queries=set(),
-            cells_left={c.cell_id: c for c in left_part.leaves},
-            cells_right={c.cell_id: c for c in right_part.leaves},
+            left_part=left_part,
+            right_part=right_part,
             quarantine=quarantine,
             fault_plan=fault_plan,
         )
@@ -869,8 +870,8 @@ class LiveRun:
         try:
             outcome = rs.executor.process(
                 region,
-                rs.cells_left[region.left_cell_id],
-                rs.cells_right[region.right_cell_id],
+                rs.left_part.cell(region.left_cell_id),
+                rs.right_part.cell(region.right_cell_id),
             )
         except RegionFailure:
             if rs.supervisor is None:

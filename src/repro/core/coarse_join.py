@@ -7,9 +7,11 @@ becomes an output region; an empty intersection proves the pair can never
 contribute to queries using that condition and the pair is skipped
 entirely — join work the shared plan never performs.
 
-All signature tests of a condition are one product: each side's leaves
-become a ``(leaves x values)`` 0/1 incidence matrix over the values the
-left signatures hold, and ``left @ right.T`` counts every pair's shared
+No signature is built.  A leaf's signature is the set of values its range
+of the partitioning's key column holds, so all signature tests of a
+condition are one product: both key columns get value ids from one
+``np.unique``, each side's leaves become a ``(leaves x values)`` 0/1
+incidence matrix, and ``left @ right.T`` counts every pair's shared
 values at once.  The regions come out as the columns of a
 :class:`~repro.core.region.RegionTable`.
 
@@ -21,7 +23,6 @@ comes from the signature overlap under a uniform-value assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from repro.core.output_space import DEFAULT_DIVISIONS, OutputGrid, grid_for_cell
 from repro.core.region import RegionTable
 from repro.core.stats import ExecutionStats
 from repro.errors import ExecutionError
-from repro.partition.cells import LeafCell
 from repro.partition.quadtree import Partitioning
 from repro.query.workload import Workload
 
@@ -44,41 +44,74 @@ class CoarseJoinResult:
     pruned_pairs: int
 
 
-def _shared_counts(
-    left: "tuple[LeafCell, ...]", right: "tuple[LeafCell, ...]", condition: str
-) -> np.ndarray:
-    """``shared[li, ri] = |sig(left[li]) & sig(right[ri])|`` for one condition.
+def _value_ids(left: np.ndarray, right: np.ndarray) -> "tuple[np.ndarray, int]":
+    """Ids for the rows of two key columns (left rows first), and the
+    count of ids that can match.
 
-    Values are matched with the signatures' own set semantics (hash and
-    ``==``, so ``1 == 1.0`` and any hashable key works), except that a NaN
-    never matches — not even itself.  The float64 product is exact: each
-    entry is a count far below 2**53.
+    Two rows share an id iff a Python set would hold their values as one
+    element: equal by hash and ``==`` (so ``1 == 1.0`` and any hashable
+    key works), and a NaN only by identity — every NaN row of a numeric
+    column is its own element, as each ``tolist`` NaN is a new object.
+    Ids below the returned count are the values that can match; a NaN
+    never matches, not even itself, so NaN ids lie above it.
     """
+    lk, rk = left.dtype.kind, right.dtype.kind
+    merged: "np.ndarray | None" = None
+    if lk == rk and lk in "US":
+        merged = np.concatenate([left, right])
+    elif lk in "biuf" and rk in "biuf":
+        merged = np.concatenate([left, right])
+        # numpy's ``==`` is Python's only while no integer key rounds.
+        if merged.dtype.kind == "f" and any(
+            side.dtype.kind != "f"
+            and not np.array_equal(side.astype(merged.dtype).astype(side.dtype), side)
+            for side in (left, right)
+        ):
+            merged = None
+    if merged is not None:
+        values, ids = np.unique(merged, return_inverse=True)
+        nan = np.flatnonzero(merged != merged)
+        ids[nan] = len(values) + np.arange(len(nan))
+        return ids, len(values)
+    # Object keys, or kinds numpy compares differently from Python.
+    rows = left.tolist() + right.tolist()
     vocab: "dict[object, int]" = {}
-    left_cols = [
-        [vocab.setdefault(v, len(vocab)) for v in leaf.signature(condition) if v == v]
-        for leaf in left
-    ]
-    right_cols = [
-        [vocab[v] for v in leaf.signature(condition) if v in vocab] for leaf in right
-    ]
-
-    def incidence(cols: "list[list[int]]") -> np.ndarray:
-        matrix = np.zeros((len(cols), len(vocab)))
-        rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
-        matrix[rows, np.fromiter(chain.from_iterable(cols), np.intp, len(rows))] = 1.0
-        return matrix
-
-    return incidence(left_cols) @ incidence(right_cols).T
-
-
-def _per_value(leaves: "tuple[LeafCell, ...]", condition: str) -> np.ndarray:
-    """Each leaf's tuples per distinct key value (the uniform assumption)."""
-    sizes = np.asarray([leaf.size for leaf in leaves], dtype=float)
-    counts = np.asarray(
-        [max(len(leaf.signature(condition)), 1) for leaf in leaves], dtype=float
+    for v in rows:
+        if v == v:
+            vocab.setdefault(v, len(vocab))
+    matchable = len(vocab)
+    by_identity: "dict[int, int]" = {}
+    return (
+        np.fromiter(
+            (
+                vocab[v] if v == v
+                else by_identity.setdefault(id(v), matchable + len(by_identity))
+                for v in rows
+            ),
+            np.intp,
+            len(rows),
+        ),
+        matchable,
     )
-    return sizes / counts
+
+
+def _leaf_values(
+    partitioning: Partitioning, ids: np.ndarray, matchable: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One side's ``(leaves x matchable)`` 0/1 incidence of the values its
+    leaves hold, and each leaf's count of distinct values — NaN rows
+    included, the size of its signature."""
+    leaves = partitioning.cell_count
+    leaf = np.repeat(np.arange(leaves), partitioning.sizes)
+    nan = ids >= matchable
+    incidence = np.zeros((leaves, matchable))
+    incidence[leaf[~nan], ids[~nan]] = 1.0
+    distinct = incidence.sum(axis=1)
+    if nan.any():
+        width = int(ids.max()) + 1
+        pairs = np.unique(leaf[nan] * width + ids[nan])
+        distinct += np.bincount(pairs // width, minlength=leaves)
+    return incidence, distinct
 
 
 def _corner_maps(
@@ -86,9 +119,8 @@ def _corner_maps(
 ) -> "tuple[dict[str, np.ndarray], dict[str, np.ndarray]]":
     """Lower and upper corner of leaf ``cell_idx[k]`` in row ``k``, each as
     one column per measure attribute."""
-    leaves = partitioning.leaves
-    lower = np.asarray([c.bounds.lower for c in leaves], dtype=float)[cell_idx]
-    upper = np.asarray([c.bounds.upper for c in leaves], dtype=float)[cell_idx]
+    lower = partitioning.lower[cell_idx]
+    upper = partitioning.upper[cell_idx]
     attrs = partitioning.measure_attrs
     return (
         {a: lower[:, k] for k, a in enumerate(attrs)},
@@ -132,32 +164,55 @@ def coarse_join(
         dtype=np.int64,
     )
 
+    # Per condition: the leaves' shared value counts as one product of
+    # the two sides' incidences (exact in float64: each count is far
+    # below 2**53), and each leaf's tuples per distinct value.
+    left_sizes = left_partitioning.sizes
+    right_sizes = right_partitioning.sizes
+    shared: "list[np.ndarray]" = []
+    per_left: "list[np.ndarray]" = []
+    per_right: "list[np.ndarray]" = []
+    for c in conditions:
+        ids, matchable = _value_ids(
+            left_partitioning.keys[c.name], right_partitioning.keys[c.name]
+        )
+        split = len(left_partitioning.order)
+        left_inc, left_distinct = _leaf_values(
+            left_partitioning, ids[:split], matchable
+        )
+        right_inc, right_distinct = _leaf_values(
+            right_partitioning, ids[split:], matchable
+        )
+        shared.append(left_inc @ right_inc.T)
+        per_left.append(left_sizes / np.maximum(left_distinct, 1))
+        per_right.append(right_sizes / np.maximum(right_distinct, 1))
+    shared_counts = np.stack(shared, axis=-1)
+    hit = shared_counts > 0
+    n_left, n_right = len(left_sizes), len(right_sizes)
+    visited = n_left * n_right
+    if touching is not None:
+        new_left = np.isin(np.arange(n_left), list(touching[0]))
+        new_right = np.isin(np.arange(n_right), list(touching[1]))
+        pairs = new_left[:, None] | new_right[None, :]
+        hit &= pairs[:, :, None]
+        visited = int(pairs.sum())
     # Signature tests: every visited (left cell, right cell, condition)
     # triple, each charged as its own coarse comparison.  A restricted
     # join visits the pairs with a new cell on either side.
-    left_leaves = left_partitioning.leaves
-    right_leaves = right_partitioning.leaves
-    visited = np.ones((len(left_leaves), len(right_leaves)), dtype=bool)
-    if touching is not None:
-        new_left = np.asarray([c.cell_id in touching[0] for c in left_leaves], bool)
-        new_right = np.asarray([c.cell_id in touching[1] for c in right_leaves], bool)
-        visited = new_left[:, None] | new_right[None, :]
-    shared = np.stack(
-        [_shared_counts(left_leaves, right_leaves, c.name) for c in conditions],
-        axis=-1,
-    )
-    tests = int(visited.sum()) * len(conditions)
+    tests = visited * len(conditions)
     stats.record_signature_tests(tests)
     # Row-major nonzero: (left, right, condition) ascending, the order in
     # which a loop over the triples would create the regions.
-    li, ri, ci = np.nonzero(visited[:, :, None] & (shared > 0))
+    li, ri, ci = np.nonzero(hit)
     pruned = tests - len(li)
     # Expected matches under uniform values within each cell: the same two
     # multiplies, in the same order, as ``shared * per_left * per_right``
     # for one pair.
-    per_left = np.stack([_per_value(left_leaves, c.name) for c in conditions])
-    per_right = np.stack([_per_value(right_leaves, c.name) for c in conditions])
-    est = shared[li, ri, ci] * per_left[ci, li] * per_right[ci, ri]
+    est = (
+        shared_counts[li, ri, ci]
+        * np.stack(per_left)[ci, li]
+        * np.stack(per_right)[ci, ri]
+    )
 
     lower = np.empty((len(li), len(functions)))
     upper = np.empty_like(lower)
@@ -186,15 +241,11 @@ def coarse_join(
     # Coordinate boxes: `coords_of` performs the same elementwise float
     # operations as the scalar `box_of`, so each row matches the
     # per-region call bit for bit.
-    left_ids = np.asarray([c.cell_id for c in left_leaves], dtype=np.int64)
-    right_ids = np.asarray([c.cell_id for c in right_leaves], dtype=np.int64)
-    left_sizes = np.asarray([c.size for c in left_leaves], dtype=np.int64)
-    right_sizes = np.asarray([c.size for c in right_leaves], dtype=np.int64)
     rql = condition_rql[ci]
     table = RegionTable(
         region_id=first_region_id + np.arange(len(li), dtype=np.int64),
-        left_cell_id=left_ids[li],
-        right_cell_id=right_ids[ri],
+        left_cell_id=li.astype(np.int64),
+        right_cell_id=ri.astype(np.int64),
         condition=ci,
         condition_names=tuple(c.name for c in conditions),
         lower=lower,
@@ -204,8 +255,8 @@ def coarse_join(
         est_join_count=np.maximum(est, 1.0),
         rql=rql,
         active_rql=rql.copy(),
-        left_size=left_sizes[li],
-        right_size=right_sizes[ri],
+        left_size=left_sizes[li].astype(np.int64),
+        right_size=right_sizes[ri].astype(np.int64),
     )
     return CoarseJoinResult(regions=table, grid=grid, pruned_pairs=pruned)
 

@@ -45,8 +45,11 @@ from repro.core.caqe import (
 from repro.core.executor import JoinResultStore
 from repro.core.stats import ExecutionStats
 from repro.errors import DurabilityError, ExecutionError
-from repro.partition.cells import LeafCell
-from repro.partition.quadtree import Partitioning, quadtree_partition
+from repro.partition.quadtree import (
+    Partitioning,
+    partitioning_of,
+    quadtree_partition,
+)
 from repro.plan.shared_plan import WorkloadPlan
 from repro.query.workload import Workload
 from repro.relation import Relation, concat
@@ -55,25 +58,6 @@ from repro.robustness.sanitize import QuarantineReport, sanitize_relation
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.durability.runtime import RunDurability
-
-
-def _shift_cells(
-    partitioning: Partitioning, row_offset: int, id_offset: int
-) -> "list[LeafCell]":
-    """Rebase a delta partitioning onto cumulative row/cell numbering."""
-    shifted = []
-    for leaf in partitioning.leaves:
-        shifted.append(
-            LeafCell(
-                cell_id=leaf.cell_id + id_offset,
-                relation_name=leaf.relation_name,
-                indices=leaf.indices + row_offset,
-                measure_attrs=leaf.measure_attrs,
-                bounds=leaf.bounds,
-                signatures=leaf.signatures,
-            )
-        )
-    return shifted
 
 
 @dataclass
@@ -160,8 +144,9 @@ class ContinuousCAQE:
         self._reported: dict[str, set[int]] = {q.name: set() for q in workload}
         self._left: "Relation | None" = None
         self._right: "Relation | None" = None
-        self._left_cells: list[LeafCell] = []
-        self._right_cells: list[LeafCell] = []
+        #: Leaves of the cumulative tables, each delta's appended in turn.
+        self._left_part: "Partitioning | None" = None
+        self._right_part: "Partitioning | None" = None
         #: Cell ids (left, right) the current epoch appended.
         self._new_cells: "tuple[list[int], list[int]]" = ([], [])
         self._epoch = 0
@@ -244,16 +229,12 @@ class ContinuousCAQE:
     def _open_epoch(self) -> "LiveRun | None":
         """The MQLA stage over the epoch's delta join, as a steppable run
         (``None`` while one table is still empty: nothing joins yet)."""
+        left_part, right_part = self._left_part, self._right_part
         if self._left is None or self._right is None:
             return None
+        if left_part is None or right_part is None:  # set with the relations
+            return None
         self.workload.validate(self._left, self._right)
-        left_part, right_part = (
-            Partitioning(relation.name, tuple(cells), cells[0].measure_attrs, 0)
-            for relation, cells in (
-                (self._left, self._left_cells),
-                (self._right, self._right_cells),
-            )
-        )
         new_left, new_right = self._new_cells
         rs = self._engine._mqla(
             self.workload,
@@ -359,8 +340,18 @@ class ContinuousCAQE:
                 if self._right is not None
                 else None
             ),
-            "left_cells": [cp.dump_cell(c) for c in self._left_cells],
-            "right_cells": [cp.dump_cell(c) for c in self._right_cells],
+            # Cells are stored as ``LeafCell`` records (``dump_cell``) and
+            # turned back into arrays on load.
+            "left_cells": (
+                [cp.dump_cell(c) for c in self._left_part.leaves]
+                if self._left_part is not None
+                else []
+            ),
+            "right_cells": (
+                [cp.dump_cell(c) for c in self._right_part.leaves]
+                if self._right_part is not None
+                else []
+            ),
             "new_cells": [list(ids) for ids in self._new_cells],
             "reported": {
                 name: sorted(keys) for name, keys in self._reported.items()
@@ -394,8 +385,18 @@ class ContinuousCAQE:
             if state["right"] is not None
             else None
         )
-        self._left_cells = [cp.load_cell(c) for c in state["left_cells"]]
-        self._right_cells = [cp.load_cell(c) for c in state["right_cells"]]
+        def arrays_of(
+            relation: "Relation | None", cells: "list[dict]", side: str
+        ) -> "Partitioning | None":
+            if relation is None:
+                return None
+            leaves = [cp.load_cell(c) for c in cells]
+            return partitioning_of(
+                relation, leaves, self.workload.join_conditions, side
+            )
+
+        self._left_part = arrays_of(self._left, state["left_cells"], "left")
+        self._right_part = arrays_of(self._right, state["right_cells"], "right")
         new_left, new_right = state["new_cells"]
         self._new_cells = ([int(i) for i in new_left], [int(i) for i in new_right])
         self._reported = {
@@ -487,15 +488,17 @@ class ContinuousCAQE:
             capacity=self.config.capacity_for(delta.cardinality),
             split=self.config.partition_split,
         )
-        cells = self._left_cells if side == "left" else self._right_cells
-        id_offset = (max((c.cell_id for c in cells), default=-1)) + 1
-        new_cells = _shift_cells(part, offset, id_offset)
-        cells.extend(new_cells)
-        if side == "left":
-            self._left = merged
+        current_part = self._left_part if side == "left" else self._right_part
+        if current_part is None:
+            merged_part, first_id = part, 0
         else:
-            self._right = merged
-        return [c.cell_id for c in new_cells]
+            merged_part = current_part.extended(part, offset)
+            first_id = current_part.cell_count
+        if side == "left":
+            self._left, self._left_part = merged, merged_part
+        else:
+            self._right, self._right_part = merged, merged_part
+        return list(range(first_id, merged_part.cell_count))
 
 
 __all__ = ["ContinuousCAQE", "EpochResult"]

@@ -37,7 +37,7 @@ from repro.query.joinkernel import (
     cell_join,
     probe_grouped,
 )
-from repro.partition.cells import LeafCell
+from repro.partition.cells import CellRange
 from repro.plan.shared_plan import WorkloadPlan
 from repro.query.evaluate import apply_functions
 from repro.query.predicates import JoinCondition
@@ -157,8 +157,8 @@ class RegionOutcome:
 def join_cell_pair(
     left: Relation,
     right: Relation,
-    left_cell: LeafCell,
-    right_cell: LeafCell,
+    left_cell: CellRange,
+    right_cell: CellRange,
     condition: JoinCondition,
     stats: ExecutionStats,
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -232,7 +232,7 @@ class RegionExecutor:
             self._sel_right = None
 
     def _build_side(
-        self, left_cell: LeafCell, condition: JoinCondition
+        self, left_cell: CellRange, condition: JoinCondition
     ) -> "tuple[np.ndarray, GroupedBuild | None]":
         """The memoised hash-join build side of one (cell, condition)."""
         cache_key = (left_cell.cell_id, condition.name)
@@ -247,8 +247,8 @@ class RegionExecutor:
 
     def _join_cells(
         self,
-        left_cell: LeafCell,
-        right_cell: LeafCell,
+        left_cell: CellRange,
+        right_cell: CellRange,
         condition: JoinCondition,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """:func:`join_cell_pair` with the build side served from cache."""
@@ -273,8 +273,8 @@ class RegionExecutor:
     def process(
         self,
         region: OutputRegion,
-        left_cell: LeafCell,
-        right_cell: LeafCell,
+        left_cell: CellRange,
+        right_cell: CellRange,
     ) -> RegionOutcome:
         """Join, project, and insert one region's tuples into the shared plan."""
         if region.is_discarded:

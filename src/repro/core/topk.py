@@ -171,8 +171,6 @@ class TopKEngine:
         cj = coarse_join(shadow, left_part, right_part, stats,
                          divisions=self.config.divisions)
         regions = cj.regions.materialise()
-        cells_l = {c.cell_id: c for c in left_part.leaves}
-        cells_r = {c.cell_id: c for c in right_part.leaves}
         output_dims = shadow.output_dims
         weight_matrix = {
             q.name: np.asarray(
@@ -222,8 +220,8 @@ class TopKEngine:
                 continue
             stats.record_region_processed()
             li, ri = join_cell_pair(
-                left, right, cells_l[region.left_cell_id],
-                cells_r[region.right_cell_id],
+                left, right, left_part.cell(region.left_cell_id),
+                right_part.cell(region.right_cell_id),
                 condition_by_name[region.condition_name], stats,
             )
             if len(li):

@@ -1,11 +1,11 @@
 """Input-space partitioning: hyper-rectangles, quad-trees, leaf cells, signatures."""
 
 from repro.partition.bounds import HyperRect
-from repro.partition.cells import LeafCell, make_leaf
+from repro.partition.cells import CellRange, LeafCell
 from repro.partition.quadtree import (
     DEFAULT_CAPACITY,
     Partitioning,
-    QuadTreeNode,
+    partitioning_of,
     quadtree_partition,
 )
 from repro.partition.signatures import (
@@ -16,11 +16,11 @@ from repro.partition.signatures import (
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "CellRange",
     "HyperRect",
     "LeafCell",
     "Partitioning",
-    "QuadTreeNode",
-    "make_leaf",
+    "partitioning_of",
     "quadtree_partition",
     "signature_of",
     "signatures_for_side",

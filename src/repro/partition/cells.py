@@ -1,21 +1,30 @@
 """Leaf cells of the partitioned input space (Table 1's ``L_i^T(l_i, u_i)``).
 
-A :class:`LeafCell` groups a subset of one table's rows and carries exactly
-what coarse-level processing needs: the cell's measure-space bounding box
+A :class:`~repro.partition.quadtree.Partitioning` holds its leaves as
+arrays.  Two views of one leaf come out of it: a :class:`CellRange` —
+the cell id, its rows and their count, all the tuple-level join reads —
+and a :class:`LeafCell`, which adds the cell's measure-space bounding box
 and one join signature per workload join predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.bounds import HyperRect
-from repro.partition.signatures import signatures_for_side
-from repro.query.predicates import JoinCondition
-from repro.relation import Relation
+
+
+class CellRange(NamedTuple):
+    """One leaf as the executor reads it."""
+
+    cell_id: int
+    #: Row indices into the source relation (ascending).
+    indices: np.ndarray
+    size: int
 
 
 @dataclass(frozen=True)
@@ -73,27 +82,4 @@ class LeafCell:
         )
 
 
-def make_leaf(
-    cell_id: int,
-    relation: Relation,
-    indices: np.ndarray,
-    measure_attrs: "tuple[str, ...]",
-    conditions: "tuple[JoinCondition, ...]",
-    side: str,
-) -> LeafCell:
-    """Build a leaf cell: compute bounds and signatures for ``indices``."""
-    idx = np.unique(np.asarray(indices, dtype=np.intp))
-    if len(idx) == 0:
-        raise PartitionError("cannot build a leaf cell over zero rows")
-    matrix = np.column_stack([relation.column(a)[idx] for a in measure_attrs]).astype(float)
-    return LeafCell(
-        cell_id=cell_id,
-        relation_name=relation.name,
-        indices=idx,
-        measure_attrs=tuple(measure_attrs),
-        bounds=HyperRect.from_points(matrix),
-        signatures=signatures_for_side(relation, idx, conditions, side),
-    )
-
-
-__all__ = ["LeafCell", "make_leaf"]
+__all__ = ["CellRange", "LeafCell"]

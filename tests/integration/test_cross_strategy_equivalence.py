@@ -6,6 +6,7 @@ are.  These tests sweep distributions, selectivities, priority schemes, and
 workload shapes.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines import all_strategy_names, make_strategy
@@ -13,6 +14,7 @@ from repro.contracts import c2
 from repro.core import CAQEConfig
 from repro.datagen import generate_pair
 from repro.query import reference_evaluate, subspace_workload
+from repro.relation import Relation
 
 
 def _verify(pair, workload, strategies=("CAQE", "S-JFSL")):
@@ -98,24 +100,25 @@ def test_single_sided_functions_violate_dva_safely():
             assert result.reported[query.name] == ref.skyline_pairs, (name, query.name)
 
 
+def _quantised(rel):
+    """``rel`` with every measure rounded to a multiple of 10: heavy ties,
+    many of them on quad-tree midpoints."""
+    return Relation(
+        rel.name,
+        rel.schema,
+        {
+            name: np.round(rel.column(name) / 10.0) * 10.0
+            if name.startswith("m")
+            else rel.column(name)
+            for name in rel.schema.names
+        },
+    )
+
+
 def test_duplicate_heavy_data():
     """Integer-quantised measures violate DVA; exactness must survive."""
-    import numpy as np
-
-    from repro.relation import Relation
-
     pair = generate_pair("independent", 100, 4, selectivity=0.05, seed=37)
-
-    def quantise(rel):
-        columns = {}
-        for name in rel.schema.names:
-            col = rel.column(name)
-            if name.startswith("m"):
-                col = np.round(col / 10.0) * 10.0
-            columns[name] = col
-        return Relation(rel.name, rel.schema, columns)
-
-    left, right = quantise(pair.left), quantise(pair.right)
+    left, right = _quantised(pair.left), _quantised(pair.right)
     workload = subspace_workload(4)
     contracts = {q.name: c2(scale=1000.0) for q in workload}
     references = {
@@ -127,3 +130,23 @@ def test_duplicate_heavy_data():
     )
     for query in workload:
         assert result.reported[query.name] == references[query.name]
+
+
+@pytest.mark.parametrize("distribution", ["independent", "correlated", "anticorrelated"])
+def test_tie_heavy_data_under_the_default_config(distribution):
+    """Integer-quantised measures under the default config, Theorem-1
+    seeding included (``assume_dva=True``): ties exercise the quad tree's
+    ``>`` midpoint rule and the shared plan's seeding, and every one of
+    the 11 queries still reports exactly the reference skyline."""
+    from repro.core import CAQE
+
+    pair = generate_pair(distribution, 120, 4, selectivity=0.05, seed=43)
+    left, right = _quantised(pair.left), _quantised(pair.right)
+    assert len(set(left.column("m1").tolist())) < left.cardinality // 4
+    workload = subspace_workload(4)
+    assert len(workload) == 11 and CAQEConfig().assume_dva
+    contracts = {q.name: c2(scale=1000.0) for q in workload}
+    result = CAQE().run(left, right, workload, contracts)
+    for query in workload:
+        ref = reference_evaluate(query, left, right)
+        assert result.reported[query.name] == ref.skyline_pairs, query.name

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadtree_reference import (
+    assert_same_leaves,
+    canonical_signature,
+    reference_leaf,
+    reference_partition,
+)
 
 from repro.datagen import generate_table
 from repro.errors import PartitionError
 from repro.partition import (
-    make_leaf,
+    HyperRect,
+    LeafCell,
     quadtree_partition,
     signatures_intersect,
 )
 from repro.partition.signatures import signature_of
 from repro.query import JoinCondition
+from repro.relation import Relation, Role, Schema
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +78,6 @@ class TestQuadtreePartition:
         assert part.cell_count == 1
 
     def test_empty_table(self, conditions):
-        from repro.relation import Relation, Role, Schema
-
         empty = Relation(
             "E",
             Schema.of(m1=Role.MEASURE, jc1=Role.JOIN, jc2=Role.JOIN),
@@ -91,10 +97,20 @@ class TestQuadtreePartition:
             quadtree_partition(table, ("m1",), conditions, "left", capacity=0)
 
     def test_cell_lookup(self, partitioning):
-        leaf = partitioning.leaves[0]
-        assert partitioning.cell(leaf.cell_id) is leaf
-        with pytest.raises(PartitionError):
-            partitioning.cell(10**9)
+        leaf = partitioning.leaves[3]
+        cell = partitioning.cell(3)
+        assert (cell.cell_id, cell.size) == (leaf.cell_id, leaf.size)
+        assert cell.indices.tolist() == leaf.indices.tolist()
+        assert partitioning.leaf(3).bounds == leaf.bounds
+        for bad in (10**9, -1, partitioning.cell_count):
+            with pytest.raises(PartitionError):
+                partitioning.cell(bad)
+
+    def test_matches_the_recursive_reference(self, partitioning, table, conditions):
+        leaves, depth = reference_partition(
+            table, ("m1", "m2", "m3"), conditions, "left", capacity=40
+        )
+        assert_same_leaves(partitioning, leaves, depth)
 
     def test_total_tuples(self, partitioning, table):
         assert partitioning.total_tuples() == table.cardinality
@@ -102,28 +118,33 @@ class TestQuadtreePartition:
 
 class TestLeafCell:
     def test_make_leaf_deduplicates_indices(self, table, conditions):
-        leaf = make_leaf(0, table, np.array([3, 3, 5]), ("m1",), conditions, "left")
+        leaf = reference_leaf(0, table, np.array([3, 3, 5]), ("m1",), conditions, "left")
         assert leaf.size == 2
 
-    def test_rejects_empty(self, table, conditions):
+    def test_rejects_empty(self):
         with pytest.raises(PartitionError):
-            make_leaf(0, table, np.array([], dtype=int), ("m1",), conditions, "left")
+            LeafCell(
+                0, "R", np.array([], dtype=np.intp), ("m1",),
+                HyperRect((0.0,), (1.0,)), {},
+            )
 
     def test_bound_maps(self, table, conditions):
-        leaf = make_leaf(0, table, np.arange(10), ("m1", "m2"), conditions, "left")
+        leaf = quadtree_partition(
+            table, ("m1", "m2"), conditions, "left", capacity=10
+        ).leaf(0)
         assert set(leaf.lower_map()) == {"m1", "m2"}
         assert leaf.lower_map()["m1"] == leaf.lower_of("m1")
 
-    def test_unknown_signature_raises(self, table, conditions):
-        leaf = make_leaf(0, table, np.arange(5), ("m1",), conditions, "left")
+    def test_unknown_signature_raises(self, partitioning):
         with pytest.raises(PartitionError):
-            leaf.signature("JC9")
+            partitioning.leaf(0).signature("JC9")
 
     def test_right_side_signatures(self, table):
         condition = JoinCondition("X", "nonexistent", "jc1")
-        leaf = make_leaf(0, table, np.arange(5), ("m1",), (condition,), "right")
+        part = quadtree_partition(table, ("m1",), (condition,), "right", capacity=5)
+        leaf = part.leaf(1)
         assert leaf.signature("X") == {
-            int(v) for v in table.column("jc1")[:5]
+            int(v) for v in table.column("jc1")[leaf.indices]
         }
 
 
@@ -146,20 +167,12 @@ class TestSignatures:
             signatures_for_side(table, np.arange(3), conditions, "middle")
 
 
-def _canonical(signature):
-    """A signature with its NaNs counted: two NaN objects never compare
-    equal, so frozensets holding them cannot be compared directly."""
-    values = [v for v in signature if v == v]
-    return sorted((type(v).__name__, v) for v in values), len(signature) - len(values)
-
-
 @pytest.mark.parametrize("keys", ["int", "float_nan", "str"])
 def test_leaf_construction_matches_per_row_comprehensions(table, keys):
-    """``make_leaf``'s indices and signatures equal the per-row forms
+    """The reference leaf's indices and signatures equal the per-row forms
     (``sorted(set(int(i)))`` and ``v.item()`` per value), for unsorted
-    indices with duplicates."""
-    from repro.relation import Relation
-
+    indices with duplicates — and so does the partitioner's view of a
+    leaf over the same rows."""
     raw = table.column("jc1")
     column = {
         "int": raw,
@@ -172,16 +185,20 @@ def test_leaf_construction_matches_per_row_comprehensions(table, keys):
     )
     indices = np.array([40, 3, 17, 3, 8, 40, 0, 12, 17, 25, 9, 8])
     condition = (JoinCondition.on("jc1", name="JC1"),)
-    leaf = make_leaf(0, rekeyed, indices, ("m1",), condition, "left")
+    leaf = reference_leaf(0, rekeyed, indices, ("m1",), condition, "left")
     want_idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.intp)
     assert leaf.indices.dtype == want_idx.dtype
     assert leaf.indices.tolist() == want_idx.tolist()
     values = column[want_idx]
     want = frozenset(v.item() if hasattr(v, "item") else v for v in values)
-    assert _canonical(leaf.signature("JC1")) == _canonical(want)
+    assert canonical_signature(leaf.signature("JC1")) == canonical_signature(want)
     assert len(leaf.signature("JC1")) == len(want)
     if keys == "float_nan":
-        assert _canonical(want)[1] > 0
+        assert canonical_signature(want)[1] > 0
+    subset = rekeyed.take(want_idx, name=rekeyed.name)
+    view = quadtree_partition(subset, ("m1",), condition, "left", capacity=100).leaf(0)
+    assert canonical_signature(view.signature("JC1")) == canonical_signature(want)
+    assert len(view.signature("JC1")) == len(want)
 
 
 @given(capacity=st.integers(5, 200), seed=st.integers(0, 100))
@@ -196,3 +213,91 @@ def test_property_partitioning_is_exact_cover(capacity, seed):
         int(i) for leaf in part.leaves for i in leaf.indices
     )
     assert seen == list(range(table.cardinality))
+
+
+# ---------------------------------------------------------------------- #
+# The level-pass partitioner against the recursive reference
+# ---------------------------------------------------------------------- #
+#: Measure values on a coarse lattice: ties, points on midpoints and both
+#: signed zeros are common.
+_MEASURES = [-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+
+
+@st.composite
+def _relations(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    columns = {}
+    for k in range(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            column = np.full(n, draw(st.sampled_from(_MEASURES)))
+        else:
+            column = np.asarray(
+                draw(st.lists(st.sampled_from(_MEASURES), min_size=n, max_size=n))
+            )
+        if draw(st.integers(0, 5)) == 0:
+            column = column.copy()
+            column[draw(st.integers(0, n - 1))] = np.nan
+            # A second NaN payload (the sign bit set).
+            second = draw(st.sampled_from([np.nan, -np.nan]))
+            column[draw(st.integers(0, n - 1))] = second
+        columns[f"m{k + 1}"] = column
+    duplicate = draw(st.integers(0, n - 1))
+    for column in columns.values():
+        column[n - 1] = column[duplicate]
+    raw = np.asarray(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["int", "float_nan", "str"]))
+    columns["k"] = {
+        "int": raw,
+        "float_nan": np.where(raw == 0, np.nan, raw.astype(float)),
+        "str": np.asarray([f"k{v}" for v in raw]),
+    }[kind]
+    schema = Schema.of(**{a: Role.MEASURE for a in columns if a != "k"}, k=Role.JOIN)
+    return Relation("R", schema, columns), tuple(f"m{k + 1}" for k in range(d))
+
+
+@given(
+    data=_relations(),
+    capacity=st.integers(1, 61),
+    max_depth=st.integers(0, 12),
+    side=st.sampled_from(["left", "right"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_level_pass_equals_recursive_reference(data, capacity, max_depth, side):
+    """Cell ids, indices, bounds (bit for bit, element types too),
+    signatures (NaNs counted) and depth: the level-pass partitioner builds
+    the recursive builder's leaves, on ties, midpoints, constant columns,
+    NaN measures and at ``max_depth``."""
+    relation, attrs = data
+    conditions = (JoinCondition("JC", "k", "k"),)
+    part = quadtree_partition(
+        relation, attrs, conditions, side, capacity=capacity, max_depth=max_depth
+    )
+    leaves, depth = reference_partition(
+        relation, attrs, conditions, side, capacity, max_depth
+    )
+    assert_same_leaves(part, leaves, depth)
+    assert part.order.dtype == np.intp
+    assert part.offsets.tolist() == np.cumsum([0] + [c.size for c in leaves]).tolist()
+
+
+@given(data=_relations(), capacity=st.integers(1, 61))
+@settings(max_examples=60, deadline=None)
+def test_property_kd_leaves_equal_per_leaf_construction(data, capacity):
+    """The k-d split feeds the same array assembly: each of its leaves
+    equals a leaf built from that leaf's own rows."""
+    relation, attrs = data
+    conditions = (JoinCondition("JC", "k", "k"),)
+    part = quadtree_partition(
+        relation, attrs, conditions, "left", capacity=capacity, split="kd"
+    )
+    assert sorted(part.order.tolist()) == list(range(relation.cardinality))
+    assert_same_leaves(
+        part,
+        [
+            reference_leaf(
+                leaf.cell_id, relation, leaf.indices, attrs, conditions, "left"
+            )
+            for leaf in part.leaves
+        ],
+    )
